@@ -47,6 +47,7 @@ from .classify import (
     propagate_juxtaposition,
 )
 from .cyclotomic import CyclotomicField, CycScalar, cyclotomic_polynomial
+from .errors import BudgetExceeded
 from .linalg import rank
 from .cache import ResultCache, ResultRecord
 from .suites import SUITES, run_suite

@@ -4,8 +4,9 @@ juxtaposition calculus (block concatenation # and orthogonality).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
+from .errors import BudgetExceeded
 from .signed import (
     GroupKind,
     SignedPermutation,
@@ -17,9 +18,31 @@ from .signed import (
     multiply,
 )
 
+CLASS_BUDGET = 2_000_000
 
-class BudgetExceeded(RuntimeError):
-    pass
+
+def orbit(seed: SignedPermutation, gens: Sequence[SignedPermutation], act, cap: int) -> dict:
+    """Breadth-first orbit of ``seed`` under ``act(g, x)`` for g in ``gens``.
+
+    Returns a Schreier tree as an insertion-ordered dict
+    ``key -> (element, parent_key, generator)`` with ``element == act(generator,
+    parent)``; the seed maps to ``(seed, None, None)`` and every parent comes
+    before its children.  Raises :class:`BudgetExceeded` once the orbit has
+    more than ``cap`` points.
+    """
+    tree = {seed.key(): (seed, None, None)}
+    frontier = [seed]
+    for x in frontier:  # grows while it is walked: a FIFO queue
+        xk = x.key()
+        for g in gens:
+            y = act(g, x)
+            yk = y.key()
+            if yk not in tree:
+                if len(tree) >= cap:
+                    raise BudgetExceeded(f"orbit of {seed}", cap)
+                tree[yk] = (y, xk, g)
+                frontier.append(y)
+    return tree
 
 
 @dataclass
@@ -51,36 +74,23 @@ class ConjugacyClass:
 def enumerate_class(
     kind: GroupKind,
     rep: SignedPermutation,
-    budget: int = 2_000_000,
+    budget: int = CLASS_BUDGET,
 ) -> ConjugacyClass:
-    """BFS orbit of ``rep`` under conjugation by the fixed generator list.
+    """Orbit of ``rep`` under conjugation by the fixed generator list.
 
     The final numeration is canonical: rep first, the rest sorted, so output
-    does not depend on traversal schedule.  Conjugators are rebuilt for the
-    sorted order from the BFS parents.
+    does not depend on traversal schedule.  Conjugators come from the
+    Schreier tree: each is a generator times its parent's conjugator.
     """
     if not contains(kind, rep):
         raise ValueError(f"rep {rep} is not in group {kind.value}_{rep.n}")
     n = rep.n
-    gens = generators(kind, n)
-    conj: dict = {rep.key(): identity(n)}
-    elts = {rep.key(): rep}
-    frontier = [rep]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            gx = conj[x.key()]
-            for g in gens:
-                y = conjugate(g, x)
-                if y.key() not in elts:
-                    if len(elts) >= budget:
-                        raise BudgetExceeded(f"class size exceeds budget {budget}")
-                    elts[y.key()] = y
-                    conj[y.key()] = multiply(g, gx)
-                    nxt.append(y)
-        frontier = nxt
-    rest = sorted((x for x in elts.values() if x.key() != rep.key()), key=lambda x: x.key())
-    ordered = [rep] + rest
+    tree = orbit(rep, generators(kind, n), conjugate, budget)
+    conj: dict = {}
+    for k, (_, parent, g) in tree.items():
+        conj[k] = identity(n) if parent is None else multiply(g, conj[parent])
+    elements = [x for x, _, _ in tree.values()]
+    ordered = [rep] + sorted(elements[1:], key=lambda x: x.key())
     section = [conj[x.key()] for x in ordered]
     return ConjugacyClass(kind, n, rep, ordered, section)
 
@@ -94,27 +104,20 @@ class Centralizer:
     generators: list[SignedPermutation]
     order: int
 
-    def elements(self, cap: int = 200_000) -> list[SignedPermutation]:
-        """Closure of the generators; verifies the orbit-stabilizer order."""
-        n = self.rep.n
-        seen = {identity(n).key(): identity(n)}
-        frontier = [identity(n)]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = multiply(g, x)
-                    if y.key() not in seen:
-                        if len(seen) > cap:
-                            raise BudgetExceeded("centralizer closure exceeds cap")
-                        seen[y.key()] = y
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) != self.order:
+    def closure_tree(self, act, cap: int) -> dict:
+        """Schreier tree of the generators' closure from the identity under
+        ``act``; verifies the orbit-stabilizer order."""
+        tree = orbit(identity(self.rep.n), self.generators, act, cap)
+        if len(tree) != self.order:
             raise RuntimeError(
-                f"Schreier closure has order {len(seen)}, expected {self.order}"
+                f"closure misses centralizer elements: order {len(tree)}, expected {self.order}"
             )
-        return sorted(seen.values(), key=lambda x: x.key())
+        return tree
+
+    def elements(self, cap: int = 200_000) -> list[SignedPermutation]:
+        """Closure of the generators, sorted by key; verifies the order."""
+        tree = self.closure_tree(multiply, cap)
+        return sorted((x for x, _, _ in tree.values()), key=lambda x: x.key())
 
 
 def centralizer(kind: GroupKind, rep: SignedPermutation, cls: Optional[ConjugacyClass] = None) -> Centralizer:
@@ -143,30 +146,13 @@ def _reduce_generators(gens: list[SignedPermutation], order: int, cap: int = 20_
     if order > cap or not gens:
         return gens
     n = gens[0].n
-
-    def closure_keys(sub):
-        seen = {identity(n).key()}
-        frontier = [identity(n)]
-        elems = {identity(n).key(): identity(n)}
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in sub:
-                    y = multiply(g, x)
-                    if y.key() not in seen:
-                        seen.add(y.key())
-                        elems[y.key()] = y
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
     chosen: list[SignedPermutation] = []
-    have = {identity(n).key()}
+    have: dict = {identity(n).key(): None}
     for g in gens:
         if g.key() in have:
             continue
         chosen.append(g)
-        have = closure_keys(chosen)
+        have = orbit(identity(n), chosen, multiply, order)
         if len(have) == order:
             break
     return chosen
@@ -254,8 +240,7 @@ class ClassMembership:
         for keys in self._orbits:
             if x.key() in keys:
                 return keys
-        cls = enumerate_class(self.kind, x)
-        keys = {t.key() for t in cls.elements}
+        keys = set(orbit(x, generators(self.kind, self.n), conjugate, CLASS_BUDGET))
         self._orbits.append(keys)
         return keys
 
@@ -348,16 +333,8 @@ def verify_juxtaposition_identities(
             zkeys = {t.key() for t in zc.elements}
             block_gens = [juxtapose(g, identity(m)) for g in generators(kind, n)]
             block_gens += [juxtapose(identity(n), g) for g in generators(kind, m)]
-            orbit = {z.key()}
-            frontier = [z]
-            while frontier:
-                w = frontier.pop()
-                for g in block_gens:
-                    c = conjugate(g, w)
-                    if c.key() not in orbit:
-                        orbit.add(c.key())
-                        frontier.append(c)
-            if expected != orbit or not expected <= zkeys:
+            block_orbit = set(orbit(z, block_gens, conjugate, group_order(kind, n + m)))
+            if expected != block_orbit or not expected <= zkeys:
                 ok_vi = False
                 report["counterexamples"].append(("vi", str(lcls.rep), str(rcls.rep)))
             lcen = centralizer(kind, lcls.rep, lcls)

@@ -19,7 +19,7 @@ from .classes import all_classes, centralizer, enumerate_class
 from .classify import classify
 from .cyclotomic import CyclotomicField
 from .rack import sq, sq_formula_commuting, sq_formula_general
-from .signed import GroupKind, format_element, multiply, parse_element
+from .signed import MAX_RANK, GroupKind, format_element, multiply, parse_element
 from .suites import SUITES, run_suite
 
 
@@ -28,6 +28,26 @@ def _group(value: str) -> GroupKind:
         return GroupKind(value.upper())
     except ValueError:
         raise argparse.ArgumentTypeError(f"unknown group {value!r}; use B, D, or S")
+
+
+def _bounded_int(low: int, high: Optional[int] = None):
+    """An argparse type for integers in low..high (unbounded above if high is None)."""
+
+    def parse(value: str) -> int:
+        try:
+            k = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+        if k < low or (high is not None and k > high):
+            span = f"in {low}..{high}" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"{k} is not {span}")
+        return k
+
+    return parse
+
+
+_rank = _bounded_int(1, MAX_RANK)
+_degree = _bounded_int(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", parents=[common], help="conjugacy classes of a group")
     p.add_argument("--group", type=_group, default=GroupKind.B)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--rep", default=None, help="element BITS:CYCLES; restrict to its class")
 
     p = sub.add_parser("typed", parents=[common], help="decide a type-D decomposition for a class")
     p.add_argument("--group", type=_group, default=GroupKind.B)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--rep", required=True, help="class representative, BITS:CYCLES")
 
     p = sub.add_parser("sq", parents=[common], help="the squaring operation x |> (y |> (x |> y))")
@@ -64,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nichols", parents=[common], help="graded dimensions from a class and character")
     p.add_argument("--group", type=_group, default=GroupKind.B)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--rep", required=True, help="class representative, BITS:CYCLES")
     p.add_argument(
         "--char",
@@ -72,11 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="'trivial', 'sign', or comma-separated scalar values "
         "(1, -1, or zetaM^K) for the centralizer generators",
     )
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_degree, default=6)
 
     p = sub.add_parser("fk", parents=[common], help="graded dimensions of a quadratic algebra")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--n", type=_rank, required=True)
+    p.add_argument("--max-degree", type=_degree, default=12)
     p.add_argument("--signs", default=None, help="JSON file with alpha/beta/gamma/lambda maps")
     p.add_argument("--engine", choices=("linear", "rewrite", "both"), default="both")
 

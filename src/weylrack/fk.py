@@ -17,14 +17,11 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Optional
 
+from .errors import BudgetExceeded
 from .linalg import rank
 
 Word = tuple  # tuple of generator indices
 Poly = dict  # Word -> Fraction
-
-
-class FkBudgetError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +54,8 @@ class QuadraticPresentation:
     def num_gens(self) -> int:
         return len(self.gens)
 
-    def gen_index(self, i: int, j: int) -> tuple[int, int]:
-        """(canonical index, sign) of x_ij for any i != j."""
-        if i == j:
-            raise ValueError("generators need distinct indices")
-        if i < j:
-            return self._index[(i, j)], 1
-        return self._index[(j, i)], self._gamma[(j, i)]
 
-    def __post_init__(self):
-        self._index = {p: k for k, p in enumerate(self.gens)}
-        self._gamma = getattr(self, "_gamma", {p: -1 for p in self.gens})
-
-
-def _build(n, alpha, beta, gamma, lam, label, include_triples=True) -> QuadraticPresentation:
+def _build(n, alpha, beta, gamma, lam, label) -> QuadraticPresentation:
     gens = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {p: k for k, p in enumerate(gens)}
     gamma_map = {p: _sign_lookup(gamma, p, "gamma") for p in gens}
@@ -98,7 +83,7 @@ def _build(n, alpha, beta, gamma, lam, label, include_triples=True) -> Quadratic
     for k in range(len(gens)):
         add({(k, k): Fraction(1)})
     # (ii) the braided triple relation for every ordered distinct triple
-    for i, j, k in permutations(range(1, n + 1), 3) if include_triples else ():
+    for i, j, k in permutations(range(1, n + 1), 3):
         a = _sign_lookup(alpha, (i, j, k), "alpha")
         b = _sign_lookup(beta, (i, j, k), "beta")
         g1, s1 = x(i, j)
@@ -128,25 +113,19 @@ def _build(n, alpha, beta, gamma, lam, label, include_triples=True) -> Quadratic
                 f"lambda[{key}] * lambda[{(k, l, i, j)}] != 1 forces "
                 f"x_{i}{j} x_{k}{l} = 0"
             )
-    pres = QuadraticPresentation(n, gens, relations, label, forced)
-    pres._gamma = gamma_map
-    pres.__post_init__()
-    return pres
+    return QuadraticPresentation(n, gens, relations, label, forced)
 
 
-def presentation(
-    n, alpha=1, beta=1, gamma=-1, lam=1, label="", include_triples=True
-) -> QuadraticPresentation:
+def presentation(n, alpha=1, beta=1, gamma=-1, lam=1, label="") -> QuadraticPresentation:
     """The sign-twisted family A(alpha, beta, gamma, lambda).
 
     Each sign argument is either a constant +-1 or a dict keyed by 1-based
     index tuples: (i,j,k) for alpha/beta, (i,j) with i<j for gamma, and
-    (i,j,k,l) for lambda.  ``include_triples=False`` drops the braided triple
-    relations, leaving squares and commutations only (a probe variant).
+    (i,j,k,l) for lambda.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return _build(n, alpha, beta, gamma, lam, label or f"A(n={n})", include_triples)
+    return _build(n, alpha, beta, gamma, lam, label or f"A(n={n})")
 
 
 def fk_presentation(n) -> QuadraticPresentation:
@@ -224,7 +203,7 @@ def graded_dims_linear(
     for m in range(2, max_degree + 1):
         free_dim = cur_dim * G
         if free_dim * max(1, prev_dim) > entry_budget:
-            raise FkBudgetError(f"degree {m} exceeds entry budget")
+            raise BudgetExceeded(f"degree-{m} quotient entries", entry_budget)
         # relation image: for each A_{m-2} basis vector b and relation sum c_w w
         # with w = (g1, g2): sum_w c_w (b . g1) (x) g2 in A_{m-1} (x) V
         rows = []
@@ -349,9 +328,6 @@ class RewriteSystem:
     completed_to: int
     confluent: bool  # all overlaps of total degree <= completed_to resolve
 
-    def reduce(self, poly: Poly) -> Poly:
-        return _reduce(poly, self.rules, {len(w) for w in self.rules})
-
     def irreducible_counts(self, max_degree: int) -> list[int]:
         """Words avoiding every rule lhs, counted by an automaton walk."""
         lhs = set(self.rules)
@@ -406,7 +382,7 @@ def complete_to_degree(
         lead = max(poly, key=_word_key)
         lc = poly.pop(lead)
         if len(rules) >= rule_budget:
-            raise FkBudgetError("rewrite rule budget exceeded")
+            raise BudgetExceeded("rewrite rules", rule_budget)
         rules[lead] = {w: -c / lc for w, c in poly.items()}
         return True
 

@@ -7,8 +7,10 @@ decomposition of a subrack into R, S plus a pair with sq(a, b) != b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from .classes import orbit
+from .errors import BudgetExceeded
 from .signed import (
     SignedPermutation,
     conjugate,
@@ -72,7 +74,7 @@ class FiniteRack:
 def rack_from_class(elements: Sequence[SignedPermutation], cap: int = DEFAULT_TABLE_CAP) -> FiniteRack:
     """Conjugation rack on an enumerated conjugacy class."""
     if len(elements) > cap:
-        raise RackError(f"class of size {len(elements)} exceeds table cap {cap}")
+        raise BudgetExceeded(f"rack table for a class of size {len(elements)}", cap)
     index = {x.key(): i for i, x in enumerate(elements)}
     table = []
     for x in elements:
@@ -297,27 +299,6 @@ class Undetermined:
     budget: dict = field(default_factory=dict)
 
 
-def _conj_orbit(seed: SignedPermutation, conjugators: Iterable[SignedPermutation], cap: int):
-    gens = []
-    for g in conjugators:
-        gens.append(g)
-        gens.append(g.inverse())
-    seen = {seed.key(): seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = conjugate(g, x)
-                if y.key() not in seen:
-                    seen[y.key()] = y
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        return None
-        frontier = nxt
-    return seen
-
-
 def pair_orbit_witness(
     elements: Sequence[SignedPermutation],
     max_pairs: int = 400,
@@ -329,7 +310,8 @@ def pair_orbit_witness(
     For r, s in the class, the conjugation orbits of r and s under <r, s> are
     each closed under conjugation by both, so when the orbits are disjoint
     their union is a subrack with a ready-made decomposition; it remains to
-    find a pair with sq(a, b) != b.  Deterministic scan order.
+    find a pair with sq(a, b) != b.  The group is finite, so the orbits need
+    no inverse conjugators.  Deterministic scan order.
     """
     elts = list(elements)
     tried = 0
@@ -340,14 +322,17 @@ def pair_orbit_witness(
             tried += 1
             if r.perm == s.perm:
                 continue  # same fiber never separates under <r, s>
-            orb_r = _conj_orbit(r, (r, s), orbit_cap)
-            if orb_r is None or s.key() in orb_r:
+            try:
+                orb_r = orbit(r, (r, s), conjugate, orbit_cap)
+                if s.key() in orb_r:
+                    continue
+                orb_s = orbit(s, (r, s), conjugate, orbit_cap)
+            except BudgetExceeded:
                 continue
-            orb_s = _conj_orbit(s, (r, s), orbit_cap)
-            if orb_s is None or set(orb_r) & set(orb_s):
+            if orb_r.keys() & orb_s.keys():
                 continue
-            R = sorted(orb_r.values(), key=lambda x: x.key())
-            S = sorted(orb_s.values(), key=lambda x: x.key())
+            R = sorted((x for x, _, _ in orb_r.values()), key=lambda x: x.key())
+            S = sorted((y for y, _, _ in orb_s.values()), key=lambda y: y.key())
             scanned = 0
             for a in R:
                 for b in S:

@@ -10,7 +10,6 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction  # noqa: F401  (re-exported convenience for callers)
 
 MAX_RANK = 64
 
@@ -46,7 +45,7 @@ class SignedCycleType:
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p o q)(i) = p(q(i))
-    return tuple(p[j] for j in q)
+    return tuple([p[j] for j in q])
 
 
 def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -57,10 +56,13 @@ def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _act(p: tuple[int, ...], bits: int) -> int:
-    # (p . a)_{p(i)} = a_i, i.e. position i of the result carries a_{p^-1(i)}
+    # (p . a)_{p(i)} = a_i, i.e. position i of the result carries a_{p^-1(i)};
+    # only the set bits move, lowest first
     out = 0
-    for i, j in enumerate(p):
-        out |= ((bits >> i) & 1) << j
+    while bits:
+        low = bits & -bits
+        out |= 1 << p[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
@@ -73,6 +75,8 @@ class SignedPermutation:
     perm: tuple[int, ...]
 
     def __post_init__(self):
+        # validates input from callers; group operations build their already
+        # valid results through _trusted and skip this
         if not (0 < self.n <= MAX_RANK):
             raise ValueError(f"rank must be in 1..{MAX_RANK}, got {self.n}")
         if self.bits >> self.n:
@@ -100,7 +104,7 @@ class SignedPermutation:
 
     def inverse(self) -> "SignedPermutation":
         ip = _invert_perm(self.perm)
-        return SignedPermutation(self.n, _act(ip, self.bits), ip)
+        return _trusted(self.n, _act(ip, self.bits), ip)
 
     def conjugate(self, x: "SignedPermutation") -> "SignedPermutation":
         """self |> x = self * x * self^-1."""
@@ -155,6 +159,21 @@ class SignedPermutation:
         return format_element(self)
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _trusted(n: int, bits: int, perm: tuple[int, ...]) -> SignedPermutation:
+    """Build an element whose fields are valid by construction, unchecked."""
+    # the frozen dataclass's own __init__ sets fields this way too; writing
+    # to x.__dict__ instead would cost each element a full-size dict
+    x = _new(SignedPermutation)
+    _setattr(x, "n", n)
+    _setattr(x, "bits", bits)
+    _setattr(x, "perm", perm)
+    return x
+
+
 def identity(n: int) -> SignedPermutation:
     return SignedPermutation(n, 0, tuple(range(n)))
 
@@ -163,7 +182,7 @@ def multiply(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:
     """(a, pi)(b, tau) = (a + pi.b, pi tau)."""
     if x.n != y.n:
         raise ValueError(f"rank mismatch: {x.n} != {y.n}")
-    return SignedPermutation(x.n, x.bits ^ _act(x.perm, y.bits), _compose(x.perm, y.perm))
+    return _trusted(x.n, x.bits ^ _act(x.perm, y.bits), _compose(x.perm, y.perm))
 
 
 def inverse(x: SignedPermutation) -> SignedPermutation:
@@ -175,9 +194,13 @@ def conjugate(by: SignedPermutation, x: SignedPermutation) -> SignedPermutation:
     if by.n != x.n:
         raise ValueError(f"rank mismatch: {by.n} != {x.n}")
     b, q = by.bits, by.perm
-    new_perm = _compose(q, _compose(x.perm, _invert_perm(q)))
+    # q pi q^-1 sends q(i) to q(pi(i))
+    img = [0] * x.n
+    for i, j in zip(q, x.perm):
+        img[i] = q[j]
+    new_perm = tuple(img)
     new_bits = b ^ _act(q, x.bits) ^ _act(new_perm, b)
-    return SignedPermutation(x.n, new_bits, new_perm)
+    return _trusted(x.n, new_bits, new_perm)
 
 
 def signed_cycle_type(x: SignedPermutation) -> SignedCycleType:
@@ -289,12 +312,25 @@ def elements(kind: GroupKind, n: int):
                 yield x
 
 
+_BIT_LENGTH = [i.bit_length() for i in range(MAX_RANK + 1)]
+
+
 def random_element(rng, n: int, kind: GroupKind = GroupKind.B) -> SignedPermutation:
+    if not (0 < n <= MAX_RANK):
+        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {n}")
+    # Fisher-Yates on rejection-sampled getrandbits: the same draws, and so
+    # the same permutation, as rng.shuffle, without its per-draw call overhead
+    getrandbits = rng.getrandbits
     perm = list(range(n))
-    rng.shuffle(perm)
-    bits = rng.getrandbits(n)
+    for i in range(n - 1, 0, -1):
+        k = _BIT_LENGTH[i + 1]
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        perm[i], perm[j] = perm[j], perm[i]
+    bits = getrandbits(n)
     if kind is GroupKind.D and bin(bits).count("1") % 2:
         bits ^= 1
     elif kind is GroupKind.S:
         bits = 0
-    return SignedPermutation(n, bits, tuple(perm))
+    return _trusted(n, bits, tuple(perm))

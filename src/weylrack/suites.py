@@ -17,9 +17,10 @@ from .classes import (
     all_classes,
     centralizer,
     enumerate_class,
+    juxtapose,
     verify_juxtaposition_identities,
 )
-from .classify import EXCEPTION, PROVEN, Classifier, exception_case
+from .classify import EXCEPTION, PROVEN, Classifier, exception_case, propagate_juxtaposition
 from .cyclotomic import CyclotomicField
 from .rack import (
     commuting_balance_sides,
@@ -76,10 +77,16 @@ def _check(name: str, tag: str, passed: bool, **detail) -> dict:
 # group laws against an independent monomial-action model
 
 
-def _apply_point(x: SignedPermutation, j: int, s: int) -> tuple[int, int]:
-    """Image of the signed basis point s*e_j under x, read off the raw fields."""
-    t = x.perm[j]
-    return t, s * (1 - 2 * ((x.bits >> t) & 1))
+def _monomial(x: SignedPermutation) -> list[int]:
+    """x as a monomial matrix, read off the raw fields: entry j is the signed
+    1-based image of e_{j+1}."""
+    bits = x.bits
+    return [-t - 1 if (bits >> t) & 1 else t + 1 for t in x.perm]
+
+
+def _monomial_product(m: list[int], k: list[int]) -> list[int]:
+    """Column j of m k is m applied to column j of k."""
+    return [m[v - 1] if v > 0 else -m[-v - 1] for v in k]
 
 
 def _suite_group_laws(params: dict, rng: random.Random) -> list[dict]:
@@ -91,23 +98,14 @@ def _suite_group_laws(params: dict, rng: random.Random) -> list[dict]:
         x = random_element(rng, n)
         y = random_element(rng, n)
         z = random_element(rng, n)
-        xy = multiply(x, y)
-        for j in range(n):
-            if _apply_point(x, *_apply_point(y, j, 1)) != _apply_point(xy, j, 1):
-                bad_mul += 1
-                break
-        xi = x.inverse()
-        for j in range(n):
-            if _apply_point(x, *_apply_point(xi, j, 1)) != (j, 1):
-                bad_inv += 1
-                break
-        w = conjugate(z, x)
-        zi = z.inverse()
-        for j in range(n):
-            expect = _apply_point(z, *_apply_point(x, *_apply_point(zi, j, 1)))
-            if _apply_point(w, j, 1) != expect:
-                bad_conj += 1
-                break
+        mx = _monomial(x)
+        if _monomial_product(mx, _monomial(y)) != _monomial(multiply(x, y)):
+            bad_mul += 1
+        if _monomial_product(mx, _monomial(x.inverse())) != list(range(1, n + 1)):
+            bad_inv += 1
+        expect = _monomial_product(_monomial(z), _monomial_product(mx, _monomial(z.inverse())))
+        if _monomial(conjugate(z, x)) != expect:
+            bad_conj += 1
     return [
         _check("product_matches_monomial_action", "semidirect-product", bad_mul == 0,
                cases=count, failures=bad_mul),
@@ -249,11 +247,15 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
         ok = ok and clf.classify(x).status == PROVEN
     checks.append(_check("fixed_point_rules", "witness-fixed-points", ok))
     # propagation: a decomposition survives juxtaposition with any right block
-    clf = Classifier(GroupKind.B, 7)
-    x = from_cycles(7, 0, [(1, 2, 3, 4, 5)])
-    v = clf.classify(x)
-    checks.append(_check("juxtaposition_propagation", "witness-propagation",
-                         v.status == PROVEN))
+    x = from_cycles(5, 0, [(1, 2, 3, 4, 5)])
+    v = Classifier(GroupKind.B, 5).classify(x)
+    right = from_cycles(2, 0b01, [(1, 2)])
+    ok = v.status == PROVEN
+    if ok:
+        w = propagate_juxtaposition(v.witness, right)
+        member = ClassMembership(GroupKind.B, 7).member_test(juxtapose(x, right))
+        ok = bool(w.validate(member))
+    checks.append(_check("juxtaposition_propagation", "witness-propagation", ok))
     return checks
 
 

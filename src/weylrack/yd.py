@@ -28,6 +28,7 @@ from .classes import (
 )
 from .classify import TypeDVerdict, Classifier, PROVEN, EXCEPTION
 from .cyclotomic import CycScalar, CyclotomicField
+from .errors import BudgetExceeded
 from .linalg import identity_matrix, invert_dense, mat_mul, rank
 from .signed import GroupKind, SignedPermutation, conjugate, identity, multiply
 
@@ -59,36 +60,28 @@ class CentralizerRep:
     def closure(self, cap: int = 200_000) -> dict:
         """Map every centralizer element key to its image matrix.
 
-        Breadth-first closure over the generators; reaching an element along
-        two paths with different images means the images violate a relation,
-        which is reported as :class:`RepInconsistency`.
+        Images are pushed along every edge x -> g x of the generators'
+        closure, in breadth-first order; reaching an element along two paths
+        with different images means the images violate a relation, which is
+        reported as :class:`RepInconsistency`.
         """
         if self._closure is not None:
             return self._closure
-        n = self.cen.rep.n
-        one = identity_matrix(self.dim, self.scalar_field.one, self.scalar_field.zero)
-        seen = {identity(n).key(): one}
-        frontier = [(identity(n), one)]
-        while frontier:
-            nxt = []
-            for x, mx in frontier:
-                for g in self.cen.generators:
-                    mg = self.images[g.key()]
-                    y = multiply(g, x)
-                    my = mat_mul(mg, mx, self.scalar_field.zero)
-                    prev = seen.get(y.key())
-                    if prev is None:
-                        if len(seen) > cap:
-                            raise RuntimeError("centralizer closure exceeds cap")
-                        seen[y.key()] = my
-                        nxt.append((y, my))
-                    elif prev != my:
-                        raise RepInconsistency(
-                            f"images inconsistent at centralizer element {y}"
-                        )
-            frontier = nxt
-        if len(seen) != self.cen.order:
-            raise RuntimeError("closure misses centralizer elements")
+        edges = []
+
+        def act(g, x):
+            y = multiply(g, x)
+            edges.append((g, x, y))
+            return y
+
+        self.cen.closure_tree(act, cap)
+        zero = self.scalar_field.zero
+        one = identity_matrix(self.dim, self.scalar_field.one, zero)
+        seen = {identity(self.cen.rep.n).key(): one}
+        for g, x, y in edges:
+            my = mat_mul(self.images[g.key()], seen[x.key()], zero)
+            if seen.setdefault(y.key(), my) != my:
+                raise RepInconsistency(f"images inconsistent at centralizer element {y}")
         self._closure = seen
         return seen
 
@@ -114,24 +107,9 @@ def perm_sign_rep(cen: Centralizer, scalar_field: CyclotomicField) -> Centralize
     """Scalar rep sending each generator to the sign of its permutation part."""
     values = []
     for g in cen.generators:
-        parity = sum(len(c) - 1 for c in _perm_cycles(g.perm)) % 2
+        parity = sum(len(c) - 1 for c in g.cycles()) % 2
         values.append(scalar_field.scalar(-1 if parity else 1))
     return scalar_rep(cen, scalar_field, values)
-
-
-def _perm_cycles(perm):
-    seen, out = set(), []
-    for s in range(len(perm)):
-        if s in seen:
-            continue
-        cyc, j = [], s
-        while j not in seen:
-            seen.add(j)
-            cyc.append(j)
-            j = perm[j]
-        if len(cyc) > 1:
-            out.append(tuple(cyc))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +168,7 @@ class BraidedVectorSpace:
     def check_braid_equation(self, max_dim: int = 24) -> None:
         """(id(x)C)(C(x)id)(id(x)C) == (C(x)id)(id(x)C)(C(x)id) on all triples."""
         if self.D > max_dim:
-            raise RuntimeError(f"braid-equation check capped at D={max_dim}")
+            raise BudgetExceeded(f"braid-equation check on dimension {self.D}", max_dim)
         one = self.scalar_field.one
         for basis in product(range(self.D), repeat=3):
             start = {basis: one}
@@ -260,7 +238,9 @@ class YDModule:
     def braided_space(self, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> BraidedVectorSpace:
         """Materialize C and its inverse on the full D-dimensional basis."""
         if self.D * self.D * self.d > entry_budget:
-            raise RuntimeError("braiding materialization exceeds entry budget")
+            raise BudgetExceeded(
+                f"braiding materialization ({self.D * self.D * self.d} entries)", entry_budget
+            )
         zero = self.scalar_field.zero
         c_map: dict = {}
         cinv_map: dict = {}
@@ -349,7 +329,7 @@ def symmetrizer(space: BraidedVectorSpace, m: int, entry_budget: int = DEFAULT_E
     if m < 1:
         raise ValueError("degree must be >= 1")
     if space.D ** m > entry_budget:
-        raise RuntimeError("symmetrizer exceeds entry budget")
+        raise BudgetExceeded(f"degree-{m} symmetrizer ({space.D ** m} columns)", entry_budget)
     one = space.scalar_field.one
     return {
         basis: _apply_sm(space, {basis: one}, m)

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from weylrack.classes import (
+    BudgetExceeded,
     ClassMembership,
+    _reduce_generators,
     all_classes,
     centralizer,
     embed_left,
@@ -73,6 +75,29 @@ def test_centralizer_orbit_stabilizer():
         assert cen.order * cls.size == group_order(GroupKind.B, rep.n)
         for g in cen.generators:
             assert conjugate(g, rep) == rep
+        # the reduced generators still close to the whole centralizer
+        assert len(cen.elements()) == cen.order
+        assert _reduce_generators(cen.generators, cen.order) == cen.generators
+
+
+@pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
+def test_class_sections(kind):
+    for cls in all_classes(kind, 4):
+        assert cls.elements[0] == cls.rep
+        for g, t in zip(cls.section, cls.elements):
+            assert conjugate(g, cls.rep) == t
+
+
+def test_orbit_caps_raise_budget_exceeded():
+    rep = from_cycles(4, 0, [(1, 2)])
+    cls = enumerate_class(GroupKind.B, rep)
+    assert enumerate_class(GroupKind.B, rep, budget=cls.size).elements == cls.elements
+    with pytest.raises(BudgetExceeded):
+        enumerate_class(GroupKind.B, rep, budget=cls.size - 1)
+    cen = centralizer(GroupKind.B, rep, cls)
+    assert len(cen.elements(cap=cen.order)) == cen.order
+    with pytest.raises(BudgetExceeded):
+        cen.elements(cap=cen.order - 1)
 
 
 def test_class_membership_agrees_with_enumeration():

@@ -121,3 +121,20 @@ def test_bad_group_rejected():
 def test_rank_mismatch_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["typed", "--n", "4", "--rep", "00000:(1 2 3 4 5)"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--n", "0"],
+        ["classes", "--n", "65"],
+        ["fk", "--n", "3", "--max-degree", "0"],
+        ["nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "sign", "--max-degree", "0"],
+    ],
+)
+def test_out_of_range_arguments_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not" in err and "Traceback" not in err

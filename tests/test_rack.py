@@ -12,6 +12,7 @@ from weylrack.rack import (
     check_decomposition,
     commuting_balance_sides,
     is_square_commutative,
+    pair_orbit_witness,
     rack_from_class,
     sq,
     sq_formula_commuting,
@@ -124,6 +125,12 @@ def test_witness_validate_and_json_roundtrip():
     assert w.validate(member=lambda t: mem.same_class(t, x))
     w2 = TypeDWitness.from_json(w.to_json())
     assert w2.validate(member=lambda t: mem.same_class(t, x))
+
+
+def test_pair_orbit_witness_respects_orbit_cap():
+    cls = enumerate_class(GroupKind.B, from_cycles(5, 0, [(1, 2, 3, 4, 5)]))
+    assert isinstance(pair_orbit_witness(cls.elements), TypeDWitness)
+    assert pair_orbit_witness(cls.elements, orbit_cap=1) is None
 
 
 def test_brute_force_undetermined_on_singleton():

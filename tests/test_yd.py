@@ -6,6 +6,7 @@ import pytest
 from weylrack import yd
 from weylrack.classes import centralizer, enumerate_class, is_orthogonal
 from weylrack.cyclotomic import CyclotomicField
+from weylrack.errors import BudgetExceeded
 from weylrack.signed import GroupKind, from_cycles
 
 
@@ -85,6 +86,15 @@ def test_rep_closure_consistency_guard():
     # if the assignment happened to be consistent, closure must be multiplicative
     vals = rep.closure()
     assert len(vals) == cen.order
+
+
+def test_rep_closure_cap():
+    module, F = sym_transposition_module(yd.trivial_rep)
+    cen = module.rep.cen
+    rep = yd.trivial_rep(cen, F)
+    with pytest.raises(BudgetExceeded):
+        rep.closure(cap=cen.order - 1)
+    assert len(rep.closure(cap=cen.order)) == cen.order
 
 
 def test_psi_embedding_injective_and_intertwines():
