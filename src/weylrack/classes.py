@@ -319,8 +319,26 @@ def verify_juxtaposition_identities(
 
     # orthogonal class-level identities
     ok_iii = ok_iv = ok_vi = True
+    right_classes = all_classes(kind, m)
+    block_gens = [juxtapose(g, identity(m)) for g in generators(kind, n)]
+    block_gens += [juxtapose(identity(n), g) for g in generators(kind, m)]
+    block_cens: dict = {}  # rep key -> centralizer of that block class
+    block_keys: dict = {}  # rep key -> keys of the centralizer's elements
+
+    def block_centralizer(cls):
+        key = cls.rep.key()
+        if key not in block_cens:
+            block_cens[key] = centralizer(kind, cls.rep, cls)
+        return block_cens[key]
+
+    def element_keys(cen):
+        key = cen.rep.key()
+        if key not in block_keys:
+            block_keys[key] = {u.key() for u in cen.elements()}
+        return block_keys[key]
+
     for lcls in all_classes(kind, n):
-        for rcls in all_classes(kind, m):
+        for rcls in right_classes:
             if not is_orthogonal(lcls.rep, rcls.rep):
                 continue
             z = juxtapose(lcls.rep, rcls.rep)
@@ -331,14 +349,12 @@ def verify_juxtaposition_identities(
             # full class is larger (conjugation by elements mixing the blocks
             # can move cycle support from one block to the other)
             zkeys = {t.key() for t in zc.elements}
-            block_gens = [juxtapose(g, identity(m)) for g in generators(kind, n)]
-            block_gens += [juxtapose(identity(n), g) for g in generators(kind, m)]
             block_orbit = set(orbit(z, block_gens, conjugate, group_order(kind, n + m)))
             if expected != block_orbit or not expected <= zkeys:
                 ok_vi = False
                 report["counterexamples"].append(("vi", str(lcls.rep), str(rcls.rep)))
-            lcen = centralizer(kind, lcls.rep, lcls)
-            rcen = centralizer(kind, rcls.rep, rcls)
+            lcen = block_centralizer(lcls)
+            rcen = block_centralizer(rcls)
             zcen_order = group_order(kind, n + m) // zc.size
             if lcen.order * rcen.order != zcen_order:
                 ok_iii = False
@@ -354,8 +370,7 @@ def verify_juxtaposition_identities(
             except BudgetExceeded:
                 zelems = None
             if zelems is not None:
-                lkeys = {u.key() for u in lcen.elements()}
-                rkeys = {v.key() for v in rcen.elements()}
+                lkeys, rkeys = element_keys(lcen), element_keys(rcen)
                 for w in zelems:
                     try:
                         lw, rw = split(w, n)

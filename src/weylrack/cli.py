@@ -18,6 +18,7 @@ from .cache import ResultCache
 from .classes import all_classes, centralizer, enumerate_class
 from .classify import classify
 from .cyclotomic import CyclotomicField
+from .errors import BudgetExceeded
 from .rack import sq, sq_formula_commuting, sq_formula_general
 from .signed import MAX_RANK, GroupKind, format_element, multiply, parse_element
 from .suites import SUITES, run_suite
@@ -56,7 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with conjugation racks of signed permutations.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--budget", type=int, default=None, help="search budget override")
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="budget override: typed pair budget, nichols entries per degree",
+    )
     parser.add_argument("--cache-dir", default=None, help="directory for the JSONL result cache")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
@@ -95,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=_degree, default=6)
 
     p = sub.add_parser("fk", parents=[common], help="graded dimensions of a quadratic algebra")
-    p.add_argument("--n", type=_rank, required=True)
+    p.add_argument("--n", type=_bounded_int(2, MAX_RANK), required=True)
     p.add_argument("--max-degree", type=_degree, default=12)
     p.add_argument("--signs", default=None, help="JSON file with alpha/beta/gamma/lambda maps")
     p.add_argument("--engine", choices=("linear", "rewrite", "both"), default="both")
@@ -248,7 +254,8 @@ def _cmd_nichols(args) -> int:
         _, rep = _parse_char(args.char, cen)
         module = yd.build_yd_module(cls, rep)
         space = module.braided_space()
-        dims = yd.nichols_graded_dims(space, args.max_degree)
+        budget = yd.NICHOLS_ENTRY_BUDGET if args.budget is None else args.budget
+        dims = yd.nichols_graded_dims(space, args.max_degree, budget)
         return {
             "class_size": cls.size,
             "braided_dim": module.D,
@@ -342,8 +349,16 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """Run one subcommand; exit code 2 is a usage error, 3 an exhausted budget."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "group", None) is GroupKind.D and args.n < 2:
+        parser.error("--group D needs --n >= 2")
+    try:
+        return _COMMANDS[args.command](args)
+    except BudgetExceeded as exc:
+        print(f"weylrack: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -130,6 +130,8 @@ def presentation(n, alpha=1, beta=1, gamma=-1, lam=1, label="") -> QuadraticPres
 
 def fk_presentation(n) -> QuadraticPresentation:
     """The classical square-free algebra: the (1, 1, -1, 1) instance."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     return _build(n, 1, 1, -1, 1, f"E_{n}")
 
 

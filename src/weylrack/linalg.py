@@ -16,14 +16,16 @@ def _inv(x):
     return Fraction(1) / x
 
 
-def rank(rows) -> int:
-    """Rank of a sparse matrix given as an iterable of {col: value} dicts.
+def independent_rows(rows) -> list[int]:
+    """Indices of the rows that add a pivot, taking rows greedily in input order.
 
-    Columns may be any sortable hashable keys (ints, tuples, ...).
+    ``rows`` is an iterable of sparse {col: value} dicts; columns may be any
+    sortable hashable keys (ints, tuples, ...).  The selected rows are
+    linearly independent and span the row space.
     """
     pivots: dict = {}  # pivot column -> normalized row
-    r = 0
-    for row in rows:
+    kept = []
+    for index, row in enumerate(rows):
         row = {c: v for c, v in row.items() if v}
         while row:
             # eliminate against the pivot whose column leads this row, repeating
@@ -48,8 +50,13 @@ def rank(rows) -> int:
         lead = min(row)
         inv = _inv(row.pop(lead))
         pivots[lead] = {c: inv * v for c, v in row.items()}
-        r += 1
-    return r
+        kept.append(index)
+    return kept
+
+
+def rank(rows) -> int:
+    """Rank of a sparse matrix given as an iterable of {col: value} dicts."""
+    return len(independent_rows(rows))
 
 
 def invert_dense(mat, one, zero):

@@ -6,9 +6,10 @@ is C(g_i v (x) g_j w) = g_{j'} (rho(nu_j(t_i)) w) (x) g_i v, where
 t_i g_j = g_{j'} nu_j(t_i) with nu_j(t_i) in the centralizer.
 
 Graded dimensions of the associated quotient of the tensor algebra are the
-exact ranks of the quantum symmetrizers S_m over a cyclotomic field.  The
-module also houses the scalar screening rules used to rule out finite
-dimension for juxtaposed classes.
+exact ranks of the quantum symmetrizers S_m over a cyclotomic field, computed
+degree by degree on B^{m-1} (x) V; the full symmetrizer is kept as the
+oracle.  The module also houses the scalar screening rules used to rule out
+finite dimension for juxtaposed classes.
 """
 from __future__ import annotations
 
@@ -29,10 +30,12 @@ from .classes import (
 from .classify import TypeDVerdict, Classifier, PROVEN, EXCEPTION
 from .cyclotomic import CycScalar, CyclotomicField
 from .errors import BudgetExceeded
-from .linalg import identity_matrix, invert_dense, mat_mul, rank
+from .linalg import identity_matrix, independent_rows, invert_dense, mat_mul, rank
 from .signed import GroupKind, SignedPermutation, conjugate, identity, multiply
 
 DEFAULT_ENTRY_BUDGET = 5_000_000
+# candidate entries held at one Nichols degree; each costs roughly 400 bytes
+NICHOLS_ENTRY_BUDGET = 1_000_000
 
 
 class RepInconsistency(ValueError):
@@ -299,6 +302,17 @@ def renumber_class(cls: ConjugacyClass, order) -> ConjugacyClass:
 # quantum symmetrizers and graded dimensions
 
 
+def _add_into(total: dict, vec: dict) -> None:
+    """total += vec, dropping entries that cancel."""
+    for key, coeff in vec.items():
+        prev = total.get(key)
+        nv = coeff if prev is None else prev + coeff
+        if nv:
+            total[key] = nv
+        elif prev is not None:
+            del total[key]
+
+
 def _apply_s1j(space: BraidedVectorSpace, vec: dict, j: int, offset: int = 0) -> dict:
     """S_{1,j} = id + C12^{-1} + C12^{-1}C23^{-1} + ... on legs offset..offset+j."""
     total = dict(vec)
@@ -306,13 +320,7 @@ def _apply_s1j(space: BraidedVectorSpace, vec: dict, j: int, offset: int = 0) ->
         cur = vec
         for leg in range(k, 0, -1):
             cur = space.apply_leg(cur, offset + leg - 1, inverse=True)
-        for key, coeff in cur.items():
-            prev = total.get(key)
-            nv = coeff if prev is None else prev + coeff
-            if nv:
-                total[key] = nv
-            elif prev is not None:
-                del total[key]
+        _add_into(total, cur)
     return total
 
 
@@ -322,6 +330,24 @@ def _apply_sm(space: BraidedVectorSpace, vec: dict, m: int, offset: int = 0) -> 
         return vec
     vec = _apply_s1j(space, vec, m - 1, offset)
     return _apply_sm(space, vec, m - 1, offset + 1)
+
+
+def _apply_lm(space: BraidedVectorSpace, vec: dict, m: int) -> dict:
+    """L_m = sum_{k=0}^{m-1} T_{m-k}...T_{m-1} on m legs, T_{m-1} applied first.
+
+    T_i is C^{-1} on legs (i, i+1).  With S_m = L_m (S_{m-1} (x) id), one
+    running partial product gives every term in m-1 leg applications.
+    """
+    total = dict(vec)
+    for leg in range(m - 2, -1, -1):
+        vec = space.apply_leg(vec, leg, inverse=True)
+        _add_into(total, vec)
+    return total
+
+
+def _extend(vec: dict, v: int) -> dict:
+    """vec (x) e_v."""
+    return {basis + (v,): coeff for basis, coeff in vec.items()}
 
 
 def symmetrizer(space: BraidedVectorSpace, m: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> dict:
@@ -338,6 +364,7 @@ def symmetrizer(space: BraidedVectorSpace, m: int, entry_budget: int = DEFAULT_E
 
 
 def symmetrizer_rank(space: BraidedVectorSpace, m: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> int:
+    """rank S_m from all D^m columns: the oracle for :func:`nichols_graded_dims`."""
     if m == 0:
         return 1
     if m == 1:
@@ -348,15 +375,34 @@ def symmetrizer_rank(space: BraidedVectorSpace, m: int, entry_budget: int = DEFA
 def nichols_graded_dims(
     space: BraidedVectorSpace,
     max_degree: int,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
+    entry_budget: int = NICHOLS_ENTRY_BUDGET,
 ) -> list[int]:
-    """[rank S_0, rank S_1, ...] stopping early when a rank hits zero."""
+    """[rank S_0, rank S_1, ...] stopping early when a rank hits zero.
+
+    Degree by degree: S_m = L_m (S_{m-1} (x) id) (see :func:`_apply_lm`), so
+    im S_m is spanned by L_m(c (x) e_v) over the independent columns
+    c = S_{m-1}(e_w) kept at degree m-1 and v in 0..D-1.  The candidates that
+    raise the exact rank are kept for the next degree.  ``entry_budget``
+    bounds the nonzero entries of one degree's candidate columns.
+    """
+    one = space.scalar_field.one
+    kept = [{(v,): one} for v in range(space.D)]
     dims = [1]
     for m in range(1, max_degree + 1):
-        r = symmetrizer_rank(space, m, entry_budget)
-        if r == 0:
+        if m > 1:
+            candidates = []
+            entries = 0
+            for col in kept:
+                for v in range(space.D):
+                    cand = _apply_lm(space, _extend(col, v), m)
+                    entries += len(cand)
+                    if entries > entry_budget:
+                        raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget)
+                    candidates.append(cand)
+            kept = [candidates[i] for i in independent_rows(candidates)]
+        if not kept:
             break
-        dims.append(r)
+        dims.append(len(kept))
     return dims
 
 

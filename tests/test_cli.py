@@ -129,6 +129,7 @@ def test_rank_mismatch_rejected(capsys):
         ["classes", "--n", "0"],
         ["classes", "--n", "65"],
         ["fk", "--n", "3", "--max-degree", "0"],
+        ["fk", "--n", "1"],
         ["nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "sign", "--max-degree", "0"],
     ],
 )
@@ -138,3 +139,30 @@ def test_out_of_range_arguments_rejected(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "is not" in err and "Traceback" not in err
+
+
+def test_nichols_budget_exit_code(capsys):
+    code = main(
+        ["nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "sign", "--budget", "10"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "degree-2" in lines[0] and "budget of 10" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--group", "D", "--n", "1"],
+        ["typed", "--group", "D", "--n", "1", "--rep", "0:()"],
+        ["nichols", "--group", "D", "--n", "1", "--rep", "0:()", "--char", "trivial"],
+    ],
+)
+def test_d_rank_one_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--group D needs --n >= 2" in err and "Traceback" not in err

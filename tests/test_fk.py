@@ -16,6 +16,12 @@ def test_forced_constraints_are_reported():
     assert fk.presentation(4).forced_constraints == []
 
 
+def test_presentations_need_rank_two():
+    for build in (fk.fk_presentation, fk.presentation):
+        with pytest.raises(ValueError, match="n >= 2"):
+            build(1)
+
+
 def test_e2_dims():
     pres = fk.fk_presentation(2)
     for engine in ("linear", "rewrite"):

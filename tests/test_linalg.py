@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from weylrack.cyclotomic import CyclotomicField
-from weylrack.linalg import identity_matrix, invert_dense, mat_mul, rank
+from weylrack.linalg import identity_matrix, independent_rows, invert_dense, mat_mul, rank
 
 
 def dense_rank(rows, ncols):
@@ -38,6 +38,23 @@ def test_rank_fuzz_against_dense_oracle():
             }
             rows.append({c: v for c, v in row.items() if v})
         assert rank(rows) == dense_rank(rows, ncols)
+
+
+def test_independent_rows_greedy_against_dense_oracle():
+    rng = random.Random(43)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
+        rows = [
+            {c: Fraction(rng.randint(-2, 2)) for c in range(ncols) if rng.random() < 0.5}
+            for _ in range(nrows)
+        ]
+        kept = independent_rows(rows)
+        assert kept == sorted(set(kept))
+        assert dense_rank([rows[i] for i in kept], ncols) == len(kept)
+        for k in range(nrows + 1):
+            # greedy in input order: a prefix keeps exactly its rank many rows
+            assert sum(i < k for i in kept) == dense_rank(rows[:k], ncols)
+        assert rank(rows) == len(kept)
 
 
 def test_rank_handles_fill_in_on_new_pivot_columns():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from weylrack import yd
+from weylrack import fk, yd
 from weylrack.classes import centralizer, enumerate_class, is_orthogonal
 from weylrack.cyclotomic import CyclotomicField
 from weylrack.errors import BudgetExceeded
@@ -64,6 +64,67 @@ def test_symmetrizer_factorization():
         v = yd._apply_s1j(space, {basis: F.one}, 2, 0)
         v = yd._apply_s1j(space, v, 1, 1)
         assert whole == v
+    # the degree recursion S_m = L_m (S_{m-1} (x) id) on every basis tuple
+    for m in range(2, 5):
+        for basis in product(range(space.D), repeat=m):
+            lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
+            lifted = yd._apply_lm(space, yd._extend(lower, basis[-1]), m)
+            assert lifted == yd._apply_sm(space, {basis: F.one}, m), basis
+
+
+def _class_space(kind, n, cycles, rep_factory):
+    x = from_cycles(n, 0, cycles)
+    cls = enumerate_class(kind, x)
+    cen = centralizer(kind, x, cls)
+    module = yd.build_yd_module(cls, rep_factory(cen, CyclotomicField(2)))
+    return module.braided_space()
+
+
+def _oracle_dims(space, max_degree):
+    dims = []
+    for m in range(max_degree + 1):
+        r = yd.symmetrizer_rank(space, m)
+        if r == 0:
+            break
+        dims.append(r)
+    return dims
+
+
+CROSS_ENGINE = {
+    "S3-transpositions-trivial": (
+        lambda: _class_space(GroupKind.S, 3, [(1, 2)], yd.trivial_rep), 5),
+    "S3-transpositions-sign": (
+        lambda: _class_space(GroupKind.S, 3, [(1, 2)], yd.perm_sign_rep), 5),
+    "flip-2": (lambda: yd.flip_braiding(CyclotomicField(2), 2), 5),
+    "sign-diagonal": (
+        lambda: yd.diagonal_braiding(CyclotomicField(2), [[CyclotomicField(2).minus_one()]]), 4),
+    "B3-(1 2)-trivial": (lambda: _class_space(GroupKind.B, 3, [(1, 2)], yd.trivial_rep), 4),
+    "B3-(1 2)-sign": (lambda: _class_space(GroupKind.B, 3, [(1, 2)], yd.perm_sign_rep), 4),
+    "S4-transpositions-sign": (
+        lambda: _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_ENGINE))
+def test_recursive_dims_match_symmetrizer_rank(name):
+    build, max_degree = CROSS_ENGINE[name]
+    space = build()
+    assert yd.nichols_graded_dims(space, max_degree) == _oracle_dims(space, max_degree)
+
+
+def test_s4_transpositions_sign_match_fomin_kirillov_e4():
+    space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
+    dims = yd.nichols_graded_dims(space, 5)
+    assert dims == [1, 6, 19, 42, 71, 96]
+    assert dims == fk.graded_dims(fk.fk_presentation(4), 5, "rewrite")
+
+
+def test_nichols_entry_budget_names_degree():
+    space = _class_space(GroupKind.S, 3, [(1, 2)], yd.perm_sign_rep)
+    with pytest.raises(BudgetExceeded, match="degree-2") as exc:
+        yd.nichols_graded_dims(space, 4, entry_budget=5)
+    assert exc.value.limit == 5
+    assert yd.nichols_graded_dims(space, 4, entry_budget=100) == [1, 3, 4, 3, 1]
 
 
 def test_self_braiding_scalar():
