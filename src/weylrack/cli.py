@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="budget override: typed pair budget, nichols entries per degree",
+        help="budget override: typed pair budget, nichols and fk (linear engine) "
+        "entries per degree",
     )
     parser.add_argument("--cache-dir", default=None, help="directory for the JSONL result cache")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -298,9 +299,10 @@ def _cmd_fk(args) -> int:
 
     def compute():
         engines = ("linear", "rewrite") if args.engine == "both" else (args.engine,)
-        dims_by = {e: fk.graded_dims(pres, args.max_degree, engine=e) for e in engines}
+        budget = fk.FK_ENTRY_BUDGET if args.budget is None else args.budget
+        dims_by = {e: fk.graded_dims(pres, args.max_degree, e, budget) for e in engines}
         dims = dims_by[engines[0]]
-        probe = fk.finiteness_probe(pres, args.max_degree, engines[0])
+        probe = fk.FinitenessProbe.from_dims(dims, args.max_degree)
         return {
             "label": pres.label,
             "graded_dims": dims,

@@ -6,22 +6,32 @@ i != j, where x_ij = gamma_ij x_ji identifies opposite pairs.  The classical
 algebra is the instance (alpha, beta, gamma, lambda) = (1, 1, -1, 1).
 
 Graded dimensions are computed by two independent engines: an iterative
-linear-algebra quotient (degree by degree, exact ranks) and a degree-truncated
-noncommutative rewriting system whose irreducible words are counted by a
-finite automaton.  Coefficients are exact rationals throughout.
+linear-algebra quotient (degree by degree, on the echelon kernel of
+:mod:`weylrack.linalg`) and a degree-truncated noncommutative rewriting system
+whose irreducible words are counted by a finite automaton.
+
+Coefficients are exact and never floats.  They are ``int`` as long as every
+pivot (linear engine) or rule leading coefficient (rewrite engine) is a unit
++-1, which holds for every A(alpha, beta, gamma, lambda); a non-unit pivot
+falls back to ``Fraction``, so a hand-built presentation stays exact over Q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations, product
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .linalg import rank
+from .linalg import _inv, back_substitute, echelon, rank
 
 Word = tuple  # tuple of generator indices
-Poly = dict  # Word -> Fraction
+Poly = dict  # Word -> int or Fraction
+
+# Default bound on the nonzero entries of one degree's relation rows in the
+# linear engine.  Each entry costs roughly 400 bytes with the pivots built from
+# it: E_5 at degree 7 holds 343,080 entries and peaks at 148 MB in 17 s; its
+# degree 8 holds 961,390 and ran past 447 MB and 400 s, so it is refused.
+FK_ENTRY_BUDGET = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +83,15 @@ def _build(n, alpha, beta, gamma, lam, label) -> QuadraticPresentation:
         if not poly:
             return
         lead = max(poly, key=lambda w: (len(w), w))
-        lc = poly[lead]
-        norm = tuple(sorted((w, Fraction(c, lc)) for w, c in poly.items()))
+        inv = _inv(poly[lead])
+        norm = tuple(sorted((w, c * inv) for w, c in poly.items()))
         if norm not in seen:
             seen.add(norm)
-            relations.append({w: Fraction(c, lc) for w, c in poly.items()})
+            relations.append({w: c * inv for w, c in poly.items()})
 
     # (i) squares vanish (x_ji^2 = x_ij^2 up to sign, one relation per pair)
     for k in range(len(gens)):
-        add({(k, k): Fraction(1)})
+        add({(k, k): 1})
     # (ii) the braided triple relation for every ordered distinct triple
     for i, j, k in permutations(range(1, n + 1), 3):
         a = _sign_lookup(alpha, (i, j, k), "alpha")
@@ -91,7 +101,7 @@ def _build(n, alpha, beta, gamma, lam, label) -> QuadraticPresentation:
         g3, s3 = x(k, i)
         poly: Poly = {}
         for w, c in (((g1, g2), s1 * s2), ((g2, g3), a * s2 * s3), ((g3, g1), b * s3 * s1)):
-            poly[w] = poly.get(w, Fraction(0)) + c
+            poly[w] = poly.get(w, 0) + c
         add(poly)
     # (iii) commutation on disjoint pairs
     forced = []
@@ -103,7 +113,7 @@ def _build(n, alpha, beta, gamma, lam, label) -> QuadraticPresentation:
         g2, s2 = x(k, l)
         poly = {}
         for w, c in (((g1, g2), s1 * s2), ((g2, g1), -lv * s1 * s2)):
-            poly[w] = poly.get(w, Fraction(0)) + c
+            poly[w] = poly.get(w, 0) + c
         add(poly)
     for key, lv in lam_seen.items():
         i, j, k, l = key
@@ -140,7 +150,7 @@ def ordered_form_relations(n) -> list:
     gens = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {p: k for k, p in enumerate(gens)}
     rels: list[Poly] = []
-    one = Fraction(1)
+    one = 1
     for k in range(len(gens)):
         rels.append({(k, k): one})
     for i in range(1, n + 1):
@@ -186,80 +196,47 @@ def _ideal_slice_rows(relations, num_gens: int, m: int) -> list:
 def graded_dims_linear(
     pres: QuadraticPresentation,
     max_degree: int,
-    entry_budget: int = 20_000_000,
+    entry_budget: int = FK_ENTRY_BUDGET,
 ) -> list[int]:
     """Dims of the quadratic quotient, degree by degree.
 
     Degree m is modeled as (A_{m-1} (x) V) / (A_{m-2} (x) relations); only the
-    current and previous degrees are kept, as coordinates over exact rationals.
+    current and previous degrees are kept, as exact coordinates.  The relation
+    rows go through :func:`linalg.echelon` and :func:`linalg.back_substitute`,
+    so each coordinate of A_{m-1} (x) V projects onto A_m in one lookup.
+    ``entry_budget`` bounds the nonzero entries of one degree's relation rows.
     """
     G = pres.num_gens
     dims = [1, G]
     if max_degree == 0:
         return [1]
-    # mult[m][(b, g)] -> vector over A_m basis (sparse dict), for m = degree
-    # prev_mult: A_{m-2} basis x gen -> A_{m-1} coords
+    # prev_mult[(b, g)]: A_{m-2} basis vector b times generator g, in A_{m-1}
+    # coordinates; A_0 (x) V -> A_1 is the identity on generators
     prev_dim, cur_dim = 1, G
-    prev_mult = {(0, g): {g: Fraction(1)} for g in range(G)}  # A_1 coords
-    # A_0 x V -> A_1 is the identity on generators
+    prev_mult = {(0, g): {g: 1} for g in range(G)}
     for m in range(2, max_degree + 1):
-        free_dim = cur_dim * G
-        if free_dim * max(1, prev_dim) > entry_budget:
-            raise BudgetExceeded(f"degree-{m} quotient entries", entry_budget)
         # relation image: for each A_{m-2} basis vector b and relation sum c_w w
         # with w = (g1, g2): sum_w c_w (b . g1) (x) g2 in A_{m-1} (x) V
         rows = []
+        entries = 0
         for b in range(prev_dim):
             for rel in pres.relations:
                 vec: dict = {}
                 for (g1, g2), c in rel.items():
                     for a, ca in prev_mult[(b, g1)].items():
                         key = a * G + g2
-                        nv = vec.get(key, Fraction(0)) + c * ca
+                        nv = vec.get(key, 0) + c * ca
                         if nv:
                             vec[key] = nv
                         elif key in vec:
                             del vec[key]
                 if vec:
+                    entries += len(vec)
+                    if entries > entry_budget:
+                        raise BudgetExceeded(f"degree-{m} fk relation entries", entry_budget)
                     rows.append(vec)
-        # echelonize the relation subspace of A_{m-1} (x) V
-        pivots: dict = {}
-        for row in rows:
-            row = dict(row)
-            while row:
-                lead = min(row)
-                piv = pivots.get(lead)
-                if piv is None:
-                    break
-                c = row.pop(lead)
-                for pc, pv in piv.items():
-                    nv = row.get(pc, Fraction(0)) - c * pv
-                    if nv:
-                        row[pc] = nv
-                    elif pc in row:
-                        del row[pc]
-            if row:
-                lead = min(row)
-                lc = row.pop(lead)
-                pivots[lead] = {c: v / lc for c, v in row.items()}
-        # interreduce pivot tails so projection needs a single pass
-        changed = True
-        while changed:
-            changed = False
-            for lead in sorted(pivots):
-                tail = pivots[lead]
-                hit = next((c for c in tail if c in pivots), None)
-                while hit is not None:
-                    coeff = tail.pop(hit)
-                    for pc, pv in pivots[hit].items():
-                        nv = tail.get(pc, Fraction(0)) - coeff * pv
-                        if nv:
-                            tail[pc] = nv
-                        elif pc in tail:
-                            del tail[pc]
-                    changed = True
-                    hit = next((c for c in tail if c in pivots), None)
-        free_basis = [c for c in range(free_dim) if c not in pivots]
+        pivots = back_substitute(echelon(rows)[0])
+        free_basis = [c for c in range(cur_dim * G) if c not in pivots]
         new_dim = len(free_basis)
         if new_dim == 0:
             break
@@ -269,15 +246,11 @@ def graded_dims_linear(
         def project(coord):
             piv = pivots.get(coord)
             if piv is None:
-                return {pos[coord]: Fraction(1)}
+                return {pos[coord]: 1}
             return {pos[c]: -v for c, v in piv.items()}
 
-        new_mult = {}
-        for b in range(cur_dim):
-            for g in range(G):
-                new_mult[(b, g)] = project(b * G + g)
+        prev_mult = {(b, g): project(b * G + g) for b in range(cur_dim) for g in range(G)}
         prev_dim, cur_dim = cur_dim, new_dim
-        prev_mult = new_mult
     return dims
 
 
@@ -314,7 +287,7 @@ def _reduce(poly: Poly, rules: dict, lengths: set) -> Poly:
         pre, post = w[:pos], w[pos + len(sub) :]
         for rw, rc in rules[sub].items():
             nw = pre + rw + post
-            nv = poly.get(nw, Fraction(0)) + coeff * rc
+            nv = poly.get(nw, 0) + coeff * rc
             if nv:
                 poly[nw] = nv
             elif nw in poly:
@@ -382,10 +355,10 @@ def complete_to_degree(
         if not poly:
             return False
         lead = max(poly, key=_word_key)
-        lc = poly.pop(lead)
+        inv = _inv(poly.pop(lead))
         if len(rules) >= rule_budget:
             raise BudgetExceeded("rewrite rules", rule_budget)
-        rules[lead] = {w: -c / lc for w, c in poly.items()}
+        rules[lead] = {w: -c * inv for w, c in poly.items()}
         return True
 
     for rel in sorted(pres.relations, key=lambda r: sorted(map(_word_key, r))):
@@ -409,7 +382,7 @@ def complete_to_degree(
                     via_b = {word[: len(la) - k] + rw: rc for rw, rc in rb.items()}
                     diff: Poly = dict(via_a)
                     for w, c in via_b.items():
-                        nv = diff.get(w, Fraction(0)) - c
+                        nv = diff.get(w, 0) - c
                         if nv:
                             diff[w] = nv
                         elif w in diff:
@@ -427,7 +400,7 @@ def complete_to_degree(
                             }
                             diff = dict(ra)
                             for w, c in alt.items():
-                                nv = diff.get(w, Fraction(0)) - c
+                                nv = diff.get(w, 0) - c
                                 if nv:
                                     diff[w] = nv
                                 elif w in diff:
@@ -454,9 +427,11 @@ def graded_dims(
     pres: QuadraticPresentation,
     max_degree: int,
     engine: str = "linear",
+    entry_budget: int = FK_ENTRY_BUDGET,
 ) -> list[int]:
+    """Graded dims by ``engine``; ``entry_budget`` bounds the linear engine."""
     if engine == "linear":
-        return graded_dims_linear(pres, max_degree)
+        return graded_dims_linear(pres, max_degree, entry_budget)
     if engine == "rewrite":
         rs = complete_to_degree(pres, max_degree)
         counts = rs.irreducible_counts(max_degree)
@@ -473,6 +448,13 @@ class FinitenessProbe:
     degree: Optional[int]
     dims: list
 
+    @classmethod
+    def from_dims(cls, dims: list, max_degree: int) -> "FinitenessProbe":
+        """The verdict of graded dims computed up to ``max_degree``."""
+        if len(dims) <= max_degree:
+            return cls("VanishesAtDegree", len(dims), dims)
+        return cls("StillGrowing", None, dims)
+
     def to_json(self) -> dict:
         return {"status": self.status, "degree": self.degree, "dims": self.dims}
 
@@ -486,7 +468,4 @@ def finiteness_probe(
     next space is a quotient of A_m (x) V = 0; for the rewrite engine every
     subword of an irreducible word is irreducible.
     """
-    dims = graded_dims(pres, max_degree, engine)
-    if len(dims) <= max_degree:
-        return FinitenessProbe("VanishesAtDegree", len(dims), dims)
-    return FinitenessProbe("StillGrowing", None, dims)
+    return FinitenessProbe.from_dims(graded_dims(pres, max_degree, engine), max_degree)

@@ -1,9 +1,13 @@
 """Exact sparse linear algebra over a field.
 
-Entries may be :class:`fractions.Fraction` or :class:`weylrack.cyclotomic.CycScalar`;
-anything supporting +, -, *, truthiness and ``inverse``/division works.  Pivoting is
-deterministic (first nonzero entry in column order), so ranks and echelon forms are
-reproducible run to run.
+Entries may be ``int``, :class:`fractions.Fraction` or
+:class:`weylrack.cyclotomic.CycScalar`; anything supporting +, -, *, truthiness
+and ``inverse`` works.  Units stay ``int``: a pivot of 1 or -1 is its own
+inverse, so rows with +-1 pivots (the Fomin-Kirillov relations) are reduced in
+integer arithmetic, while any other ``int`` pivot falls back to ``Fraction`` and
+results stay exact over Q.  No entry ever becomes a float.  Pivoting is
+deterministic (the lead of a row is its least column), so ranks and echelon
+forms are reproducible run to run.
 """
 from __future__ import annotations
 
@@ -11,19 +15,39 @@ from fractions import Fraction
 
 
 def _inv(x):
+    """Exact inverse; an ``int`` unit is returned as itself."""
+    if type(x) is int:
+        return x if x in (1, -1) else Fraction(1, x)
     if hasattr(x, "inverse"):
         return x.inverse()
-    return Fraction(1) / x
+    return 1 / x
 
 
-def independent_rows(rows) -> list[int]:
-    """Indices of the rows that add a pivot, taking rows greedily in input order.
+def _sub_scaled(row: dict, c, tail: dict) -> None:
+    """row -= c * tail, in place, dropping entries that cancel."""
+    for col, v in tail.items():
+        nv = row.get(col)
+        if nv is None:
+            row[col] = -(c * v)
+        else:
+            nv = nv - c * v
+            if nv:
+                row[col] = nv
+            else:
+                del row[col]
+
+
+def echelon(rows) -> tuple[dict, list[int]]:
+    """Row echelon form, taking rows greedily in input order.
 
     ``rows`` is an iterable of sparse {col: value} dicts; columns may be any
-    sortable hashable keys (ints, tuples, ...).  The selected rows are
-    linearly independent and span the row space.
+    sortable hashable keys (ints, tuples, ...).  Returns ``(pivots, kept)``:
+    ``pivots`` maps each pivot column ``lead`` to the tail of its normalized
+    row (the row is e_lead + tail, every tail column exceeds ``lead``), and
+    ``kept`` lists the indices of the rows that added a pivot.  The kept rows
+    are linearly independent and span the row space.
     """
-    pivots: dict = {}  # pivot column -> normalized row
+    pivots: dict = {}
     kept = []
     for index, row in enumerate(rows):
         row = {c: v for c, v in row.items() if v}
@@ -35,23 +59,34 @@ def independent_rows(rows) -> list[int]:
             piv = pivots.get(lead)
             if piv is None:
                 break
-            c = row.pop(lead)
-            for pc, pv in piv.items():
-                if pc in row:
-                    nv = row[pc] - c * pv
-                    if nv:
-                        row[pc] = nv
-                    else:
-                        del row[pc]
-                else:
-                    row[pc] = -(c * pv)
+            _sub_scaled(row, row.pop(lead), piv)
         if not row:
             continue
         lead = min(row)
         inv = _inv(row.pop(lead))
         pivots[lead] = {c: inv * v for c, v in row.items()}
         kept.append(index)
-    return kept
+    return pivots, kept
+
+
+def back_substitute(pivots: dict) -> dict:
+    """Reduce ``pivots`` from :func:`echelon` in place: afterwards no tail
+    holds a pivot column, so e_lead = -tail modulo the row space.
+
+    One pass in descending lead order suffices: a tail holds only columns
+    above its lead, so every pivot it substitutes is already reduced, and the
+    reduced tails it adds bring in no pivot column.
+    """
+    for lead in sorted(pivots, reverse=True):
+        tail = pivots[lead]
+        for col in [c for c in tail if c in pivots]:
+            _sub_scaled(tail, tail.pop(col), pivots[col])
+    return pivots
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of the rows that add a pivot, taking rows greedily in input order."""
+    return echelon(rows)[1]
 
 
 def rank(rows) -> int:

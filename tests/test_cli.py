@@ -152,6 +152,17 @@ def test_nichols_budget_exit_code(capsys):
     assert "degree-2" in lines[0] and "budget of 10" in lines[0]
 
 
+def test_fk_budget_exit_code(capsys):
+    # E_4 relation rows hold 756 entries at degree 4
+    code = main(["fk", "--n", "4", "--max-degree", "6", "--budget", "500"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["weylrack: degree-4 fk relation entries exceeds its budget of 500"]
+    code, data = run_json(capsys, "fk", "--n", "4", "--max-degree", "6", "--budget", "5000")
+    assert code == 0 and data["graded_dims"] == [1, 6, 19, 42, 71, 96, 106]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

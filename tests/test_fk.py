@@ -1,9 +1,11 @@
 """Quadratic algebras: presentations, two dimension engines, finiteness probe."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from weylrack import fk
+from weylrack.errors import BudgetExceeded
 
 
 def test_forced_constraints_are_reported():
@@ -44,6 +46,63 @@ def test_e4_dims():
     rew = fk.graded_dims(pres, 14, engine="rewrite")
     assert lin == rew == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
     assert sum(lin) == 576
+
+
+def test_e5_prefix():
+    # Graña, "On Nichols algebras of low dimension": the E_5 series begins
+    # 1, 10, 55, 220, 711, 1960, 4761, 10410, 20796
+    pres = fk.fk_presentation(5)
+    e5 = [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796]
+    assert fk.graded_dims(pres, 6, engine="linear") == e5[:7]
+    assert fk.graded_dims(pres, 8, engine="rewrite") == e5
+
+
+def _exact(value) -> bool:
+    return type(value) in (int, Fraction)
+
+
+def test_non_unit_leads_fall_back_to_fraction(monkeypatch):
+    # x0^2 = x1^2 = 0 and 2 x0x1 = 3 x1x0: the lead is 2 x0x1 under the linear
+    # pivot order (least column) and -3 x1x0 under the rewrite order
+    pres = fk.QuadraticPresentation(
+        3, [(1, 2), (1, 3)], [{(0, 0): 1}, {(1, 1): 1}, {(0, 1): 2, (1, 0): -3}]
+    )
+    pivots = []
+    echelon = fk.echelon
+
+    def recording_echelon(rows):
+        result = echelon(rows)
+        pivots.append(result[0])
+        return result
+
+    monkeypatch.setattr(fk, "echelon", recording_echelon)
+    assert fk.graded_dims(pres, 6, engine="linear") == [1, 2, 1]
+    coeffs = [v for piv in pivots for tail in piv.values() for v in tail.values()]
+    assert Fraction(-3, 2) in coeffs
+    assert all(map(_exact, coeffs))
+
+    assert fk.graded_dims(pres, 6, engine="rewrite") == [1, 2, 1]
+    rules = fk.complete_to_degree(pres, 6).rules
+    assert rules[(1, 0)] == {(0, 1): Fraction(2, 3)}
+    assert all(_exact(c) for rhs in rules.values() for c in rhs.values())
+
+
+def test_unit_relations_stay_int():
+    # the E_n relations have +-1 coefficients, so both engines reduce them in
+    # int arithmetic; a Fraction here would mean a lost unit pivot
+    pres = fk.fk_presentation(4)
+    assert all(type(c) is int for rel in pres.relations for c in rel.values())
+    rules = fk.complete_to_degree(pres, 8).rules
+    assert all(type(c) is int for rhs in rules.values() for c in rhs.values())
+
+
+def test_linear_entry_budget_names_degree():
+    # E_4 relation rows hold 36, 228 and 756 entries at degrees 2, 3 and 4
+    pres = fk.fk_presentation(4)
+    with pytest.raises(BudgetExceeded, match="degree-4 fk relation entries") as info:
+        fk.graded_dims_linear(pres, 6, entry_budget=500)
+    assert info.value.limit == 500
+    assert fk.graded_dims_linear(pres, 3, entry_budget=500) == [1, 6, 19, 42]
 
 
 def test_ordered_form_generates_same_ideal():

@@ -1,16 +1,30 @@
 """Sparse exact rank and small dense helpers."""
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
+from weylrack import fk, linalg
 from weylrack.cyclotomic import CyclotomicField
-from weylrack.linalg import identity_matrix, independent_rows, invert_dense, mat_mul, rank
+from weylrack.linalg import (
+    _inv,
+    back_substitute,
+    echelon,
+    identity_matrix,
+    independent_rows,
+    invert_dense,
+    mat_mul,
+    rank,
+)
 
 
-def dense_rank(rows, ncols):
-    """Plain dense Gaussian elimination over Fraction (oracle)."""
+def dense_rref(rows, ncols):
+    """Plain dense Gauss-Jordan over Fraction (oracle): lead -> {col: value}
+    of the row of the reduced echelon form with a 1 at ``lead``, lead dropped."""
     mat = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
-    rk = 0
+    leads = []
     for col in range(ncols):
+        rk = len(leads)
         piv = next((i for i in range(rk, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
@@ -21,8 +35,15 @@ def dense_rank(rows, ncols):
             if i != rk and mat[i][col]:
                 c = mat[i][col]
                 mat[i] = [a - c * b for a, b in zip(mat[i], mat[rk])]
-        rk += 1
-    return rk
+        leads.append(col)
+    return {
+        lead: {c: v for c, v in enumerate(row) if v and c != lead}
+        for lead, row in zip(leads, mat)
+    }
+
+
+def dense_rank(rows, ncols):
+    return len(dense_rref(rows, ncols))
 
 
 def test_rank_fuzz_against_dense_oracle():
@@ -55,6 +76,61 @@ def test_independent_rows_greedy_against_dense_oracle():
             # greedy in input order: a prefix keeps exactly its rank many rows
             assert sum(i < k for i in kept) == dense_rank(rows[:k], ncols)
         assert rank(rows) == len(kept)
+
+
+def test_int_rows_with_non_unit_pivots_against_dense_oracle():
+    rng = random.Random(47)
+    fractions_seen = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 7)
+        rows = [
+            {c: rng.randint(-4, 4) for c in range(ncols) if rng.random() < 0.6}
+            for _ in range(nrows)
+        ]
+        pivots, kept = echelon(rows)
+        assert len(kept) == len(pivots) == dense_rank(rows, ncols)
+        values = [v for tail in pivots.values() for v in tail.values()]
+        assert all(type(v) in (int, Fraction) for v in values)
+        fractions_seen += any(type(v) is Fraction for v in values)
+        reduced = back_substitute(pivots)
+        assert reduced == dense_rref(rows, ncols)
+        assert all(c not in reduced for tail in reduced.values() for c in tail)
+    assert fractions_seen  # the non-unit fallback was exercised
+
+
+def test_inverse_keeps_int_units():
+    assert _inv(1) == 1 and type(_inv(1)) is int
+    assert _inv(-1) == -1 and type(_inv(-1)) is int
+    assert _inv(2) == Fraction(1, 2) and type(_inv(2)) is Fraction
+    assert _inv(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+def _true_divisions_and_floats(module):
+    """(line, what) for every true division outside ``linalg._inv`` and every
+    float literal or ``float(...)`` call in ``module``."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    allowed = set()
+    if module is linalg:
+        inv = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_inv")
+        allowed = {id(sub) for sub in ast.walk(inv)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float() call"))
+    return found
+
+
+def test_no_floating_point_in_exact_engines():
+    # int scalars flow through both modules, where `/` would silently
+    # produce a float; inverses go through linalg._inv instead
+    for module in (fk, linalg):
+        assert _true_divisions_and_floats(module) == [], module.__name__
 
 
 def test_rank_handles_fill_in_on_new_pivot_columns():
