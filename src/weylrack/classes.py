@@ -3,6 +3,8 @@ juxtaposition calculus (block concatenation # and orthogonality).
 """
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -252,16 +254,14 @@ def verify_juxtaposition_identities(
     n: int,
     m: int,
     kind: GroupKind = GroupKind.B,
-    rng=None,
-    samples: int = 0,
 ) -> dict:
     """Machine check of the juxtaposition identities.
 
     (i) multiplicativity, (ii) the two one-sided embeddings commute and
     compose to #, (v) conjugation distributes over # -- all checked on every
-    element pair (or ``samples`` random pairs when given).  Under
-    orthogonality of class representatives: (iii) the centralizer of the
-    juxtaposition is the internal direct product of the embedded block
+    element pair (x, y), against a seeded random second pair for (i) and
+    (v).  Under orthogonality of class representatives: (iii) the centralizer
+    of the juxtaposition is the internal direct product of the embedded block
     centralizers, (iv) elements factor uniquely through the embeddings, and
     (vi) the orbit of the juxtaposition under conjugation by the block
     subgroup equals the element-wise juxtaposition of the two classes, and
@@ -271,34 +271,13 @@ def verify_juxtaposition_identities(
 
     report = {"n": n, "m": m, "group": kind.value, "checks": [], "counterexamples": []}
 
-    def pairs():
-        if samples and rng is not None:
-            from .signed import random_element
-
-            for _ in range(samples):
-                yield (
-                    random_element(rng, n, kind),
-                    random_element(rng, m, kind),
-                    random_element(rng, n, kind),
-                    random_element(rng, m, kind),
-                )
-        else:
-            lefts = list(group_elements(kind, n))
-            rights = list(group_elements(kind, m))
-            for x in lefts:
-                for y in rights:
-                    yield x, y, None, None
-
     ok_i = ok_ii = ok_v = True
-    import random as _random
-
-    rng2 = rng or _random.Random(7)
+    rng = random.Random(7)
     lefts = list(group_elements(kind, n))
     rights = list(group_elements(kind, m))
-    for x, y, xp, yp in pairs():
-        if xp is None:
-            xp = rng2.choice(lefts)
-            yp = rng2.choice(rights)
+    for x, y in itertools.product(lefts, rights):
+        xp = rng.choice(lefts)
+        yp = rng.choice(rights)
         lhs = multiply(juxtapose(x, y), juxtapose(xp, yp))
         if lhs != juxtapose(multiply(x, xp), multiply(y, yp)):
             ok_i = False

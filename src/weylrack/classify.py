@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classes import ClassMembership, enumerate_class
-from .rack import TypeDWitness, check_decomposition, sq
+from .rack import TypeDWitness, sq
 from .signed import (
     GroupKind,
     SignedPermutation,

@@ -13,6 +13,7 @@ from .classes import orbit
 from .errors import BudgetExceeded
 from .signed import (
     SignedPermutation,
+    _act,
     conjugate,
     format_element,
     multiply,
@@ -20,6 +21,7 @@ from .signed import (
 )
 
 DEFAULT_TABLE_CAP = 20_000
+AXIOM_CHECK_CAP = 200  # size**3 self-distributivity triples
 EXHAUSTIVE_CAP = 14
 
 
@@ -42,33 +44,21 @@ class FiniteRack:
         t = self.table
         return t[x][t[y][t[x][y]]]
 
-    def check_axioms(self, rng=None, samples: int = 100_000) -> None:
-        """Raise on the first axiom violation; exhaustive for size <= 200."""
+    def check_axioms(self) -> None:
+        """Raise on the first axiom violation; exhaustive over all triples."""
+        if self.size > AXIOM_CHECK_CAP:
+            raise BudgetExceeded(f"rack axiom check on {self.size} elements", AXIOM_CHECK_CAP)
         t = self.table
         for x in range(self.size):
             if t[x][x] != x:
                 raise RackError(f"not idempotent at {x}")
             if len(set(t[x])) != self.size:
                 raise RackError(f"row {x} is not a bijection")
-        if self.size <= 200:
-            triples = (
-                (x, y, z)
-                for x in range(self.size)
-                for y in range(self.size)
-                for z in range(self.size)
-            )
-        else:
-            if rng is None:
-                import random
-
-                rng = random.Random(0)
-            triples = (
-                (rng.randrange(self.size), rng.randrange(self.size), rng.randrange(self.size))
-                for _ in range(samples)
-            )
-        for x, y, z in triples:
-            if t[x][t[y][z]] != t[t[x][y]][t[x][z]]:
-                raise RackError(f"self-distributivity fails at {(x, y, z)}")
+        for x in range(self.size):
+            for y in range(self.size):
+                for z in range(self.size):
+                    if t[x][t[y][z]] != t[t[x][y]][t[x][z]]:
+                        raise RackError(f"self-distributivity fails at {(x, y, z)}")
 
 
 def rack_from_class(elements: Sequence[SignedPermutation], cap: int = DEFAULT_TABLE_CAP) -> FiniteRack:
@@ -179,8 +169,10 @@ def check_decomposition(
 ) -> DecompositionReport:
     """Verify the subrack-decomposition rules on X = R u S, rule by rule.
 
-    Empty parts are rejected (a witness needs elements on both sides).  If
-    ``member`` is given, every element of X must satisfy it (class membership).
+    Every ordered pair is covered, one pair of fibers (elements sharing a
+    permutation part) at a time.  Empty parts are rejected (a witness needs
+    elements on both sides).  If ``member`` is given, every element of X must
+    satisfy it (class membership).
     """
     if not R or not S:
         return DecompositionReport(False, "empty part")
@@ -194,21 +186,54 @@ def check_decomposition(
         for x in list(R) + list(S):
             if not member(x):
                 return DecompositionReport(False, "element outside the class", (x,))
-    for x in R:
-        for y in R:
-            if conjugate(x, y).key() not in rset:
-                return DecompositionReport(False, "R not closed", (x, y))
-    for x in S:
-        for y in S:
-            if conjugate(x, y).key() not in sset:
-                return DecompositionReport(False, "S not closed", (x, y))
-    for x in R:
-        for y in S:
-            if conjugate(x, y).key() not in sset:
-                return DecompositionReport(False, "cross rule x|>y in S fails", (x, y))
-            if conjugate(y, x).key() not in rset:
-                return DecompositionReport(False, "cross rule y|>x in R fails", (y, x))
+    if len({x.n for x in R} | {y.n for y in S}) != 1:
+        raise ValueError("rank mismatch among the decomposition's elements")
+    rfib, sfib = _fibers(R), _fibers(S)
+    for reason, acting, acted, target in (
+        ("R not closed", rfib, rfib, rfib),
+        ("S not closed", sfib, sfib, sfib),
+        ("cross rule x|>y in S fails", rfib, sfib, sfib),
+        ("cross rule y|>x in R fails", sfib, rfib, rfib),
+    ):
+        pair = _first_escape(acting, acted, target)
+        if pair is not None:
+            return DecompositionReport(False, reason, pair)
     return DecompositionReport(True)
+
+
+def _fibers(part: Sequence[SignedPermutation]) -> dict:
+    """perm -> {sign bits: element} over one part."""
+    fibers: dict = {}
+    for x in part:
+        fibers.setdefault(x.perm, {})[x.bits] = x
+    return fibers
+
+
+def _first_escape(acting: dict, acted: dict, target: dict) -> Optional[tuple]:
+    """Some (x, y) from the fibers ``acting`` x ``acted`` with x |> y outside
+    the fibers ``target``, or None when every pair lands inside.
+
+    For x = (a, tau) and y = (b, pi), x |> y = (a ^ tau.b ^ sigma.a, sigma)
+    with sigma = tau pi tau^-1.  So a fiber pair needs sigma once, the
+    distinct offsets a ^ sigma.a and the moved bits tau.b; every offset ^
+    moved value must lie in the sigma-fiber of ``target``.
+    """
+    for tau, xs in acting.items():
+        for pi, ys in acted.items():
+            img = [0] * len(tau)
+            for i, j in zip(tau, pi):
+                img[i] = tau[j]
+            sigma = tuple(img)
+            inside = target.get(sigma, {})
+            offsets = {a ^ _act(sigma, a) for a in xs}
+            moved = {_act(tau, b) for b in ys}
+            for off in offsets:
+                for m in moved:
+                    if off ^ m not in inside:
+                        x = next(xs[a] for a in xs if a ^ _act(sigma, a) == off)
+                        y = next(ys[b] for b in ys if _act(tau, b) == m)
+                        return x, y
+    return None
 
 
 @dataclass
@@ -224,23 +249,15 @@ class TypeDWitness:
     def validate(
         self,
         member: Optional[Callable[[SignedPermutation], bool]] = None,
-        pair_budget: int = 1_500_000,
-        rng=None,
     ) -> DecompositionReport:
-        """Re-check everything from scratch: decomposition rules + sq inequality.
-
-        Above ``pair_budget`` ordered pairs the closure rules are sampled.
-        """
+        """Re-check everything from scratch: decomposition rules + sq inequality."""
         if self.a.key() not in {x.key() for x in self.R}:
             return DecompositionReport(False, "witness a not in R")
         if self.b.key() not in {y.key() for y in self.S}:
             return DecompositionReport(False, "witness b not in S")
         if sq(self.a, self.b) == self.b:
             return DecompositionReport(False, "sq(a, b) == b")
-        npairs = (len(self.R) + len(self.S)) ** 2
-        if npairs <= pair_budget:
-            return check_decomposition(self.R, self.S, member)
-        return _sampled_check(self.R, self.S, member, rng)
+        return check_decomposition(self.R, self.S, member)
 
     def to_json(self) -> dict:
         return {
@@ -260,34 +277,6 @@ class TypeDWitness:
             parse_element(data["b"]),
             data.get("tag", ""),
         )
-
-
-def _sampled_check(R, S, member, rng, samples: int = 40_000) -> DecompositionReport:
-    import random
-
-    rng = rng or random.Random(0)
-    if member is not None:
-        for x in list(R) + list(S):
-            if not member(x):
-                return DecompositionReport(False, "element outside the class", (x,))
-    rset = {x.key() for x in R}
-    sset = {y.key() for y in S}
-    if rset & sset or not R or not S:
-        return DecompositionReport(False, "parts empty or not disjoint")
-    for _ in range(samples):
-        x = rng.choice(R)
-        y = rng.choice(S)
-        xr = rng.choice(R)
-        ys = rng.choice(S)
-        if conjugate(x, xr).key() not in rset:
-            return DecompositionReport(False, "R not closed (sampled)", (x, xr))
-        if conjugate(y, ys).key() not in sset:
-            return DecompositionReport(False, "S not closed (sampled)", (y, ys))
-        if conjugate(x, y).key() not in sset:
-            return DecompositionReport(False, "cross rule fails (sampled)", (x, y))
-        if conjugate(y, x).key() not in rset:
-            return DecompositionReport(False, "cross rule fails (sampled)", (y, x))
-    return DecompositionReport(True, "sampled")
 
 
 # -- search ----------------------------------------------------------------

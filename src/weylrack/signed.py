@@ -318,8 +318,9 @@ _BIT_LENGTH = [i.bit_length() for i in range(MAX_RANK + 1)]
 def random_element(rng, n: int, kind: GroupKind = GroupKind.B) -> SignedPermutation:
     if not (0 < n <= MAX_RANK):
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {n}")
-    # Fisher-Yates on rejection-sampled getrandbits: the same draws, and so
-    # the same permutation, as rng.shuffle, without its per-draw call overhead
+    # Fisher-Yates on getrandbits, redrawn while out of range: the same draws,
+    # and so the same permutation, as rng.shuffle, without its per-draw call
+    # overhead
     getrandbits = rng.getrandbits
     perm = list(range(n))
     for i in range(n - 1, 0, -1):

@@ -217,8 +217,7 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
     for p, n in ((5, 5), (7, 7)):
         clf = Classifier(GroupKind.B, n)
         ok = True
-        samples = params.get("cycle_signs", [0, 1, (1 << n) - 1, 0b10101 % (1 << n)])
-        for bits in samples:
+        for bits in params.get("cycle_signs", [0, 1, (1 << n) - 1, 0b10101 % (1 << n)]):
             x = from_cycles(n, bits, [tuple(range(1, p + 1))])
             v = clf.classify(x)
             ok = ok and v.status == PROVEN

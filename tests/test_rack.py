@@ -1,10 +1,16 @@
 """Conjugation racks, the squaring formulas, and decomposition certificates."""
+import ast
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
 from weylrack.classes import ClassMembership, enumerate_class
+from weylrack.classify import PROVEN, classify
+from weylrack.errors import BudgetExceeded
 from weylrack.rack import (
+    FiniteRack,
     RackError,
     TypeDWitness,
     Undetermined,
@@ -24,6 +30,7 @@ from weylrack.signed import (
     conjugate,
     from_cycles,
     multiply,
+    parse_element,
     random_element,
 )
 
@@ -67,6 +74,14 @@ def test_class_rack_axioms():
     cls = enumerate_class(GroupKind.B, from_cycles(3, 0b001, [(1, 2)]))
     rack = rack_from_class(cls.elements)
     rack.check_axioms()
+
+
+def test_check_axioms_budget():
+    # the trivial rack x |> y = y satisfies the axioms at any size: the
+    # exhaustive check runs at the cap and refuses one element beyond it
+    FiniteRack(200, (tuple(range(200)),) * 200).check_axioms()
+    with pytest.raises(BudgetExceeded):
+        FiniteRack(201, (tuple(range(201)),) * 201).check_axioms()
 
 
 def test_two_two_parity_criterion_exact_iff():
@@ -144,3 +159,124 @@ def test_brute_force_no_witness_on_sym_transpositions():
     cls = enumerate_class(GroupKind.S, from_cycles(3, 0, [(1, 2)]))
     out = brute_force_type_d(cls.elements)
     assert isinstance(out, Undetermined)
+
+
+# -- the pairwise oracle for check_decomposition ----------------------------
+
+# rule name -> (part x comes from, part y comes from, part x |> y must lie in)
+_RULES = {
+    "R not closed": ("R", "R", "R"),
+    "S not closed": ("S", "S", "S"),
+    "cross rule x|>y in S fails": ("R", "S", "S"),
+    "cross rule y|>x in R fails": ("S", "R", "R"),
+}
+
+
+def _pairwise_oracle(R, S):
+    """The rule name of the first closure rule some ordered pair breaks, in
+    check_decomposition's rule order, or "" when all hold; one conjugation
+    per ordered pair and rule."""
+    parts = {"R": R, "S": S}
+    keys = {"R": {x.key() for x in R}, "S": {y.key() for y in S}}
+    for reason, (acting, acted, target) in _RULES.items():
+        for x in parts[acting]:
+            for y in parts[acted]:
+                if conjugate(x, y).key() not in keys[target]:
+                    return reason
+    return ""
+
+
+def _assert_violation_breaks_rule(R, S, report):
+    acting, acted, target = _RULES[report.reason]
+    parts = {"R": R, "S": S}
+    x, y = report.violation
+    assert x in parts[acting] and y in parts[acted]
+    assert conjugate(x, y) not in parts[target]
+
+
+def _splits(elements, rng, count):
+    """Seeded (R, S) splits of a class: unions of fibers (elements sharing a
+    permutation part), some with one element moved across, some thinned."""
+    fibers = {}
+    for x in sorted(elements, key=lambda e: e.key()):
+        fibers.setdefault(x.perm, []).append(x)
+    for _ in range(count):
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))  # share of fibers in each part
+        R, S = [], []
+        for fiber in fibers.values():
+            side = rng.random()
+            if side < p:
+                R.extend(fiber)
+            elif side < 2 * p:
+                S.extend(fiber)
+        if not R or not S:
+            continue
+        mutation = rng.random()
+        if mutation < 0.3:
+            source, dest = (R, S) if rng.random() < 0.5 else (S, R)
+            if len(source) > 1:
+                dest.append(source.pop(rng.randrange(len(source))))
+        elif mutation < 0.6:
+            part = R if rng.random() < 0.5 else S
+            for x in rng.sample(part, len(part) // 3):
+                part.remove(x)
+        yield R, S
+
+
+def test_check_decomposition_agrees_with_pairwise_oracle():
+    rng = random.Random(11)
+    closed = failing = 0
+    for kind, rep, count in (
+        (GroupKind.B, "101:(1 2)", 6000),
+        (GroupKind.B, "0000:(1 2)(3 4)", 6000),
+        (GroupKind.D, "1100:(1 2)", 6000),
+        (GroupKind.S, "0000:(1 2 3)", 6000),
+        (GroupKind.B, "10100:(1 2 3 4 5)", 1000),
+    ):
+        cls = enumerate_class(kind, parse_element(rep))
+        for R, S in _splits(cls.elements, rng, count):
+            report = check_decomposition(R, S)
+            assert report.reason == _pairwise_oracle(R, S), (rep, R, S)
+            if report.ok:
+                closed += 1
+            else:
+                failing += 1
+                _assert_violation_breaks_rule(R, S, report)
+    assert closed > 500 and failing > 5000
+
+
+def test_b8_fixed_point_witness_checked_exhaustively():
+    x = parse_element("10000001:(1 2 3)")
+    verdict = classify(GroupKind.B, x)
+    assert verdict.status == PROVEN
+    w = verdict.witness
+    mem = ClassMembership(GroupKind.B, 8)
+    report = w.validate(member=lambda t: mem.same_class(t, x))
+    assert report.ok and report.reason == ""
+    # one element of S other than b moved into R breaks a named rule
+    moved = next(y for y in w.S if y != w.b)
+    R = w.R + [moved]
+    S = [y for y in w.S if y != moved]
+    report = TypeDWitness(R, S, w.a, w.b).validate()
+    assert not report.ok and report.reason in _RULES
+    _assert_violation_breaks_rule(R, S, report)
+
+
+def _random_imports(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "random"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random":
+            found.append((node.lineno, node.module))
+    return found
+
+
+def test_certificate_layer_never_samples():
+    # a type-D verdict rests on an exhaustive check, so the modules that
+    # build and check witnesses draw no random numbers
+    # (the package's `classify` name is the function, hence import_module)
+    for name in ("weylrack.rack", "weylrack.classify"):
+        module = importlib.import_module(name)
+        assert _random_imports(module) == [], module.__name__
