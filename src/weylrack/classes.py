@@ -4,7 +4,6 @@ juxtaposition calculus (block concatenation # and orthogonality).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -259,9 +258,21 @@ def verify_juxtaposition_identities(
 
     (i) multiplicativity, (ii) the two one-sided embeddings commute and
     compose to #, (v) conjugation distributes over # -- all checked on every
-    element pair (x, y), against a seeded random second pair for (i) and
-    (v).  Under orthogonality of class representatives: (iii) the centralizer
-    of the juxtaposition is the internal direct product of the embedded block
+    element pair (x, y).  The second pair (x', y') of (i) and (v) runs over
+    1 # 1 and every block generator g # 1 and 1 # h, which covers every second
+    pair by induction on its length as a word in those generators.  Write
+    (x', y') = (x''c, y''d) with (c, d) a generator and (x'', y'') shorter.
+    (i) for the first pair (x'', y'') gives x' # y' = (x'' # y'')(c # d), so by
+    associativity (x # y)(x' # y') = ((x # y)(x'' # y''))(c # d), which is
+    (xx'' # yy'')(c # d) by induction and xx' # yy' by (i) on a generator.
+    (v) then follows from (i) and the multiplicativity of conjugation in its
+    second argument: (x # y) |> (x' # y') is the product of (x # y) |> (x'' # y'')
+    and (x # y) |> (c # d), each splits blockwise, and (i) joins the two.  The
+    ``group_laws`` suite checks ``multiply`` and ``conjugate`` against monomial
+    matrices, whence associativity and that multiplicativity.
+
+    Under orthogonality of class representatives: (iii) the centralizer of
+    the juxtaposition is the internal direct product of the embedded block
     centralizers, (iv) elements factor uniquely through the embeddings, and
     (vi) the orbit of the juxtaposition under conjugation by the block
     subgroup equals the element-wise juxtaposition of the two classes, and
@@ -272,26 +283,25 @@ def verify_juxtaposition_identities(
     report = {"n": n, "m": m, "group": kind.value, "checks": [], "counterexamples": []}
 
     ok_i = ok_ii = ok_v = True
-    rng = random.Random(7)
-    lefts = list(group_elements(kind, n))
-    rights = list(group_elements(kind, m))
-    for x, y in itertools.product(lefts, rights):
-        xp = rng.choice(lefts)
-        yp = rng.choice(rights)
-        lhs = multiply(juxtapose(x, y), juxtapose(xp, yp))
-        if lhs != juxtapose(multiply(x, xp), multiply(y, yp)):
-            ok_i = False
-            report["counterexamples"].append(("i", str(x), str(y), str(xp), str(yp)))
+    one_n, one_m = identity(n), identity(m)
+    seconds = [(one_n, one_m)]
+    seconds += [(g, one_m) for g in generators(kind, n)]
+    seconds += [(one_n, h) for h in generators(kind, m)]
+    seconds = [(xp, yp, juxtapose(xp, yp)) for xp, yp in seconds]
+    for x, y in itertools.product(group_elements(kind, n), group_elements(kind, m)):
+        xy = juxtapose(x, y)
+        for xp, yp, xyp in seconds:
+            if multiply(xy, xyp) != juxtapose(multiply(x, xp), multiply(y, yp)):
+                ok_i = False
+                report["counterexamples"].append(("i", str(x), str(y), str(xp), str(yp)))
+            if conjugate(xy, xyp) != juxtapose(conjugate(x, xp), conjugate(y, yp)):
+                ok_v = False
+                report["counterexamples"].append(("v", str(x), str(y), str(xp), str(yp)))
         a = multiply(embed_left(x, m), embed_right(n, y))
         b = multiply(embed_right(n, y), embed_left(x, m))
-        if not (a == juxtapose(x, y) == b):
+        if not (a == xy == b):
             ok_ii = False
             report["counterexamples"].append(("ii", str(x), str(y)))
-        if conjugate(juxtapose(x, y), juxtapose(xp, yp)) != juxtapose(
-            conjugate(x, xp), conjugate(y, yp)
-        ):
-            ok_v = False
-            report["counterexamples"].append(("v", str(x), str(y), str(xp), str(yp)))
     report["checks"].append({"name": "product_splits_blockwise", "rule": "i", "passed": ok_i})
     report["checks"].append({"name": "one_sided_embeddings_commute", "rule": "ii", "passed": ok_ii})
     report["checks"].append({"name": "conjugation_splits_blockwise", "rule": "v", "passed": ok_v})

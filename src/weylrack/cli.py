@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from typing import Optional
@@ -20,7 +21,7 @@ from .classify import classify
 from .cyclotomic import CyclotomicField
 from .errors import BudgetExceeded
 from .rack import sq, sq_formula_commuting, sq_formula_general
-from .signed import MAX_RANK, GroupKind, format_element, multiply, parse_element
+from .signed import MAX_RANK, GroupKind, contains, format_element, multiply, parse_element
 from .suites import SUITES, run_suite
 
 
@@ -136,8 +137,8 @@ def _cached(args, command: str, inputs: dict, compute):
 
 def _cmd_classes(args) -> int:
     kind, n = args.group, args.n
-    if args.rep:
-        classes = [enumerate_class(kind, parse_element(args.rep))]
+    if args.rep is not None:
+        classes = [enumerate_class(kind, args.rep)]
     else:
         classes = all_classes(kind, n)
     rows = []
@@ -166,9 +167,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_typed(args) -> int:
-    x = parse_element(args.rep)
-    if x.n != args.n:
-        raise SystemExit("--n disagrees with the rank of --rep")
+    x = args.rep
     budget = {"max_pairs": args.budget} if args.budget else None
     inputs = {"group": args.group.value, "n": args.n, "rep": format_element(x)}
     payload, cached = _cached(
@@ -188,9 +187,7 @@ def _cmd_typed(args) -> int:
 
 
 def _cmd_sq(args) -> int:
-    x, y = parse_element(args.x), parse_element(args.y)
-    if x.n != y.n:
-        raise SystemExit("elements must share a rank")
+    x, y = args.x, args.y
     value = sq(x, y)
     general = sq_formula_general(x, y)
     commuting = None
@@ -209,38 +206,43 @@ def _cmd_sq(args) -> int:
     return 0
 
 
-def _parse_char(spec: str, cen, default_field: int = 2):
-    if spec == "trivial":
-        F = CyclotomicField(default_field)
-        return F, yd.trivial_rep(cen, F)
-    if spec == "sign":
-        F = CyclotomicField(default_field)
-        return F, yd.perm_sign_rep(cen, F)
-    tokens = [t.strip() for t in spec.split(",")]
-    modulus = default_field
-    parsed = []
-    for tok in tokens:
-        if tok.startswith("zeta"):
-            base, _, power = tok[4:].partition("^")
-            m, k = int(base), int(power or 1)
-            parsed.append(("zeta", m, k))
-            modulus = math.lcm(modulus, m)
-        else:
-            parsed.append(("int", int(tok), 0))
+_ZETA = re.compile(r"zeta(\d+)(?:\^(-?\d+))?")
+
+
+def _character(spec: str):
+    """Parse ``--char``: 'trivial', 'sign', or a list of roots of unity, each
+    1, -1 or zetaM^K, returned as (modulus, [(M, K), ...])."""
+    if spec in ("trivial", "sign"):
+        return spec
+    modulus, roots = 2, []
+    for tok in (t.strip() for t in spec.split(",")):
+        if tok in ("1", "-1"):
+            roots.append((2, 0 if tok == "1" else 1))
+            continue
+        match = _ZETA.fullmatch(tok)
+        if match is None:
+            raise ValueError(f"--char: {tok!r} is not 1, -1 or zetaM^K")
+        m = int(match.group(1))
+        if m < 1:
+            raise ValueError(f"--char: {tok!r} needs an order M >= 1")
+        roots.append((m, int(match.group(2) or 1)))
+        modulus = math.lcm(modulus, m)
+    return modulus, roots
+
+
+def _character_rep(character, cen):
+    """The centralizer representation a parsed ``--char`` names."""
+    if character == "trivial":
+        return yd.trivial_rep(cen, CyclotomicField(2))
+    if character == "sign":
+        return yd.perm_sign_rep(cen, CyclotomicField(2))
+    modulus, roots = character
     F = CyclotomicField(modulus)
-    values = []
-    for kind_, a, b in parsed:
-        if kind_ == "int":
-            values.append(F.scalar(a))
-        else:
-            values.append(F.zeta(b * (modulus // a)))
-    return F, yd.scalar_rep(cen, F, values)
+    return yd.scalar_rep(cen, F, [F.zeta(k * (modulus // m)) for m, k in roots])
 
 
 def _cmd_nichols(args) -> int:
-    x = parse_element(args.rep)
-    if x.n != args.n:
-        raise SystemExit("--n disagrees with the rank of --rep")
+    x = args.rep
     inputs = {
         "group": args.group.value,
         "n": args.n,
@@ -252,8 +254,7 @@ def _cmd_nichols(args) -> int:
     def compute():
         cls = enumerate_class(args.group, x)
         cen = centralizer(args.group, x, cls)
-        _, rep = _parse_char(args.char, cen)
-        module = yd.build_yd_module(cls, rep)
+        module = yd.build_yd_module(cls, _character_rep(args.character, cen))
         space = module.braided_space()
         budget = yd.NICHOLS_ENTRY_BUDGET if args.budget is None else args.budget
         dims = yd.nichols_graded_dims(space, args.max_degree, budget)
@@ -278,22 +279,34 @@ def _cmd_nichols(args) -> int:
     return 0
 
 
-def _cmd_fk(args) -> int:
-    if args.signs:
-        with open(args.signs, "r", encoding="utf-8") as fh:
+def _fk_presentation(n: int, signs: Optional[str]):
+    """E_n, or the sign-twisted presentation the ``--signs`` JSON file gives."""
+    if not signs:
+        return fk.fk_presentation(n)
+    try:
+        with open(signs, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--signs {signs}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"--signs {signs}: not a JSON object")
 
-        def sign_map(key):
-            v = raw.get(key, 1 if key != "gamma" else -1)
-            if isinstance(v, dict):
-                return {tuple(map(int, k.split(","))): s for k, s in v.items()}
-            return v
+    def sign_map(key):
+        v = raw.get(key, 1 if key != "gamma" else -1)
+        if isinstance(v, dict):
+            return {tuple(map(int, k.split(","))): s for k, s in v.items()}
+        return v
 
-        pres = fk.presentation(
-            args.n, sign_map("alpha"), sign_map("beta"), sign_map("gamma"), sign_map("lambda")
+    try:
+        return fk.presentation(
+            n, sign_map("alpha"), sign_map("beta"), sign_map("gamma"), sign_map("lambda")
         )
-    else:
-        pres = fk.fk_presentation(args.n)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"--signs {signs}: {exc.args[0]}") from None
+
+
+def _cmd_fk(args) -> int:
+    pres = args.presentation
     inputs = {"n": args.n, "max_degree": args.max_degree, "engine": args.engine,
               "signs": args.signs or ""}
 
@@ -326,8 +339,7 @@ def _cmd_fk(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    report = run_suite(args.suite, params, seed=args.seed)
+    report = run_suite(args.suite, args.params, seed=args.seed)
     _emit(
         args,
         report,
@@ -350,12 +362,51 @@ _COMMANDS = {
 }
 
 
+def _element(args, flag: str):
+    try:
+        return parse_element(getattr(args, flag))
+    except ValueError as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
+
+
+def _check_inputs(args) -> None:
+    """Parse and check every value argument in place, before any computation;
+    a bad one raises ValueError naming it."""
+    if getattr(args, "rep", None) is not None:
+        args.rep = _element(args, "rep")
+        if args.rep.n != args.n:
+            raise ValueError("--n disagrees with the rank of --rep")
+        if not contains(args.group, args.rep):
+            raise ValueError(
+                f"--rep {format_element(args.rep)} is not in {args.group.value}_{args.n}"
+            )
+    if args.command == "sq":
+        args.x, args.y = _element(args, "x"), _element(args, "y")
+        if args.x.n != args.y.n:
+            raise ValueError("--x and --y must share a rank")
+    elif args.command == "nichols":
+        args.character = _character(args.char)
+    elif args.command == "fk":
+        args.presentation = _fk_presentation(args.n, args.signs)
+    elif args.command == "verify":
+        try:
+            args.params = json.loads(args.params) if args.params else {}
+        except ValueError as exc:
+            raise ValueError(f"--params: {exc}") from None
+        if not isinstance(args.params, dict):
+            raise ValueError("--params: not a JSON object")
+
+
 def main(argv: Optional[list] = None) -> int:
     """Run one subcommand; exit code 2 is a usage error, 3 an exhausted budget."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "group", None) is GroupKind.D and args.n < 2:
         parser.error("--group D needs --n >= 2")
+    try:
+        _check_inputs(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:

@@ -1,13 +1,32 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Scalars are residues of rational polynomials modulo the m-th cyclotomic
-polynomial; all arithmetic is exact, no floating point.
+A scalar is the residue of a rational polynomial modulo the m-th cyclotomic
+polynomial Phi_m, stored as its coefficients on 1, zeta, ..., zeta^(d-1),
+d = phi(m).  Phi_m is monic with integer coefficients, so sums, products and
+reductions of elements of Z[zeta_m] stay in Z[zeta_m]: a coefficient is a
+plain ``int`` whenever its value is an integer and a ``Fraction`` only
+otherwise.  Products use one generic path, the schoolbook product folded back
+through the rows x^k mod Phi_m that each field computes once.  The 2m units
++-zeta^k are inverted by a table built with the field; any other nonzero
+scalar goes through the extended Euclidean algorithm over Q.  No floating
+point anywhere.
+
+The Nichols engine over Q(zeta_2) (S_4 transpositions, sign character) sees
+only +-1 entries and pivots, so it runs in ``int`` arithmetic throughout.
+With ``Fraction`` coefficients its degree-5 run spent two thirds of its time
+in ``CycScalar.__mul__``; with ``int`` coefficients the ``nichols`` benchmark
+takes 0.27 s instead of 0.97 s (2 cores, host-corrected; see
+``BENCH_nichols_intcyc.json``), and degrees 1-7 take 13 s at a 146 MB peak
+instead of 49 s at 193 MB.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
+
+from .linalg import _normal
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
@@ -37,6 +56,38 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+def _powers_of_x(poly: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
+    """x^0, ..., x^(count-1) modulo the monic ``poly``, as coefficient tuples."""
+    d = len(poly) - 1
+    cur = [1] + [0] * (d - 1)
+    out = []
+    for _ in range(count):
+        out.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, poly)]
+    return out
+
+
+def _rational(q):
+    """``q`` as an exact coefficient: ``int`` if integral, else ``Fraction``."""
+    return q if type(q) is int else _normal(Fraction(q))
+
+
+def _div(a, b):
+    """The exact quotient a / b of two coefficients (the one division here)."""
+    return _normal(Fraction(a) / b)
+
+
+def _tidy(coeffs: tuple) -> tuple:
+    """``coeffs`` with every integral ``Fraction`` turned back into an ``int``."""
+    for c in coeffs:
+        if type(c) is not int:
+            return tuple(map(_normal, coeffs))
+    return coeffs
+
+
 class CyclotomicField:
     """Q(zeta_m) with scalars hashed and compared exactly."""
 
@@ -45,9 +96,21 @@ class CyclotomicField:
             raise ValueError("modulus must be positive")
         self.m = m
         self.poly = cyclotomic_polynomial(m)
-        self.degree = len(self.poly) - 1
-        self._zero = CycScalar(self, (Fraction(0),) * self.degree)
-        self._one = self.scalar(1)
+        self.degree = d = len(self.poly) - 1
+        powers = _powers_of_x(self.poly, max(m, 2 * d - 1))
+        self._zeta = powers[:m]
+        # (k, sparse x^k mod Phi_m) for the product's high terms d <= k < 2d - 1
+        self._high = [
+            (k, tuple((t, r) for t, r in enumerate(powers[k]) if r)) for k in range(d, 2 * d - 1)
+        ]
+        # +-zeta^k -> its inverse +-zeta^(m-k), for all 2m units
+        self._unit_inverse = {}
+        for k, z in enumerate(self._zeta):
+            inv = self._zeta[-k % m]
+            self._unit_inverse[z] = inv
+            self._unit_inverse[tuple(map(neg, z))] = tuple(map(neg, inv))
+        self._zero = _make(self, (0,) * d)
+        self._one = _make(self, powers[0])
 
     def __repr__(self):
         return f"CyclotomicField({self.m})"
@@ -67,24 +130,22 @@ class CyclotomicField:
         return self._one
 
     def scalar(self, q) -> "CycScalar":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(q)
-        return CycScalar(self, tuple(coeffs))
+        coeffs = [0] * self.degree
+        coeffs[0] = _rational(q)
+        return _make(self, tuple(coeffs))
 
     def zeta(self, k: int = 1) -> "CycScalar":
         """zeta_m^k."""
-        k %= self.m
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return CycScalar(self, self._reduce(coeffs))
+        return _make(self, self._zeta[k % self.m])
 
     def from_coeffs(self, coeffs) -> "CycScalar":
-        return CycScalar(self, self._reduce([Fraction(c) for c in coeffs]))
+        return _make(self, _tidy(self._reduce([_rational(c) for c in coeffs])))
 
     def minus_one(self) -> "CycScalar":
         return self.scalar(-1)
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, coeffs: list) -> tuple:
+        """A polynomial's coefficient list modulo Phi_m (monic, so no division)."""
         coeffs = list(coeffs)
         deg = self.degree
         for k in range(len(coeffs) - 1, deg - 1, -1):
@@ -92,52 +153,64 @@ class CyclotomicField:
             if c:
                 for i in range(deg + 1):
                     coeffs[k - deg + i] -= c * self.poly[i]
-        coeffs = coeffs[:deg] + [Fraction(0)] * max(0, deg - len(coeffs))
+        coeffs = coeffs[:deg] + [0] * max(0, deg - len(coeffs))
         return tuple(coeffs[:deg])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycScalar:
     field: CyclotomicField
-    coeffs: tuple[Fraction, ...]
-
-    def _check(self, other: "CycScalar"):
-        if self.field != other.field:
-            raise ValueError("mixed cyclotomic moduli")
+    coeffs: tuple  # int, or Fraction where the value is not an integer
 
     def __bool__(self):
         return any(self.coeffs)
 
     def __add__(self, other):
-        self._check(other)
-        return CycScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise ValueError("mixed cyclotomic moduli")
+        return _make(f, _tidy(tuple(map(add, self.coeffs, other.coeffs))))
 
     def __sub__(self, other):
-        self._check(other)
-        return CycScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise ValueError("mixed cyclotomic moduli")
+        return _make(f, _tidy(tuple(map(sub, self.coeffs, other.coeffs))))
 
     def __neg__(self):
-        return CycScalar(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
-        self._check(other)
-        deg = self.field.degree
-        prod = [Fraction(0)] * (2 * deg - 1 if deg > 1 else 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return CycScalar(self.field, self.field._reduce(prod))
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise ValueError("mixed cyclotomic moduli")
+        d = f.degree
+        prod = [0] * (2 * d - 1)
+        b = other.coeffs
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        out = prod[:d]
+        for k, row in f._high:
+            c = prod[k]
+            if c:
+                for t, r in row:
+                    out[t] += c * r
+        return _make(f, _tidy(tuple(out)))
 
     def inverse(self) -> "CycScalar":
+        f = self.field
+        unit = f._unit_inverse.get(self.coeffs)
+        if unit is not None:
+            return _make(f, unit)
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
         # extended Euclid in Q[x] against the (monic, irreducible) modulus
-        a = [Fraction(c) for c in self.field.poly]
+        a = list(f.poly)
         b = list(self.coeffs)
-        sa, sb = [Fraction(0)], [Fraction(1)]
+        sa, sb = [0], [1]
 
         def strip(p):
             while p and not p[-1]:
@@ -146,15 +219,14 @@ class CycScalar:
 
         strip(b)
         while len(b) > 1:
-            q, r = _poly_divmod_frac(a, b)
+            q, r = _poly_divmod(a, b)
             a, b = b, r
             sa, sb = sb, _poly_sub(sa, _poly_mul(q, sb))
             strip(b)
         if not b:
             raise ZeroDivisionError("scalar not invertible (modulus not coprime)")
         c = b[0]
-        inv = [s / c for s in sb]
-        return CycScalar(self.field, self.field._reduce(inv))
+        return _make(f, _tidy(f._reduce([_div(s, c) for s in sb])))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -184,13 +256,28 @@ class CycScalar:
         return f"Cyc{self.field.m}{list(self.coeffs)}"
 
 
-def _poly_divmod_frac(num, den):
+_new = object.__new__
+# the slot descriptors set fields past the frozen __setattr__, as
+# object.__setattr__ would, without its attribute lookup
+_set_field = CycScalar.field.__set__
+_set_coeffs = CycScalar.coeffs.__set__
+
+
+def _make(field: CyclotomicField, coeffs: tuple) -> CycScalar:
+    """Build a scalar whose coefficients are reduced and tidy, unchecked."""
+    x = _new(CycScalar)
+    _set_field(x, field)
+    _set_coeffs(x, coeffs)
+    return x
+
+
+def _poly_divmod(num, den):
     num = list(num)
     dn = len(den) - 1
     lead = den[-1]
-    q = [Fraction(0)] * max(1, len(num) - dn)
+    q = [0] * max(1, len(num) - dn)
     for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn] / lead
+        c = _div(num[k + dn], lead)
         q[k] = c
         if c:
             for i, d in enumerate(den):
@@ -199,7 +286,7 @@ def _poly_divmod_frac(num, den):
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -208,7 +295,7 @@ def _poly_mul(a, b):
 
 
 def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] += x
     for i, y in enumerate(b):

@@ -14,6 +14,8 @@ Coefficients are exact and never floats.  They are ``int`` as long as every
 pivot (linear engine) or rule leading coefficient (rewrite engine) is a unit
 +-1, which holds for every A(alpha, beta, gamma, lambda); a non-unit pivot
 falls back to ``Fraction``, so a hand-built presentation stays exact over Q.
+A rewrite rule's coefficients are ``int`` again wherever their value is an
+integer (``linalg._normal``), so later reductions through it stay in ``int``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from itertools import permutations, product
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .linalg import _inv, back_substitute, echelon, rank
+from .linalg import _inv, _normal, back_substitute, echelon, rank
 
 Word = tuple  # tuple of generator indices
 Poly = dict  # Word -> int or Fraction
@@ -358,7 +360,7 @@ def complete_to_degree(
         inv = _inv(poly.pop(lead))
         if len(rules) >= rule_budget:
             raise BudgetExceeded("rewrite rules", rule_budget)
-        rules[lead] = {w: -c * inv for w, c in poly.items()}
+        rules[lead] = {w: _normal(-c * inv) for w, c in poly.items()}
         return True
 
     for rel in sorted(pres.relations, key=lambda r: sorted(map(_word_key, r))):

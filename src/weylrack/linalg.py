@@ -23,6 +23,13 @@ def _inv(x):
     return 1 / x
 
 
+def _normal(x):
+    """``x`` as an ``int`` if it is a ``Fraction`` with denominator 1, else ``x``."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def _sub_scaled(row: dict, c, tail: dict) -> None:
     """row -= c * tail, in place, dropping entries that cancel."""
     for col, v in tail.items():

@@ -177,3 +177,66 @@ def test_d_rank_one_rejected(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--group D needs --n >= 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classes", "--n", "3", "--rep", "garbage"], "--rep: malformed element"),
+        (["classes", "--group", "D", "--n", "3", "--rep", "100:(1 2)"], "not in D_3"),
+        (["classes", "--n", "3", "--rep", "0000:(1 2)"], "--n disagrees"),
+        (["typed", "--n", "3", "--rep", "000:(1 4)"], "--rep: cycle entry 4"),
+        (["nichols", "--group", "S", "--n", "3", "--rep", "100:(1 2)", "--char", "sign"],
+         "not in S_3"),
+        (["nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "bogus"], "--char: 'bogus'"),
+        (["nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "zeta0"], "--char: 'zeta0'"),
+        (["nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "2"], "--char: '2'"),
+        (["sq", "--x", "01:(1 2)", "--y", "10:(1 3)"], "--y: cycle entry 3"),
+        (["sq", "--x", "01:(1 2)", "--y", "100:(1 2)"], "share a rank"),
+        (["verify", "--suite", "group_laws", "--params", "{bad json"], "--params:"),
+        (["verify", "--suite", "group_laws", "--params", "[1]"], "--params: not a JSON object"),
+    ],
+)
+def test_bad_values_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = [line for line in captured.err.splitlines() if line.startswith("weylrack:")]
+    assert len(lines) == 1 and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file"),
+        ("{bad json", "Expecting property name"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"gamma": 2}', "gamma signs must be +1 or -1"),
+        ('{"gamma": {"1,2": -1}}', "no gamma sign for index (1, 3)"),
+    ],
+)
+def test_bad_signs_files_are_usage_errors(capsys, tmp_path, content, message):
+    signs = tmp_path / "signs.json"
+    if content is not None:
+        signs.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["fk", "--n", "3", "--signs", str(signs)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("weylrack:")]
+    assert "Traceback" not in err and len(lines) == 1
+    assert f"--signs {signs}: " in lines[0] and message in lines[0]
+
+
+def test_char_roots_of_unity(capsys):
+    # -1 and zeta2^1 name the same scalar, so both give the sign-character dims
+    dims = []
+    for char in ("-1", "zeta2", "zeta4^2"):
+        code, data = run_json(
+            capsys, "nichols", "--n", "1", "--rep", "1:()", "--char", char, "--max-degree", "4"
+        )
+        assert code == 0
+        dims.append(data["graded_dims"])
+    assert dims == [[1, 1]] * 3

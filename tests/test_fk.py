@@ -96,6 +96,19 @@ def test_unit_relations_stay_int():
     assert all(type(c) is int for rhs in rules.values() for c in rhs.values())
 
 
+def test_integral_rule_coefficients_are_int():
+    # gamma_ij = (-1)^(i+j) gives rules with non-unit leads whose quotients are
+    # integral: -2 * (1/2) must come out as the int -1, not Fraction(-1, 1)
+    gamma = {(i, j): (-1) ** (i + j) for i in range(1, 5) for j in range(i + 1, 5)}
+    pres = fk.presentation(4, 1, -1, gamma)
+    system = fk.complete_to_degree(pres, 6)
+    coeffs = [c for rhs in system.rules.values() for c in rhs.values()]
+    assert len(coeffs) == 23
+    assert all(type(c) is int for c in coeffs)
+    assert fk.graded_dims(pres, 6, engine="rewrite") == [1, 6, 3]
+    assert fk.graded_dims(pres, 6, engine="linear") == [1, 6, 3]
+
+
 def test_linear_entry_budget_names_degree():
     # E_4 relation rows hold 36, 228 and 756 entries at degrees 2, 3 and 4
     pres = fk.fk_presentation(4)

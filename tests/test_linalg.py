@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from weylrack import fk, linalg
+from weylrack import cyclotomic, fk, linalg
 from weylrack.cyclotomic import CyclotomicField
 from weylrack.linalg import (
     _inv,
@@ -105,14 +105,20 @@ def test_inverse_keeps_int_units():
     assert _inv(Fraction(-2, 3)) == Fraction(-3, 2)
 
 
+# the one function per module allowed a true division: its operands are
+# never both int, so `/` stays exact
+_DIVISION_HELPERS = {linalg: "_inv", cyclotomic: "_div"}
+
+
 def _true_divisions_and_floats(module):
-    """(line, what) for every true division outside ``linalg._inv`` and every
-    float literal or ``float(...)`` call in ``module``."""
+    """(line, what) for every true division outside the module's division
+    helper and every float literal or ``float(...)`` call in ``module``."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     allowed = set()
-    if module is linalg:
-        inv = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_inv")
-        allowed = {id(sub) for sub in ast.walk(inv)}
+    if module in _DIVISION_HELPERS:
+        name = _DIVISION_HELPERS[module]
+        helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+        allowed = {id(sub) for sub in ast.walk(helper)}
     found = []
     for node in ast.walk(tree):
         if id(node) in allowed:
@@ -127,9 +133,10 @@ def _true_divisions_and_floats(module):
 
 
 def test_no_floating_point_in_exact_engines():
-    # int scalars flow through both modules, where `/` would silently
-    # produce a float; inverses go through linalg._inv instead
-    for module in (fk, linalg):
+    # int scalars and coefficients flow through these modules, where `/`
+    # would silently produce a float; inverses go through linalg._inv and
+    # cyclotomic._div instead
+    for module in (fk, linalg, cyclotomic):
         assert _true_divisions_and_floats(module) == [], module.__name__
 
 

@@ -275,8 +275,9 @@ def _random_imports(module):
 
 def test_certificate_layer_never_samples():
     # a type-D verdict rests on an exhaustive check, so the modules that
-    # build and check witnesses draw no random numbers
+    # build and check witnesses, and the class layer whose juxtaposition
+    # identities they rely on, draw no random numbers
     # (the package's `classify` name is the function, hence import_module)
-    for name in ("weylrack.rack", "weylrack.classify"):
+    for name in ("weylrack.rack", "weylrack.classify", "weylrack.classes"):
         module = importlib.import_module(name)
         assert _random_imports(module) == [], module.__name__
