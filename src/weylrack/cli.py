@@ -12,7 +12,7 @@ import math
 import re
 import sys
 import time
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__, fk, yd
 from .cache import ResultCache
@@ -52,6 +52,59 @@ _rank = _bounded_int(1, MAX_RANK)
 _degree = _bounded_int(1)
 
 
+def _element(value: str):
+    """An argparse type for an element in BITS:CYCLES format."""
+    try:
+        return parse_element(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _json_object(value: str) -> dict:
+    """An argparse type for a JSON object."""
+    try:
+        obj = json.loads(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not isinstance(obj, dict):
+        raise argparse.ArgumentTypeError("not a JSON object")
+    return obj
+
+
+class _Character(NamedTuple):
+    spec: str  # the --char text as given
+    modulus: int
+    roots: tuple  # (M, K) for each zetaM^K; empty for 'trivial' and 'sign'
+
+
+_ZETA = re.compile(r"zeta(\d+)(?:\^(-?\d+))?")
+
+
+def _character(spec: str) -> _Character:
+    """An argparse type for ``--char``: 'trivial', 'sign', or a list of roots
+    of unity, each 1, -1 or zetaM^K."""
+    if spec in ("trivial", "sign"):
+        return _Character(spec, 2, ())
+    modulus, roots = 2, []
+    for tok in (t.strip() for t in spec.split(",")):
+        if tok in ("1", "-1"):
+            roots.append((2, 0 if tok == "1" else 1))
+            continue
+        match = _ZETA.fullmatch(tok)
+        if match is None:
+            raise argparse.ArgumentTypeError(f"{tok!r} is not 1, -1 or zetaM^K")
+        m = int(match.group(1))
+        if m < 1:
+            raise argparse.ArgumentTypeError(f"{tok!r} needs an order M >= 1")
+        roots.append((m, int(match.group(2) or 1)))
+        modulus = math.lcm(modulus, m)
+    return _Character(spec, modulus, tuple(roots))
+
+
+class _UsageError(ValueError):
+    """A bad argument value found when a command reads it, before computing."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylrack",
@@ -79,23 +132,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", parents=[common], help="conjugacy classes of a group")
     p.add_argument("--group", type=_group, default=GroupKind.B)
     p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--rep", default=None, help="element BITS:CYCLES; restrict to its class")
+    p.add_argument(
+        "--rep", type=_element, default=None, help="element BITS:CYCLES; restrict to its class"
+    )
 
     p = sub.add_parser("typed", parents=[common], help="decide a type-D decomposition for a class")
     p.add_argument("--group", type=_group, default=GroupKind.B)
     p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--rep", required=True, help="class representative, BITS:CYCLES")
+    p.add_argument(
+        "--rep", type=_element, required=True, help="class representative, BITS:CYCLES"
+    )
 
     p = sub.add_parser("sq", parents=[common], help="the squaring operation x |> (y |> (x |> y))")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--x", type=_element, required=True)
+    p.add_argument("--y", type=_element, required=True)
 
     p = sub.add_parser("nichols", parents=[common], help="graded dimensions from a class and character")
     p.add_argument("--group", type=_group, default=GroupKind.B)
     p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--rep", required=True, help="class representative, BITS:CYCLES")
+    p.add_argument(
+        "--rep", type=_element, required=True, help="class representative, BITS:CYCLES"
+    )
     p.add_argument(
         "--char",
+        type=_character,
         required=True,
         help="'trivial', 'sign', or comma-separated scalar values "
         "(1, -1, or zetaM^K) for the centralizer generators",
@@ -110,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--params", default=None, help="JSON dict of suite parameters")
+    p.add_argument(
+        "--params", type=_json_object, default=None, help="JSON dict of suite parameters"
+    )
     return parser
 
 
@@ -206,39 +268,14 @@ def _cmd_sq(args) -> int:
     return 0
 
 
-_ZETA = re.compile(r"zeta(\d+)(?:\^(-?\d+))?")
-
-
-def _character(spec: str):
-    """Parse ``--char``: 'trivial', 'sign', or a list of roots of unity, each
-    1, -1 or zetaM^K, returned as (modulus, [(M, K), ...])."""
-    if spec in ("trivial", "sign"):
-        return spec
-    modulus, roots = 2, []
-    for tok in (t.strip() for t in spec.split(",")):
-        if tok in ("1", "-1"):
-            roots.append((2, 0 if tok == "1" else 1))
-            continue
-        match = _ZETA.fullmatch(tok)
-        if match is None:
-            raise ValueError(f"--char: {tok!r} is not 1, -1 or zetaM^K")
-        m = int(match.group(1))
-        if m < 1:
-            raise ValueError(f"--char: {tok!r} needs an order M >= 1")
-        roots.append((m, int(match.group(2) or 1)))
-        modulus = math.lcm(modulus, m)
-    return modulus, roots
-
-
 def _character_rep(character, cen):
     """The centralizer representation a parsed ``--char`` names."""
-    if character == "trivial":
-        return yd.trivial_rep(cen, CyclotomicField(2))
-    if character == "sign":
-        return yd.perm_sign_rep(cen, CyclotomicField(2))
-    modulus, roots = character
-    F = CyclotomicField(modulus)
-    return yd.scalar_rep(cen, F, [F.zeta(k * (modulus // m)) for m, k in roots])
+    F = CyclotomicField(character.modulus)
+    if character.spec == "trivial":
+        return yd.trivial_rep(cen, F)
+    if character.spec == "sign":
+        return yd.perm_sign_rep(cen, F)
+    return yd.scalar_rep(cen, F, [F.zeta(k * (F.m // m)) for m, k in character.roots])
 
 
 def _cmd_nichols(args) -> int:
@@ -247,14 +284,14 @@ def _cmd_nichols(args) -> int:
         "group": args.group.value,
         "n": args.n,
         "rep": format_element(x),
-        "char": args.char,
+        "char": args.char.spec,
         "max_degree": args.max_degree,
     }
 
     def compute():
         cls = enumerate_class(args.group, x)
         cen = centralizer(args.group, x, cls)
-        module = yd.build_yd_module(cls, _character_rep(args.character, cen))
+        module = yd.build_yd_module(cls, _character_rep(args.char, cen))
         space = module.braided_space()
         budget = yd.NICHOLS_ENTRY_BUDGET if args.budget is None else args.budget
         dims = yd.nichols_graded_dims(space, args.max_degree, budget)
@@ -280,16 +317,17 @@ def _cmd_nichols(args) -> int:
 
 
 def _fk_presentation(n: int, signs: Optional[str]):
-    """E_n, or the sign-twisted presentation the ``--signs`` JSON file gives."""
+    """E_n, or the sign-twisted presentation the ``--signs`` JSON file gives;
+    a file that cannot be read or does not fit E_n raises _UsageError."""
     if not signs:
         return fk.fk_presentation(n)
     try:
         with open(signs, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"--signs {signs}: {exc}") from None
+        raise _UsageError(f"--signs {signs}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError(f"--signs {signs}: not a JSON object")
+        raise _UsageError(f"--signs {signs}: not a JSON object")
 
     def sign_map(key):
         v = raw.get(key, 1 if key != "gamma" else -1)
@@ -302,11 +340,11 @@ def _fk_presentation(n: int, signs: Optional[str]):
             n, sign_map("alpha"), sign_map("beta"), sign_map("gamma"), sign_map("lambda")
         )
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"--signs {signs}: {exc.args[0]}") from None
+        raise _UsageError(f"--signs {signs}: {exc.args[0]}") from None
 
 
 def _cmd_fk(args) -> int:
-    pres = args.presentation
+    pres = _fk_presentation(args.n, args.signs)
     inputs = {"n": args.n, "max_degree": args.max_degree, "engine": args.engine,
               "signs": args.signs or ""}
 
@@ -362,53 +400,24 @@ _COMMANDS = {
 }
 
 
-def _element(args, flag: str):
-    try:
-        return parse_element(getattr(args, flag))
-    except ValueError as exc:
-        raise ValueError(f"--{flag}: {exc}") from None
-
-
-def _check_inputs(args) -> None:
-    """Parse and check every value argument in place, before any computation;
-    a bad one raises ValueError naming it."""
-    if getattr(args, "rep", None) is not None:
-        args.rep = _element(args, "rep")
-        if args.rep.n != args.n:
-            raise ValueError("--n disagrees with the rank of --rep")
-        if not contains(args.group, args.rep):
-            raise ValueError(
-                f"--rep {format_element(args.rep)} is not in {args.group.value}_{args.n}"
-            )
-    if args.command == "sq":
-        args.x, args.y = _element(args, "x"), _element(args, "y")
-        if args.x.n != args.y.n:
-            raise ValueError("--x and --y must share a rank")
-    elif args.command == "nichols":
-        args.character = _character(args.char)
-    elif args.command == "fk":
-        args.presentation = _fk_presentation(args.n, args.signs)
-    elif args.command == "verify":
-        try:
-            args.params = json.loads(args.params) if args.params else {}
-        except ValueError as exc:
-            raise ValueError(f"--params: {exc}") from None
-        if not isinstance(args.params, dict):
-            raise ValueError("--params: not a JSON object")
-
-
 def main(argv: Optional[list] = None) -> int:
     """Run one subcommand; exit code 2 is a usage error, 3 an exhausted budget."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "group", None) is GroupKind.D and args.n < 2:
         parser.error("--group D needs --n >= 2")
-    try:
-        _check_inputs(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    rep = getattr(args, "rep", None)
+    if rep is not None:
+        if rep.n != args.n:
+            parser.error("--n disagrees with the rank of --rep")
+        if not contains(args.group, rep):
+            parser.error(f"--rep {format_element(rep)} is not in {args.group.value}_{args.n}")
+    if args.command == "sq" and args.x.n != args.y.n:
+        parser.error("--x and --y must share a rank")
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except BudgetExceeded as exc:
         print(f"weylrack: {exc}", file=sys.stderr)
         return 3

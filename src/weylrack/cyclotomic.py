@@ -5,19 +5,19 @@ polynomial Phi_m, stored as its coefficients on 1, zeta, ..., zeta^(d-1),
 d = phi(m).  Phi_m is monic with integer coefficients, so sums, products and
 reductions of elements of Z[zeta_m] stay in Z[zeta_m]: a coefficient is a
 plain ``int`` whenever its value is an integer and a ``Fraction`` only
-otherwise.  Products use one generic path, the schoolbook product folded back
-through the rows x^k mod Phi_m that each field computes once.  The 2m units
-+-zeta^k are inverted by a table built with the field; any other nonzero
-scalar goes through the extended Euclidean algorithm over Q.  No floating
-point anywhere.
+otherwise.  A product is the schoolbook product reduced modulo Phi_m, which
+needs no division because Phi_m is monic.  Inverses come from the extended
+Euclidean algorithm over Q, and their integral coefficients turn back into
+``int``, so the inverse of a unit +-zeta^k has ``int`` coefficients.  No
+floating point anywhere.
 
 The Nichols engine over Q(zeta_2) (S_4 transpositions, sign character) sees
 only +-1 entries and pivots, so it runs in ``int`` arithmetic throughout.
 With ``Fraction`` coefficients its degree-5 run spent two thirds of its time
 in ``CycScalar.__mul__``; with ``int`` coefficients the ``nichols`` benchmark
-takes 0.27 s instead of 0.97 s (2 cores, host-corrected; see
-``BENCH_nichols_intcyc.json``), and degrees 1-7 take 13 s at a 146 MB peak
-instead of 49 s at 193 MB.
+takes 0.34 s instead of 0.98 s (2 cores, host-corrected; see
+``BENCH_nichols_intcyc.json``), and degrees 1-7 take 14 s at a 146 MB peak
+instead of 41 s at 193 MB.
 """
 from __future__ import annotations
 
@@ -56,20 +56,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _powers_of_x(poly: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
-    """x^0, ..., x^(count-1) modulo the monic ``poly``, as coefficient tuples."""
-    d = len(poly) - 1
-    cur = [1] + [0] * (d - 1)
-    out = []
-    for _ in range(count):
-        out.append(tuple(cur))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [c - top * p for c, p in zip(cur, poly)]
-    return out
-
-
 def _rational(q):
     """``q`` as an exact coefficient: ``int`` if integral, else ``Fraction``."""
     return q if type(q) is int else _normal(Fraction(q))
@@ -96,21 +82,9 @@ class CyclotomicField:
             raise ValueError("modulus must be positive")
         self.m = m
         self.poly = cyclotomic_polynomial(m)
-        self.degree = d = len(self.poly) - 1
-        powers = _powers_of_x(self.poly, max(m, 2 * d - 1))
-        self._zeta = powers[:m]
-        # (k, sparse x^k mod Phi_m) for the product's high terms d <= k < 2d - 1
-        self._high = [
-            (k, tuple((t, r) for t, r in enumerate(powers[k]) if r)) for k in range(d, 2 * d - 1)
-        ]
-        # +-zeta^k -> its inverse +-zeta^(m-k), for all 2m units
-        self._unit_inverse = {}
-        for k, z in enumerate(self._zeta):
-            inv = self._zeta[-k % m]
-            self._unit_inverse[z] = inv
-            self._unit_inverse[tuple(map(neg, z))] = tuple(map(neg, inv))
-        self._zero = _make(self, (0,) * d)
-        self._one = _make(self, powers[0])
+        self.degree = len(self.poly) - 1
+        self._zero = _make(self, (0,) * self.degree)
+        self._one = self.scalar(1)
 
     def __repr__(self):
         return f"CyclotomicField({self.m})"
@@ -136,7 +110,10 @@ class CyclotomicField:
 
     def zeta(self, k: int = 1) -> "CycScalar":
         """zeta_m^k."""
-        return _make(self, self._zeta[k % self.m])
+        k %= self.m
+        coeffs = [0] * (k + 1)
+        coeffs[k] = 1
+        return _make(self, self._reduce(coeffs))
 
     def from_coeffs(self, coeffs) -> "CycScalar":
         return _make(self, _tidy(self._reduce([_rational(c) for c in coeffs])))
@@ -184,27 +161,17 @@ class CycScalar:
         f = self.field
         if other.field is not f and other.field != f:
             raise ValueError("mixed cyclotomic moduli")
-        d = f.degree
-        prod = [0] * (2 * d - 1)
+        prod = [0] * (2 * f.degree - 1)
         b = other.coeffs
         for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        out = prod[:d]
-        for k, row in f._high:
-            c = prod[k]
-            if c:
-                for t, r in row:
-                    out[t] += c * r
-        return _make(f, _tidy(tuple(out)))
+        return _make(f, _tidy(f._reduce(prod)))
 
     def inverse(self) -> "CycScalar":
         f = self.field
-        unit = f._unit_inverse.get(self.coeffs)
-        if unit is not None:
-            return _make(f, unit)
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
         # extended Euclid in Q[x] against the (monic, irreducible) modulus

@@ -47,7 +47,8 @@ def _sign_lookup(value, key, default_desc):
             raise KeyError(f"no {default_desc} sign for index {key}")
     else:
         s = value
-    if s not in (1, -1):
+    # exact int signs only: 1.0 or True would carry a float or bool into the engines
+    if type(s) is not int or s not in (1, -1):
         raise ValueError(f"{default_desc} signs must be +1 or -1")
     return s
 

@@ -179,6 +179,11 @@ def test_d_rank_one_rejected(capsys, argv):
     assert "--group D needs --n >= 2" in err and "Traceback" not in err
 
 
+def _is_usage_error(line):
+    # "weylrack: error: ..." from main, "weylrack <command>: error: ..." from argparse types
+    return line.startswith("weylrack") and ": error: " in line
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -203,7 +208,7 @@ def test_bad_values_are_usage_errors(capsys, argv, message):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    lines = [line for line in captured.err.splitlines() if line.startswith("weylrack:")]
+    lines = [line for line in captured.err.splitlines() if _is_usage_error(line)]
     assert len(lines) == 1 and message in lines[0]
 
 
@@ -214,6 +219,8 @@ def test_bad_values_are_usage_errors(capsys, argv, message):
         ("{bad json", "Expecting property name"),
         ("[1, 2]", "not a JSON object"),
         ('{"gamma": 2}', "gamma signs must be +1 or -1"),
+        ('{"gamma": -1.0}', "gamma signs must be +1 or -1"),
+        ('{"alpha": true}', "alpha signs must be +1 or -1"),
         ('{"gamma": {"1,2": -1}}', "no gamma sign for index (1, 3)"),
     ],
 )
@@ -225,7 +232,7 @@ def test_bad_signs_files_are_usage_errors(capsys, tmp_path, content, message):
         main(["fk", "--n", "3", "--signs", str(signs)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    lines = [line for line in err.splitlines() if line.startswith("weylrack:")]
+    lines = [line for line in err.splitlines() if _is_usage_error(line)]
     assert "Traceback" not in err and len(lines) == 1
     assert f"--signs {signs}: " in lines[0] and message in lines[0]
 

@@ -178,8 +178,8 @@ def test_non_integral_values_stay_fraction():
     assert all(type(c) is int for c in (half + half).coeffs)
     assert all(type(c) is int for c in (half * F.scalar(4)).coeffs)
     assert all(type(c) is int for c in F.from_coeffs([Fraction(4, 2), 1]).coeffs)
-    # 1 + zeta_5 is a unit outside +-zeta^k: its inverse takes the Euclidean
-    # path and comes back in Z[zeta_5] with int coefficients
+    # 1 + zeta_5 is a unit other than +-zeta^k: its inverse lies in Z[zeta_5]
+    # and comes back with int coefficients
     unit = F.one + F.zeta()
     inv = unit.inverse()
     assert unit * inv == F.one
