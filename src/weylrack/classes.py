@@ -17,6 +17,7 @@ from .signed import (
     group_order,
     identity,
     multiply,
+    perm_from_cycles,
 )
 
 CLASS_BUDGET = 2_000_000
@@ -65,11 +66,6 @@ class ConjugacyClass:
         if not self._index:
             self._index.update({t.key(): i for i, t in enumerate(self.elements)})
         return self._index[x.key()]
-
-    def __contains__(self, x: SignedPermutation) -> bool:
-        if not self._index:
-            self._index.update({t.key(): i for i, t in enumerate(self.elements)})
-        return x.key() in self._index
 
 
 def enumerate_class(
@@ -199,51 +195,92 @@ def is_orthogonal(x: SignedPermutation, y: SignedPermutation) -> bool:
 # -- class partition and membership ---------------------------------------
 
 
-def all_classes(kind: GroupKind, n: int) -> list[ConjugacyClass]:
-    """Brute-force partition of the whole group into conjugacy classes."""
-    from .signed import elements as group_elements
+def class_key(kind: GroupKind, x: SignedPermutation):
+    """The conjugacy invariant of ``x`` in ``kind``: None when x is not in
+    the group, else (signed cycle type, half).
 
-    remaining = {x.key(): x for x in group_elements(kind, n)}
-    out = []
-    while remaining:
-        rep = remaining[min(remaining)]
-        cls = enumerate_class(kind, rep)
-        for t in cls.elements:
-            del remaining[t.key()]
-        out.append(cls)
-    return out
+    half is 0 except in a D class with only positive, even-length cycles,
+    which splits in two.  There x = (a, pi) = (b, 1) |> (0, pi) for a b with
+    b + pi.b = a, solved cycle by cycle from b = 0 at each first point, and
+    half is the parity of b: flipping b on a whole even cycle keeps it, and
+    C_B((0, pi)) lies in D, so a sign flip moves x to the other half."""
+    if not contains(kind, x):
+        return None
+    sct = x.signed_cycle_type()
+    half = 0
+    if _splits(kind, sct.positive, sct.negative):
+        for cyc in x.cycles():
+            b = 0
+            for j in cyc[1:]:
+                b ^= (x.bits >> (j - 1)) & 1
+                half ^= b
+    return sct, half
+
+
+def _splits(kind: GroupKind, pos: Sequence[int], neg: Sequence[int]) -> bool:
+    return kind is GroupKind.D and not neg and not any(c & 1 for c in pos)
+
+
+def _partitions(k: int, largest: int):
+    """Partitions of k into parts of at most ``largest``, parts descending."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def class_reps(kind: GroupKind, n: int) -> list[SignedPermutation]:
+    """One representative per class, read off the bipartitions (pos, neg) of
+    n, sorted by key.
+
+    The rep lays the cycles out on consecutive points, with one sign bit on
+    the first point of each negative cycle.  D keeps an even number of
+    negative cycles and gives a split class a second rep, the first
+    conjugated by the sign flip at point 1; S keeps no negative cycles.
+    """
+    flip = SignedPermutation(n, 1, tuple(range(n)))
+    reps = []
+    for k in range(n + 1):
+        for pos in _partitions(k, k):
+            for neg in _partitions(n - k, n - k):
+                if (kind is GroupKind.S and neg) or (kind is GroupKind.D and len(neg) % 2):
+                    continue
+                cycles, start = [], 1
+                for length in pos + neg:
+                    cycles.append(tuple(range(start, start + length)))
+                    start += length
+                bits = sum(1 << (cyc[0] - 1) for cyc in cycles[len(pos):])
+                rep = SignedPermutation(n, bits, perm_from_cycles(n, cycles))
+                reps.append(rep)
+                if _splits(kind, pos, neg):
+                    reps.append(conjugate(flip, rep))
+    return sorted(reps, key=lambda x: x.key())
+
+
+def all_classes(kind: GroupKind, n: int) -> list[ConjugacyClass]:
+    """Every conjugacy class, enumerated from its representative in
+    :func:`class_reps`."""
+    return [enumerate_class(kind, rep) for rep in class_reps(kind, n)]
 
 
 class ClassMembership:
-    """Cached conjugacy tests; invariant-based for B, orbit-based for D/S."""
+    """Conjugacy tests by :func:`class_key`, the same for B, D and S."""
 
     def __init__(self, kind: GroupKind, n: int):
         self.kind = kind
         self.n = n
-        self._orbits: list[set] = []
 
     def same_class(self, x: SignedPermutation, y: SignedPermutation) -> bool:
-        if x.signed_cycle_type() != y.signed_cycle_type():
-            return False
-        if self.kind is GroupKind.B:
-            return True
-        return self._orbit_keys(x) == self._orbit_keys(y) or y.key() in self._orbit_keys(x)
+        key = class_key(self.kind, x)
+        return key is not None and key == class_key(self.kind, y)
 
     def member_test(self, rep: SignedPermutation):
-        """A fast membership predicate for the class of ``rep``."""
-        if self.kind is GroupKind.B:
-            sct = rep.signed_cycle_type()
-            return lambda z: z.signed_cycle_type() == sct
-        keys = self._orbit_keys(rep)
-        return lambda z: z.key() in keys
-
-    def _orbit_keys(self, x: SignedPermutation) -> set:
-        for keys in self._orbits:
-            if x.key() in keys:
-                return keys
-        keys = set(orbit(x, generators(self.kind, self.n), conjugate, CLASS_BUDGET))
-        self._orbits.append(keys)
-        return keys
+        """A membership predicate for the class of ``rep``."""
+        kind, key = self.kind, class_key(self.kind, rep)
+        if key is None:
+            raise ValueError(f"rep {rep} is not in group {kind.value}_{rep.n}")
+        return lambda z: class_key(kind, z) == key
 
 
 # -- identity verification -------------------------------------------------

@@ -8,6 +8,7 @@ needed.  Every verdict carries a witness that re-validates from scratch.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,11 +17,8 @@ from .rack import TypeDWitness, sq
 from .signed import (
     GroupKind,
     SignedPermutation,
-    _act,
     _compose,
-    _invert_perm,
     conjugate,
-    identity,
     perm_from_cycles,
 )
 
@@ -63,10 +61,7 @@ def _perm_with_cycles(n: int, base: SignedPermutation, replace: dict) -> tuple[i
     ``replace`` maps an original cycle (as returned by base.cycles()) to its
     replacement cycle on the same support.
     """
-    cycles = []
-    for cyc in base.cycles():
-        cycles.append(replace.get(cyc, cyc))
-    return perm_from_cycles(n, cycles)
+    return perm_from_cycles(n, [replace.get(cyc, cyc) for cyc in base.cycles()])
 
 
 def _scan_fibers(
@@ -95,12 +90,7 @@ def _scan_fibers(
 
 def _bit_fiber(member, n: int, perm: tuple[int, ...]) -> list[SignedPermutation]:
     """All class elements with the given permutation part (desk scale: 2^n scan)."""
-    out = []
-    for bits in range(1 << n):
-        z = SignedPermutation(n, bits, perm)
-        if member(z):
-            out.append(z)
-    return out
+    return [z for bits in range(1 << n) if member(z := SignedPermutation(n, bits, perm))]
 
 
 def _bits_on(positions) -> int:
@@ -204,24 +194,17 @@ def witness_pairs_triple(x: SignedPermutation, member) -> Optional[TypeDWitness]
     return _scan_fibers(R, S, preferred, tag="pair_repairing_fibers")
 
 
-def _complete_map(n: int, images: dict[int, int]) -> tuple[int, ...]:
-    """Extend a partial 1-indexed injection to a permutation, filling the
-    leftover points in sorted order."""
-    dom_left = [i for i in range(1, n + 1) if i not in images]
-    cod_left = [j for j in range(1, n + 1) if j not in images.values()]
-    full = dict(images)
-    full.update(zip(dom_left, cod_left))
-    return tuple(full[i + 1] - 1 for i in range(n))
-
-
-def witness_fixed_points(
-    x: SignedPermutation,
-    cls_elements: list[SignedPermutation],
-) -> Optional[TypeDWitness]:
-    """Decomposition by the sign bit at a common fixed point.
+def witness_fixed_points(x: SignedPermutation, member) -> Optional[TypeDWitness]:
+    """Decomposition by the sign bit at a common fixed point n0.
 
     Works for a transposition (rank > 4) or 3-cycle (rank > 5) with the rest
-    fixed, when the sign bits on the fixed points are not all equal.
+    fixed, when the sign bits on the fixed points are not all equal: take n0
+    and i fixed with unequal bits, r another fixed point and U = the moved
+    cycle with i and r.  R and S are the class elements whose permutation part
+    is supported on U and whose bits off U and n0 are x's, with bit n0 = 0 in
+    R and 1 in S.  Conjugation inside R u S keeps the bits off U, n0
+    included, so R and S are subracks that act on each other.  No class is
+    enumerated: the candidates are cut out by ``member``.
     """
     n = x.n
     fixed = [i + 1 for i in range(n) if x.perm[i] == i]
@@ -229,40 +212,35 @@ def witness_fixed_points(
     if len(moved) != 1 or len(moved[0]) not in (2, 3):
         raise ValueError("permutation part is not a single transposition or 3-cycle")
     a = x.a
-    anchor = pair = None
-    for n0 in fixed:
-        for i in fixed:
-            if a[i - 1] != a[n0 - 1]:
-                anchor, pair = n0, i
-                break
-        if anchor:
-            break
-    if anchor is None:
+    pair = next(((n0, i) for n0 in fixed for i in fixed if a[i - 1] != a[n0 - 1]), None)
+    if pair is None:
         raise ValueError("sign bits constant on the fixed points")
-    n0, i = anchor, pair
+    n0, i = pair
     cyc = moved[0]
     spare = [r for r in fixed if r not in (n0, i)]
     if not spare:
         raise ValueError("rank too small for a spare fixed point")
     r = spare[0]
-    if len(cyc) == 2:
-        p, q = cyc
-        mu_images = {q: r, r: q}
-        xi_partial = {p: q, q: r, i: i, n0: n0}
-    else:
-        p, q, s = cyc  # x maps p->q->s->p
-        mu_images = {q: r, r: s, s: q}
-        xi_partial = {p: q, q: r, s: s, i: i, n0: n0}
-    mu = tuple(mu_images.get(j + 1, j + 1) - 1 for j in range(n))
-    xi = _complete_map(n, xi_partial)
-    w = _compose(perm_from_cycles(n, [(i, n0)]), xi)
-    y = conjugate(_perm_elt(n, w), x)
-    assert y.perm == mu and y.a[n0 - 1] == a[i - 1]
-
-    R = [z for z in cls_elements if z.perm[n0 - 1] == n0 - 1 and not (z.bits >> (n0 - 1)) & 1]
-    S = [z for z in cls_elements if z.perm[n0 - 1] == n0 - 1 and (z.bits >> (n0 - 1)) & 1]
-    preferred = [(x, y)] if not (x.bits >> (n0 - 1)) & 1 else [(y, x)]
-    return _scan_fibers(R, S, preferred, tag="fixed_point_bit")
+    U = sorted(cyc + (i, r))
+    free = U + [n0]
+    outside = x.bits & ~_bits_on(free)
+    parts: tuple[list, list] = ([], [])
+    for images in itertools.permutations(U):
+        perm = tuple(dict(zip(U, images)).get(j, j) - 1 for j in range(1, n + 1))
+        if _perm_elt(n, perm).cycle_type() != x.cycle_type():
+            continue
+        for sub in range(1 << len(free)):
+            bits = outside | _bits_on(j for k, j in enumerate(free) if sub >> k & 1)
+            z = SignedPermutation(n, bits, perm)
+            if member(z):
+                parts[bits >> (n0 - 1) & 1].append(z)
+    # (p q r) carries the moved cycle to one through r, and (i n0) swaps the
+    # unequal bits, so y lies in the other part than x
+    p, q = cyc[0], cyc[1]
+    xi = perm_from_cycles(n, [(p, q, r)])
+    y = conjugate(_perm_elt(n, _compose(perm_from_cycles(n, [(i, n0)]), xi)), x)
+    preferred = [(x, y)] if not a[n0 - 1] else [(y, x)]
+    return _scan_fibers(parts[0], parts[1], preferred, tag="fixed_point_bit")
 
 
 def gf2_span(vectors: list[int]) -> list[int]:
@@ -282,8 +260,6 @@ def gf2_span(vectors: list[int]) -> list[int]:
 
 def sym_orbit_span(a_bits: int, n: int) -> list[int]:
     """The subgroup of Z_2^n generated by all coordinate permutations of a."""
-    import itertools
-
     if a_bits == 0:
         return [0]
     ones = [i for i in range(n) if (a_bits >> i) & 1]
@@ -378,7 +354,10 @@ def exception_case(x: SignedPermutation) -> Optional[str]:
 
 
 class Classifier:
-    """Caches class membership and symmetric-subgroup witnesses across calls."""
+    """The decision procedure for one group and rank.  Every witness rule
+    cuts its parts out with a :func:`classes.class_key` membership test; only
+    the symmetric-subgroup lift and the search fallback enumerate a class.
+    Symmetric-subgroup witnesses are cached across calls."""
 
     def __init__(self, kind: GroupKind, n: int, budget: Optional[dict] = None):
         self.kind = kind
@@ -434,8 +413,7 @@ class Classifier:
         if fp_shape:
             fixed_bits = {x.a[i] for i in range(n) if x.perm[i] == i}
             if len(fixed_bits) > 1:
-                cls = enumerate_class(self.kind, x)
-                v = accept(witness_fixed_points(x, cls.elements), "fixed_point_bit")
+                v = accept(witness_fixed_points(x, member), "fixed_point_bit")
                 if v:
                     return v
         case = exception_case(x)

@@ -21,7 +21,7 @@ from .classify import classify
 from .cyclotomic import CyclotomicField
 from .errors import BudgetExceeded
 from .rack import sq, sq_formula_commuting, sq_formula_general
-from .signed import MAX_RANK, GroupKind, contains, format_element, multiply, parse_element
+from .signed import MAX_RANK, GroupKind, contains, format_element, group_order, multiply, parse_element
 from .suites import SUITES, run_suite
 
 
@@ -203,17 +203,15 @@ def _cmd_classes(args) -> int:
         classes = [enumerate_class(kind, args.rep)]
     else:
         classes = all_classes(kind, n)
-    rows = []
-    for cls in classes:
-        cen = centralizer(kind, cls.rep, cls)
-        rows.append(
-            {
-                "rep": format_element(cls.rep),
-                "size": cls.size,
-                "signed_type": str(cls.rep.signed_cycle_type()),
-                "centralizer_order": cen.order,
-            }
-        )
+    rows = [
+        {
+            "rep": format_element(cls.rep),
+            "size": cls.size,
+            "signed_type": str(cls.rep.signed_cycle_type()),
+            "centralizer_order": group_order(kind, n) // cls.size,
+        }
+        for cls in classes
+    ]
     payload = {"group": kind.value, "n": n, "classes": rows, "count": len(rows)}
     _emit(
         args,
@@ -275,6 +273,9 @@ def _character_rep(character, cen):
         return yd.trivial_rep(cen, F)
     if character.spec == "sign":
         return yd.perm_sign_rep(cen, F)
+    if len(character.roots) != len(cen.generators):
+        raise _UsageError(f"--char {character.spec}: {len(character.roots)} values given, "
+                          f"but the centralizer has {len(cen.generators)} generators")
     return yd.scalar_rep(cen, F, [F.zeta(k * (F.m // m)) for m, k in character.roots])
 
 

@@ -14,8 +14,8 @@ from typing import Optional
 from . import fk, yd
 from .classes import (
     ClassMembership,
-    all_classes,
     centralizer,
+    class_reps,
     enumerate_class,
     juxtapose,
     verify_juxtaposition_identities,
@@ -272,8 +272,7 @@ def _suite_classification(params: dict, rng: random.Random) -> list[dict]:
             undetermined = []
             mismatched = []
             proven = exceptions = 0
-            for cls in all_classes(kind, int(n)):
-                x = cls.rep
+            for x in class_reps(kind, int(n)):
                 if all(x.perm[i] == i for i in range(x.n)):
                     continue
                 v = clf.classify(x)

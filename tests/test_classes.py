@@ -9,18 +9,23 @@ from weylrack.classes import (
     _reduce_generators,
     all_classes,
     centralizer,
+    class_key,
+    class_reps,
     embed_left,
     embed_right,
     enumerate_class,
     is_orthogonal,
     juxtapose,
+    orbit,
     split,
     verify_juxtaposition_identities,
 )
 from weylrack.signed import (
     GroupKind,
     conjugate,
+    elements,
     from_cycles,
+    generators,
     group_order,
     identity,
     multiply,
@@ -108,6 +113,50 @@ def test_class_membership_agrees_with_enumeration():
             assert mem.same_class(t, c.rep)
     # cross-class pairs disagree
     assert not mem.same_class(classes[0].rep, classes[1].rep)
+
+
+def brute_force_orbits(kind, n):
+    """The conjugation orbits of the whole group, by BFS from every element
+    not yet reached (the trivial D_1 needs no generators)."""
+    gens = [] if (kind, n) == (GroupKind.D, 1) else generators(kind, n)
+    left = {x.key(): x for x in elements(kind, n)}
+    orbits = []
+    while left:
+        tree = orbit(next(iter(left.values())), gens, conjugate, len(left))
+        for k in tree:
+            del left[k]
+        orbits.append([x for x, _, _ in tree.values()])
+    return orbits
+
+
+@pytest.mark.parametrize("kind", list(GroupKind))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_class_key_and_reps_match_brute_force_orbits(kind, n):
+    orbits = brute_force_orbits(kind, n)
+    keys = [{class_key(kind, x) for x in orb} for orb in orbits]
+    assert all(len(k) == 1 for k in keys)  # constant on each orbit
+    owner = {k.pop(): i for i, k in enumerate(keys)}
+    assert len(owner) == len(orbits)  # distinct between orbits
+    reps = class_reps(kind, n)
+    assert sorted(owner[class_key(kind, r)] for r in reps) == list(range(len(orbits)))
+    assert sum(len(orb) for orb in orbits) == group_order(kind, n)
+
+
+def test_d4_split_class_halves():
+    x = from_cycles(4, 0, [(1, 2), (3, 4)])
+    flip = from_cycles(4, 0b0001, [])
+    y = conjugate(flip, x)
+    assert x.signed_cycle_type() == y.signed_cycle_type()
+    assert class_key(GroupKind.D, x) != class_key(GroupKind.D, y)
+    assert class_key(GroupKind.B, x) == class_key(GroupKind.B, y)
+    assert class_key(GroupKind.D, flip) is None and class_key(GroupKind.S, y) is None
+    mem = ClassMembership(GroupKind.D, 4)
+    assert not mem.same_class(x, y)
+    assert mem.same_class(conjugate(flip, x), y) and mem.same_class(conjugate(flip, y), x)
+    assert {r.key() for r in class_reps(GroupKind.D, 4)} >= {x.key(), y.key()}
+    assert {t.key() for t in enumerate_class(GroupKind.D, x).elements}.isdisjoint(
+        t.key() for t in enumerate_class(GroupKind.D, y).elements
+    )
 
 
 def test_juxtapose_split_embed():

@@ -1,4 +1,6 @@
 """Type-D decision procedure: witness constructions, exception list, dispatch."""
+import random
+
 import pytest
 
 from weylrack.classes import ClassMembership, all_classes, enumerate_class
@@ -16,7 +18,15 @@ from weylrack.classify import (
     witness_two_triples,
 )
 from weylrack.rack import TypeDWitness, brute_force_type_d
-from weylrack.signed import GroupKind, SignedPermutation, from_cycles
+from weylrack.signed import (
+    GroupKind,
+    SignedPermutation,
+    conjugate,
+    from_cycles,
+    parse_element,
+    random_element,
+)
+from weylrack.suites import run_suite
 
 
 def member_for(kind, x):
@@ -52,9 +62,40 @@ def test_fixed_point_witness():
     # a 2-cycle with non-constant signs on the fixed points
     x = from_cycles(6, 0b000100, [(5, 6)])
     member = member_for(GroupKind.B, x)
-    cls = enumerate_class(GroupKind.B, x)
-    w = witness_fixed_points(x, cls.elements)
+    w = witness_fixed_points(x, member)
     assert w is not None and w.validate(member=member)
+
+
+@pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
+@pytest.mark.parametrize("text", ["10000001:(1 2 3)", "00110:(1 2)"])
+def test_fixed_point_witness_is_cut_from_a_small_support(kind, text):
+    # R u S moves only the cycle and two fixed points, and leaves every sign
+    # bit but those and one more (n0) as in x
+    x0 = parse_element(text)
+    rng = random.Random(f"fixed-point:{kind.value}:{text}")
+    for _ in range(4):
+        x = conjugate(random_element(rng, x0.n, kind), x0)
+        v = Classifier(kind, x.n).classify(x)
+        assert v.status == PROVEN and v.rule_tag == "fixed_point_bit"
+        w = v.witness
+        moved = {j for c in x.cycles() if len(c) > 1 for j in c}
+        support = {j + 1 for z in w.R + w.S for j in range(x.n) if z.perm[j] != j}
+        assert moved <= support and len(support) == len(moved) + 2
+        changed = {j + 1 for z in w.R + w.S for j in range(x.n) if (z.bits ^ x.bits) >> j & 1}
+        assert len(changed - support) == 1
+        assert w.validate(member=member_for(kind, x))
+
+
+@pytest.mark.parametrize("kind, proven, exceptions", [("B", 94, 8), ("D", 47, 4)])
+def test_classification_rank_seven(kind, proven, exceptions):
+    (check,) = run_suite("classification", {"ranks": [7], "groups": [kind]})["checks"]
+    assert check["passed"]
+    assert check["detail"] == {
+        "exceptions": exceptions,
+        "mismatched": [],
+        "proven": proven,
+        "undetermined": [],
+    }
 
 
 def test_sym_lift():

@@ -237,6 +237,18 @@ def test_bad_signs_files_are_usage_errors(capsys, tmp_path, content, message):
     assert f"--signs {signs}: " in lines[0] and message in lines[0]
 
 
+def test_char_value_count_is_usage_error(capsys):
+    # the class of 000:(1 2) in B_3 has a centralizer with 3 generators
+    with pytest.raises(SystemExit) as exc:
+        main(["nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "1,1,1,1,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = [line for line in captured.err.splitlines() if _is_usage_error(line)]
+    assert len(lines) == 1
+    assert "5 values given" in lines[0] and "has 3 generators" in lines[0]
+
+
 def test_char_roots_of_unity(capsys):
     # -1 and zeta2^1 name the same scalar, so both give the sign-character dims
     dims = []
