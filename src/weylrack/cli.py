@@ -20,9 +20,9 @@ from .classes import all_classes, centralizer, enumerate_class
 from .classify import classify
 from .cyclotomic import CyclotomicField
 from .errors import BudgetExceeded
-from .rack import sq, sq_formula_commuting, sq_formula_general
+from .rack import MAX_PAIRS, sq, sq_formula_commuting, sq_formula_general
 from .signed import MAX_RANK, GroupKind, contains, format_element, group_order, multiply, parse_element
-from .suites import SUITES, run_suite
+from .suites import SUITES, SuiteParamError, run_suite
 
 
 def _group(value: str) -> GroupKind:
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="budget override: typed pair budget, nichols and fk (linear engine) "
-        "entries per degree",
+        help="budget override: typed orbit pairs (max_pairs), nichols and fk "
+        "(linear engine) entries per degree",
     )
     parser.add_argument("--cache-dir", default=None, help="directory for the JSONL result cache")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -228,10 +228,11 @@ def _cmd_classes(args) -> int:
 
 def _cmd_typed(args) -> int:
     x = args.rep
-    budget = {"max_pairs": args.budget} if args.budget else None
-    inputs = {"group": args.group.value, "n": args.n, "rep": format_element(x)}
+    max_pairs = MAX_PAIRS if args.budget is None else args.budget
+    inputs = {"group": args.group.value, "n": args.n, "rep": format_element(x),
+              "max_pairs": max_pairs}
     payload, cached = _cached(
-        args, "typed", inputs, lambda: classify(args.group, x, budget).to_json()
+        args, "typed", inputs, lambda: classify(args.group, x, max_pairs).to_json()
     )
     payload = {**payload, "cached": cached}
     _emit(
@@ -267,7 +268,8 @@ def _cmd_sq(args) -> int:
 
 
 def _character_rep(character, cen):
-    """The centralizer representation a parsed ``--char`` names."""
+    """The centralizer representation a parsed ``--char`` names; values that
+    are not a character of the centralizer raise _UsageError."""
     F = CyclotomicField(character.modulus)
     if character.spec == "trivial":
         return yd.trivial_rep(cen, F)
@@ -276,7 +278,13 @@ def _character_rep(character, cen):
     if len(character.roots) != len(cen.generators):
         raise _UsageError(f"--char {character.spec}: {len(character.roots)} values given, "
                           f"but the centralizer has {len(cen.generators)} generators")
-    return yd.scalar_rep(cen, F, [F.zeta(k * (F.m // m)) for m, k in character.roots])
+    rep = yd.scalar_rep(cen, F, [F.zeta(k * (F.m // m)) for m, k in character.roots])
+    try:
+        rep.closure()
+    except yd.RepInconsistency as exc:
+        raise _UsageError(f"--char {character.spec}: not a character of the centralizer "
+                          f"({exc})") from None
+    return rep
 
 
 def _cmd_nichols(args) -> int:
@@ -378,7 +386,10 @@ def _cmd_fk(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.params, seed=args.seed)
+    try:
+        report = run_suite(args.suite, args.params, seed=args.seed)
+    except SuiteParamError as exc:
+        raise _UsageError(f"--params: {exc}") from None
     _emit(
         args,
         report,

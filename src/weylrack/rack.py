@@ -6,7 +6,7 @@ decomposition of a subrack into R, S plus a pair with sq(a, b) != b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .classes import orbit
@@ -14,6 +14,8 @@ from .errors import BudgetExceeded
 from .signed import (
     SignedPermutation,
     _act,
+    _compose,
+    _invert_perm,
     conjugate,
     format_element,
     multiply,
@@ -22,7 +24,10 @@ from .signed import (
 
 DEFAULT_TABLE_CAP = 20_000
 AXIOM_CHECK_CAP = 200  # size**3 self-distributivity triples
-EXHAUSTIVE_CAP = 14
+EXHAUSTIVE_CAP = 14  # largest class searched over all bipartitions
+MAX_PAIRS = 400  # default number of pairs the orbit-pair search tries
+ORBIT_CAP = 4000  # largest two-generator orbit the orbit-pair search builds
+SQ_SCAN_CAP = 40_000  # (a, b) pairs scanned for sq(a, b) != b per orbit pair
 
 
 class RackError(ValueError):
@@ -94,8 +99,6 @@ def sq_formula_general(x: SignedPermutation, y: SignedPermutation) -> SignedPerm
     Independent of sq(): works from the expanded sign-vector expression and
     permutation conjugations only.
     """
-    from .signed import SignedPermutation as SP, _act, _compose, _invert_perm
-
     n = x.n
     a, tau = x.bits, x.perm
     b, mu = y.bits, y.perm
@@ -108,13 +111,11 @@ def sq_formula_general(x: SignedPermutation, y: SignedPermutation) -> SignedPerm
     lam = pconj(tau, mtm)        # sq of the permutation parts
     inner = b ^ _act(mu, a ^ _act(tau, b) ^ _act(tm, a)) ^ _act(mtm, b)
     c = a ^ _act(tau, inner) ^ _act(lam, a)
-    return SP(n, c, lam)
+    return SignedPermutation(n, c, lam)
 
 
 def sq_formula_commuting(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:
     """sq for commuting permutation parts: the seven-term sign sum."""
-    from .signed import SignedPermutation as SP, _act, _compose
-
     tau, mu = x.perm, y.perm
     if _compose(tau, mu) != _compose(mu, tau):
         raise RackError("permutation parts do not commute; use the general formula")
@@ -129,7 +130,7 @@ def sq_formula_commuting(x: SignedPermutation, y: SignedPermutation) -> SignedPe
         ^ _act(_compose(tau, tm), b)
         ^ _act(tm, b)
     )
-    return SP(x.n, c, mu)
+    return SignedPermutation(x.n, c, mu)
 
 
 def commuting_balance_sides(x: SignedPermutation, y: SignedPermutation) -> tuple[int, int]:
@@ -137,8 +138,6 @@ def commuting_balance_sides(x: SignedPermutation, y: SignedPermutation) -> tuple
 
     sq(x, y) == y iff the sides are equal.
     """
-    from .signed import _act, _compose
-
     tau, mu = x.perm, y.perm
     if _compose(tau, mu) != _compose(mu, tau):
         raise RackError("permutation parts do not commute")
@@ -285,14 +284,10 @@ class TypeDWitness:
 @dataclass
 class Undetermined:
     reason: str
-    budget: dict = field(default_factory=dict)
 
 
 def pair_orbit_witness(
-    elements: Sequence[SignedPermutation],
-    max_pairs: int = 400,
-    orbit_cap: int = 4000,
-    sq_scan_cap: int = 40_000,
+    elements: Sequence[SignedPermutation], max_pairs: int = MAX_PAIRS
 ) -> Optional[TypeDWitness]:
     """Search for a type-D witness via two-generator conjugation orbits.
 
@@ -300,7 +295,9 @@ def pair_orbit_witness(
     each closed under conjugation by both, so when the orbits are disjoint
     their union is a subrack with a ready-made decomposition; it remains to
     find a pair with sq(a, b) != b.  The group is finite, so the orbits need
-    no inverse conjugators.  Deterministic scan order.
+    no inverse conjugators.  Deterministic scan order; at most ``max_pairs``
+    pairs are tried, orbits beyond ``ORBIT_CAP`` are skipped and at most
+    ``SQ_SCAN_CAP`` (a, b) pairs are scanned per orbit pair.
     """
     elts = list(elements)
     tried = 0
@@ -312,10 +309,10 @@ def pair_orbit_witness(
             if r.perm == s.perm:
                 continue  # same fiber never separates under <r, s>
             try:
-                orb_r = orbit(r, (r, s), conjugate, orbit_cap)
+                orb_r = orbit(r, (r, s), conjugate, ORBIT_CAP)
                 if s.key() in orb_r:
                     continue
-                orb_s = orbit(s, (r, s), conjugate, orbit_cap)
+                orb_s = orbit(s, (r, s), conjugate, ORBIT_CAP)
             except BudgetExceeded:
                 continue
             if orb_r.keys() & orb_s.keys():
@@ -326,7 +323,7 @@ def pair_orbit_witness(
             for a in R:
                 for b in S:
                     scanned += 1
-                    if scanned > sq_scan_cap:
+                    if scanned > SQ_SCAN_CAP:
                         break
                     if sq(a, b) != b:
                         return TypeDWitness(R, S, a, b, tag="orbit_pair")
@@ -339,17 +336,15 @@ def pair_orbit_witness(
 
 
 def brute_force_type_d(
-    elements: Sequence[SignedPermutation],
-    budget: Optional[dict] = None,
+    elements: Sequence[SignedPermutation], max_pairs: int = MAX_PAIRS
 ) -> TypeDWitness | Undetermined:
-    """Exhaustive bipartition search for tiny racks, orbit-pair search beyond."""
-    budget = dict(budget or {})
-    exhaustive_cap = budget.get("exhaustive_cap", EXHAUSTIVE_CAP)
+    """Exhaustive bipartition search for racks of at most ``EXHAUSTIVE_CAP``
+    elements, then the orbit-pair search over ``max_pairs`` pairs."""
     elts = sorted(elements, key=lambda x: x.key())
     m = len(elts)
     if m < 2:
-        return Undetermined("no nonempty bipartition exists", budget)
-    if m <= exhaustive_cap:
+        return Undetermined("no nonempty bipartition exists")
+    if m <= EXHAUSTIVE_CAP:
         for mask in range(1, (1 << m) - 1):
             if mask & 1 == 0:
                 continue  # fix element 0 in R: halves the search, no loss
@@ -365,12 +360,7 @@ def brute_force_type_d(
                         # same bipartition with the roles of the parts swapped
                         return TypeDWitness(S, R, b, a, tag="exhaustive")
         # fall through: a larger ambient subrack may still separate
-    w = pair_orbit_witness(
-        elts,
-        max_pairs=budget.get("max_pairs", 400),
-        orbit_cap=budget.get("orbit_cap", 4000),
-        sq_scan_cap=budget.get("sq_scan_cap", 40_000),
-    )
+    w = pair_orbit_witness(elts, max_pairs)
     if w is not None:
         return w
-    return Undetermined("search budget exhausted", budget)
+    return Undetermined("search budget exhausted")

@@ -31,6 +31,7 @@ from .rack import (
     sq_formula_general,
 )
 from .signed import (
+    MAX_RANK,
     GroupKind,
     SignedPermutation,
     conjugate,
@@ -66,6 +67,37 @@ def run_suite(name: str, params: Optional[dict] = None, seed: int = 0) -> dict:
     }
 
 
+class SuiteParamError(ValueError):
+    """A suite parameter the suite cannot read; the message names its key."""
+
+
+def _param(params: dict, key: str, default, check):
+    """params[key], or ``default`` when absent.  ``check`` is a pair (test,
+    what it wants); a value failing the test raises SuiteParamError."""
+    if key not in params:
+        return default
+    ok, wanted = check
+    if not ok(params[key]):
+        raise SuiteParamError(f"suite parameter {key!r}: {params[key]!r} is not {wanted}")
+    return params[key]
+
+
+def _int_in(low: int, high: Optional[int] = MAX_RANK):
+    def ok(v):
+        return type(v) is int and low <= v and (high is None or v <= high)
+
+    return ok, f"an integer >= {low}" if high is None else f"an integer in {low}..{high}"
+
+
+def _one_of(*names: str):
+    return names.__contains__, " or ".join(names)
+
+
+def _list_of(check):
+    ok, wanted = check
+    return lambda v: isinstance(v, list) and all(map(ok, v)), f"a list, each {wanted}"
+
+
 def _check(name: str, tag: str, passed: bool, **detail) -> dict:
     out = {"name": name, "tag": tag, "passed": bool(passed)}
     if detail:
@@ -90,8 +122,8 @@ def _monomial_product(m: list[int], k: list[int]) -> list[int]:
 
 
 def _suite_group_laws(params: dict, rng: random.Random) -> list[dict]:
-    count = int(params.get("count", 100_000))
-    max_n = int(params.get("max_n", 8))
+    count = _param(params, "count", 100_000, _int_in(0, None))
+    max_n = _param(params, "max_n", 8, _int_in(1))
     bad_mul = bad_inv = bad_conj = 0
     for _ in range(count):
         n = rng.randint(1, max_n)
@@ -121,8 +153,8 @@ def _suite_group_laws(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_rack_axioms(params: dict, rng: random.Random) -> list[dict]:
-    count = int(params.get("count", 100_000))
-    max_n = int(params.get("max_n", 8))
+    count = _param(params, "count", 100_000, _int_in(0, None))
+    max_n = _param(params, "max_n", 8, _int_in(2))
     bad_gen = bad_comm = 0
     for _ in range(count):
         n = rng.randint(2, max_n)
@@ -190,8 +222,9 @@ def _suite_rack_axioms(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_juxtaposition(params: dict, rng: random.Random) -> list[dict]:
-    total = int(params.get("max_total", 6))
-    kind = GroupKind(params.get("group", "B"))
+    total = _param(params, "max_total", 6, _int_in(2))
+    # D has no rank-1 blocks
+    kind = GroupKind(_param(params, "group", "B", _one_of("B", "S")))
     checks = []
     for n in range(1, total):
         for m in range(1, total - n + 1):
@@ -212,12 +245,14 @@ def _suite_juxtaposition(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
+    cycle_signs = _param(params, "cycle_signs", None, _list_of(_int_in(0, 31)))
     checks = []
     # odd cycles of length 5 and 7, a handful of sign vectors each
     for p, n in ((5, 5), (7, 7)):
         clf = Classifier(GroupKind.B, n)
         ok = True
-        for bits in params.get("cycle_signs", [0, 1, (1 << n) - 1, 0b10101 % (1 << n)]):
+        signs = [0, 1, (1 << n) - 1, 0b10101 % (1 << n)] if cycle_signs is None else cycle_signs
+        for bits in signs:
             x = from_cycles(n, bits, [tuple(range(1, p + 1))])
             v = clf.classify(x)
             ok = ok and v.status == PROVEN
@@ -263,16 +298,17 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_classification(params: dict, rng: random.Random) -> list[dict]:
-    ns = params.get("ranks", [5])
-    kinds = [GroupKind(k) for k in params.get("groups", ["B", "D"])]
+    ns = _param(params, "ranks", [5], _list_of(_int_in(2)))
+    groups = _param(params, "groups", ["B", "D"], _list_of(_one_of("B", "D")))
+    kinds = [GroupKind(k) for k in groups]
     checks = []
     for kind in kinds:
         for n in ns:
-            clf = Classifier(kind, int(n))
+            clf = Classifier(kind, n)
             undetermined = []
             mismatched = []
             proven = exceptions = 0
-            for x in class_reps(kind, int(n)):
+            for x in class_reps(kind, n):
                 if all(x.perm[i] == i for i in range(x.n)):
                     continue
                 v = clf.classify(x)
@@ -362,7 +398,7 @@ def _suite_yd_braidings(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_fk_dims(params: dict, rng: random.Random) -> list[dict]:
-    max_n = int(params.get("max_n", 4))
+    max_n = _param(params, "max_n", 4, _int_in(2))
     checks = []
     expect = {2: 2, 3: 12, 4: 576}
     for n in range(2, max_n + 1):

@@ -30,6 +30,7 @@ from .classes import (
 from .classify import TypeDVerdict, Classifier, PROVEN, EXCEPTION
 from .cyclotomic import CycScalar, CyclotomicField
 from .errors import BudgetExceeded
+from .rack import MAX_PAIRS
 from .linalg import identity_matrix, independent_rows, invert_dense, mat_mul, rank
 from .signed import GroupKind, SignedPermutation, conjugate, identity, multiply
 
@@ -137,23 +138,10 @@ class BraidedVectorSpace:
     def verify_inverse(self) -> None:
         for u in range(self.D):
             for v in range(self.D):
-                vec = self._apply(self.cinv_map, {(u, v): self.scalar_field.one})
-                vec = self._apply(self.c_map, vec)
+                vec = self.apply_leg({(u, v): self.scalar_field.one}, 0, inverse=True)
+                vec = self.apply_leg(vec, 0)
                 if vec != {(u, v): self.scalar_field.one}:
                     raise ValueError(f"C inverse fails at basis pair ({u}, {v})")
-
-    def _apply(self, table: dict, vec: dict) -> dict:
-        out: dict = {}
-        for (u, v), coeff in vec.items():
-            for (u2, v2), c in table[(u, v)]:
-                key = (u2, v2)
-                cur = out.get(key)
-                nv = coeff * c if cur is None else cur + coeff * c
-                if nv:
-                    out[key] = nv
-                elif cur is not None:
-                    del out[key]
-        return out
 
     def apply_leg(self, vec: dict, leg: int, inverse: bool = False) -> dict:
         """Apply C (or its inverse) on tensor legs (leg, leg+1) of basis tuples."""
@@ -427,7 +415,6 @@ def psi_embedding(
     left: YDModule,
     right_cls: ConjugacyClass,
     right_rep: CentralizerRep,
-    kind: Optional[GroupKind] = None,
 ) -> PsiEmbedding:
     """Embed the left block's module into the juxtaposed class's module.
 
@@ -447,11 +434,10 @@ def psi_embedding(
     if q_right != sf.one:
         raise HypothesisError("right self-braiding scalar q must be 1")
 
-    kind = kind or left.cls.kind
     n, m = a_pi.n, b_tau.n
     z = juxtapose(a_pi, b_tau)
-    big = enumerate_class(kind, z)
-    cen_big = centralizer(kind, z, big)
+    big = enumerate_class(left.cls.kind, z)
+    cen_big = centralizer(left.cls.kind, z, big)
     left_vals = left.rep.closure()
     right_vals = right_rep.closure()
     zero = sf.zero
@@ -507,8 +493,8 @@ def psi_embedding(
     for u in range(left.D):
         for v in range(left.D):
             start = {(u, v): sf.one}
-            lhs = cod_space._apply(cod_space.c_map, push(start))
-            rhs = push(left_space._apply(left_space.c_map, start))
+            lhs = cod_space.apply_leg(push(start), 0)
+            rhs = push(left_space.apply_leg(start, 0))
             if lhs != rhs:
                 intertwines = False
                 break
@@ -648,7 +634,7 @@ def case_table_screen(
     return Verdict(INCONCLUSIVE, f"case ({case_id}) scalar constraints hold")
 
 
-def type_d_screen(kind: GroupKind, x: SignedPermutation, budget: Optional[dict] = None) -> Verdict:
+def type_d_screen(kind: GroupKind, x: SignedPermutation, max_pairs: int = MAX_PAIRS) -> Verdict:
     """Screen a class by type-D detection: a decomposition kills all reps.
 
     For n > 4 and nontrivial permutation part, a proven decomposition means no
@@ -661,7 +647,7 @@ def type_d_screen(kind: GroupKind, x: SignedPermutation, budget: Optional[dict] 
     perm_id = all(x.perm[i] == i for i in range(n))
     if perm_id:
         raise ValueError("screen applies to nontrivial permutation parts")
-    verdict: TypeDVerdict = Classifier(kind, n, budget).classify(x)
+    verdict: TypeDVerdict = Classifier(kind, n, max_pairs).classify(x)
     if verdict.status == PROVEN:
         return Verdict(
             INFINITE,

@@ -1,4 +1,5 @@
 """Type-D decision procedure: witness constructions, exception list, dispatch."""
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from weylrack.classify import (
     exception_case,
     lift_from_sym,
     propagate_juxtaposition,
+    sym_orbit_span,
     witness_fixed_points,
     witness_odd_cycle,
     witness_pairs_triple,
@@ -174,3 +176,52 @@ def test_classify_verdict_json():
     assert data["status"] == PROVEN
     assert data["witness"] is not None
     assert TypeDWitness.from_json(data["witness"]).validate()
+
+
+@pytest.mark.parametrize(
+    "rule, text",
+    [
+        (witness_odd_cycle, "000000:(1 2 3)(4 5 6)"),  # odd cycles shorter than 5
+        (witness_two_triples, "00000:(1 2 3 4 5)"),
+        (witness_pairs_triple, "00000:(1 2)(3 4 5)"),  # one 2-cycle only
+        (witness_fixed_points, "000000:(1 2)(3 4)"),  # two moved cycles
+        (witness_fixed_points, "00000:(1 2)"),  # constant bits on the fixed points
+        (witness_fixed_points, "01000:(3 4 5)"),  # no third fixed point
+    ],
+)
+def test_witness_rule_returns_none_without_its_shape(rule, text):
+    x = parse_element(text)
+    assert rule(x, member_for(GroupKind.B, x)) is None
+
+
+def test_sym_orbit_span_is_the_span_of_the_permutations():
+    for n in range(1, 6):
+        for a in range(1 << n):
+            perms = {
+                sum(1 << p[i] for i in range(n) if a >> i & 1)
+                for p in itertools.permutations(range(n))
+            }
+            span = {0}
+            for v in perms:
+                span |= {s ^ v for s in span}
+            got = sym_orbit_span(a, n)
+            assert len(got) == len(set(got)) and set(got) == span, (n, a)
+
+
+def test_max_pairs_bounds_the_search():
+    x = parse_element("000000:(1 2 3 4)")
+    assert classify(GroupKind.B, x, max_pairs=1).status == "Undetermined"
+    assert classify(GroupKind.B, x).status == PROVEN
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, proven, exceptions", [("B", 163, 13), ("D", 87, 8)])
+def test_classification_rank_eight(kind, proven, exceptions):
+    (check,) = run_suite("classification", {"ranks": [8], "groups": [kind]})["checks"]
+    assert check["passed"]
+    assert check["detail"] == {
+        "exceptions": exceptions,
+        "mismatched": [],
+        "proven": proven,
+        "undetermined": [],
+    }

@@ -200,6 +200,24 @@ def _is_usage_error(line):
         (["sq", "--x", "01:(1 2)", "--y", "100:(1 2)"], "share a rank"),
         (["verify", "--suite", "group_laws", "--params", "{bad json"], "--params:"),
         (["verify", "--suite", "group_laws", "--params", "[1]"], "--params: not a JSON object"),
+        # the centralizer of (1 2) in S_3 is generated by (1 2), of order 2
+        (["nichols", "--group", "S", "--n", "3", "--rep", "000:(1 2)", "--char", "zeta3"],
+         "--char zeta3: not a character of the centralizer"),
+    ]
+    + [
+        (["verify", "--suite", suite, "--params", params], f"--params: suite parameter '{key}'")
+        for suite, params, key in [
+            ("group_laws", '{"count": "a"}', "count"),
+            ("group_laws", '{"max_n": true}', "max_n"),
+            ("rack_axioms", '{"max_n": 1}', "max_n"),
+            ("juxtaposition", '{"group": "Q"}', "group"),
+            ("juxtaposition", '{"group": "D"}', "group"),
+            ("type_d_witnesses", '{"cycle_signs": [32]}', "cycle_signs"),
+            ("classification", '{"ranks": ["x"]}', "ranks"),
+            ("classification", '{"ranks": 5}', "ranks"),
+            ("classification", '{"groups": ["S"]}', "groups"),
+            ("fk_dims", '{"max_n": 1.5}', "max_n"),
+        ]
     ],
 )
 def test_bad_values_are_usage_errors(capsys, argv, message):
@@ -259,3 +277,14 @@ def test_char_roots_of_unity(capsys):
         assert code == 0
         dims.append(data["graded_dims"])
     assert dims == [[1, 1]] * 3
+
+
+def test_typed_budget_bounds_the_search_and_keys_the_cache(capsys, tmp_path):
+    argv = ["--cache-dir", str(tmp_path), "typed", "--n", "6", "--rep", "000000:(1 2 3 4)"]
+    code, data = run_json(capsys, *argv, "--budget", "1")
+    assert code == 0 and data["status"] == "Undetermined" and data["cached"] is False
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and data["status"] == "ProvenTypeD" and data["cached"] is False
+    code, data = run_json(capsys, *argv, "--budget", "1")
+    assert data["status"] == "Undetermined" and data["cached"] is True
+

@@ -8,6 +8,7 @@ import pytest
 
 from weylrack.classes import ClassMembership, enumerate_class
 from weylrack.classify import PROVEN, classify
+from weylrack import rack as rack_module
 from weylrack.errors import BudgetExceeded
 from weylrack.rack import (
     FiniteRack,
@@ -142,10 +143,11 @@ def test_witness_validate_and_json_roundtrip():
     assert w2.validate(member=lambda t: mem.same_class(t, x))
 
 
-def test_pair_orbit_witness_respects_orbit_cap():
+def test_pair_orbit_witness_respects_orbit_cap(monkeypatch):
     cls = enumerate_class(GroupKind.B, from_cycles(5, 0, [(1, 2, 3, 4, 5)]))
     assert isinstance(pair_orbit_witness(cls.elements), TypeDWitness)
-    assert pair_orbit_witness(cls.elements, orbit_cap=1) is None
+    monkeypatch.setattr(rack_module, "ORBIT_CAP", 1)
+    assert pair_orbit_witness(cls.elements) is None
 
 
 def test_brute_force_undetermined_on_singleton():
