@@ -71,31 +71,22 @@ class SuiteParamError(ValueError):
     """A suite parameter the suite cannot read; the message names its key."""
 
 
-def _param(params: dict, key: str, default, check):
-    """params[key], or ``default`` when absent.  ``check`` is a pair (test,
-    what it wants); a value failing the test raises SuiteParamError."""
+def _param(params: dict, key: str, default, ok, wanted: str):
+    """params[key], or ``default`` when absent; a value ``ok`` rejects raises
+    SuiteParamError naming the key and what it wants."""
     if key not in params:
         return default
-    ok, wanted = check
     if not ok(params[key]):
         raise SuiteParamError(f"suite parameter {key!r}: {params[key]!r} is not {wanted}")
     return params[key]
 
 
-def _int_in(low: int, high: Optional[int] = MAX_RANK):
-    def ok(v):
-        return type(v) is int and low <= v and (high is None or v <= high)
-
-    return ok, f"an integer >= {low}" if high is None else f"an integer in {low}..{high}"
+def _int_in(v, low: int, high: int = MAX_RANK) -> bool:
+    return type(v) is int and low <= v <= high
 
 
-def _one_of(*names: str):
-    return names.__contains__, " or ".join(names)
-
-
-def _list_of(check):
-    ok, wanted = check
-    return lambda v: isinstance(v, list) and all(map(ok, v)), f"a list, each {wanted}"
+def _ints_in(v, low: int, high: int = MAX_RANK) -> bool:
+    return isinstance(v, list) and all(_int_in(t, low, high) for t in v)
 
 
 def _check(name: str, tag: str, passed: bool, **detail) -> dict:
@@ -122,8 +113,8 @@ def _monomial_product(m: list[int], k: list[int]) -> list[int]:
 
 
 def _suite_group_laws(params: dict, rng: random.Random) -> list[dict]:
-    count = _param(params, "count", 100_000, _int_in(0, None))
-    max_n = _param(params, "max_n", 8, _int_in(1))
+    count = _param(params, "count", 100_000, lambda v: type(v) is int and v >= 0, "an integer >= 0")
+    max_n = _param(params, "max_n", 8, lambda v: _int_in(v, 1), f"an integer in 1..{MAX_RANK}")
     bad_mul = bad_inv = bad_conj = 0
     for _ in range(count):
         n = rng.randint(1, max_n)
@@ -153,8 +144,8 @@ def _suite_group_laws(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_rack_axioms(params: dict, rng: random.Random) -> list[dict]:
-    count = _param(params, "count", 100_000, _int_in(0, None))
-    max_n = _param(params, "max_n", 8, _int_in(2))
+    count = _param(params, "count", 100_000, lambda v: type(v) is int and v >= 0, "an integer >= 0")
+    max_n = _param(params, "max_n", 8, lambda v: _int_in(v, 2), f"an integer in 2..{MAX_RANK}")
     bad_gen = bad_comm = 0
     for _ in range(count):
         n = rng.randint(2, max_n)
@@ -222,9 +213,9 @@ def _suite_rack_axioms(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_juxtaposition(params: dict, rng: random.Random) -> list[dict]:
-    total = _param(params, "max_total", 6, _int_in(2))
+    total = _param(params, "max_total", 6, lambda v: _int_in(v, 2), f"an integer in 2..{MAX_RANK}")
     # D has no rank-1 blocks
-    kind = GroupKind(_param(params, "group", "B", _one_of("B", "S")))
+    kind = GroupKind(_param(params, "group", "B", lambda v: v in ("B", "S"), "B or S"))
     checks = []
     for n in range(1, total):
         for m in range(1, total - n + 1):
@@ -245,7 +236,9 @@ def _suite_juxtaposition(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
-    cycle_signs = _param(params, "cycle_signs", None, _list_of(_int_in(0, 31)))
+    cycle_signs = _param(
+        params, "cycle_signs", None, lambda v: _ints_in(v, 0, 31), "a list of integers in 0..31"
+    )
     checks = []
     # odd cycles of length 5 and 7, a handful of sign vectors each
     for p, n in ((5, 5), (7, 7)):
@@ -298,8 +291,16 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_classification(params: dict, rng: random.Random) -> list[dict]:
-    ns = _param(params, "ranks", [5], _list_of(_int_in(2)))
-    groups = _param(params, "groups", ["B", "D"], _list_of(_one_of("B", "D")))
+    ns = _param(
+        params, "ranks", [5], lambda v: _ints_in(v, 2), f"a list of integers in 2..{MAX_RANK}"
+    )
+    groups = _param(
+        params,
+        "groups",
+        ["B", "D"],
+        lambda v: isinstance(v, list) and all(g in ("B", "D") for g in v),
+        "a list of B or D",
+    )
     kinds = [GroupKind(k) for k in groups]
     checks = []
     for kind in kinds:
@@ -398,7 +399,7 @@ def _suite_yd_braidings(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_fk_dims(params: dict, rng: random.Random) -> list[dict]:
-    max_n = _param(params, "max_n", 4, _int_in(2))
+    max_n = _param(params, "max_n", 4, lambda v: _int_in(v, 2), f"an integer in 2..{MAX_RANK}")
     checks = []
     expect = {2: 2, 3: 12, 4: 576}
     for n in range(2, max_n + 1):

@@ -30,7 +30,6 @@ from .classes import (
 from .classify import TypeDVerdict, Classifier, PROVEN, EXCEPTION
 from .cyclotomic import CycScalar, CyclotomicField
 from .errors import BudgetExceeded
-from .rack import MAX_PAIRS
 from .linalg import identity_matrix, independent_rows, invert_dense, mat_mul, rank
 from .signed import GroupKind, SignedPermutation, conjugate, identity, multiply
 
@@ -634,7 +633,7 @@ def case_table_screen(
     return Verdict(INCONCLUSIVE, f"case ({case_id}) scalar constraints hold")
 
 
-def type_d_screen(kind: GroupKind, x: SignedPermutation, max_pairs: int = MAX_PAIRS) -> Verdict:
+def type_d_screen(kind: GroupKind, x: SignedPermutation) -> Verdict:
     """Screen a class by type-D detection: a decomposition kills all reps.
 
     For n > 4 and nontrivial permutation part, a proven decomposition means no
@@ -647,7 +646,7 @@ def type_d_screen(kind: GroupKind, x: SignedPermutation, max_pairs: int = MAX_PA
     perm_id = all(x.perm[i] == i for i in range(n))
     if perm_id:
         raise ValueError("screen applies to nontrivial permutation parts")
-    verdict: TypeDVerdict = Classifier(kind, n, max_pairs).classify(x)
+    verdict: TypeDVerdict = Classifier(kind, n).classify(x)
     if verdict.status == PROVEN:
         return Verdict(
             INFINITE,

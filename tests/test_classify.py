@@ -208,12 +208,6 @@ def test_sym_orbit_span_is_the_span_of_the_permutations():
             assert len(got) == len(set(got)) and set(got) == span, (n, a)
 
 
-def test_max_pairs_bounds_the_search():
-    x = parse_element("000000:(1 2 3 4)")
-    assert classify(GroupKind.B, x, max_pairs=1).status == "Undetermined"
-    assert classify(GroupKind.B, x).status == PROVEN
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("kind, proven, exceptions", [("B", 163, 13), ("D", 87, 8)])
 def test_classification_rank_eight(kind, proven, exceptions):
