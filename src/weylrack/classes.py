@@ -387,12 +387,7 @@ def verify_juxtaposition_identities(
                 report["counterexamples"].append(("iii", str(lcls.rep), str(rcls.rep)))
             # unique blockwise factorization of the juxtaposed centralizer
             try:
-                zelems = Centralizer(
-                    kind,
-                    z,
-                    centralizer(kind, z, zc).generators,
-                    zcen_order,
-                ).elements()
+                zelems = centralizer(kind, z, zc).elements()
             except BudgetExceeded:
                 zelems = None
             if zelems is not None:

@@ -29,20 +29,6 @@ from operator import add, neg, sub
 from .linalg import _normal
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (den monic, remainder must vanish)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        q[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the m-th cyclotomic polynomial."""
@@ -52,7 +38,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num[0], num[m] = -1, 1
     for d in range(1, m):
         if m % d == 0:
-            num = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
+            # Phi_d is monic, so the quotient stays ``int``
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(num)
 
 

@@ -1,5 +1,9 @@
 """Exact sparse linear algebra over a field.
 
+One elimination loop, :func:`echelon`, serves every caller: ``rank`` and
+``independent_rows`` are views of it, and the Fomin-Kirillov linear engine
+calls it directly, with :func:`back_substitute` for the reduced form.
+
 Entries may be ``int``, :class:`fractions.Fraction` or
 :class:`weylrack.cyclotomic.CycScalar`; anything supporting +, -, *, truthiness
 and ``inverse`` works.  Units stay ``int``: a pivot of 1 or -1 is its own
@@ -100,46 +104,3 @@ def rank(rows) -> int:
     """Rank of a sparse matrix given as an iterable of {col: value} dicts."""
     return len(independent_rows(rows))
 
-
-def invert_dense(mat, one, zero):
-    """Inverse of a dense square matrix (list of lists), Gauss-Jordan, exact."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        c = _inv(a[col][col])
-        a[col] = [c * v for v in a[col]]
-        inv[col] = [c * v for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return [tuple(row) for row in inv]
-
-
-def mat_mul(a, b, zero):
-    """Dense matrix product with exact scalars."""
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = zero
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(tuple(row))
-    return out
-
-
-def identity_matrix(n, one, zero):
-    return [tuple(one if i == j else zero for j in range(n)) for i in range(n)]

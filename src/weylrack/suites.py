@@ -8,7 +8,7 @@ byte-identical when serialized with sorted keys.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import product
 from typing import Optional
 
 from . import fk, yd
@@ -54,9 +54,14 @@ SUITES = (
 def run_suite(name: str, params: Optional[dict] = None, seed: int = 0) -> dict:
     """Run a named suite; the report lists each check with its verdict."""
     params = dict(params or {})
-    runner = _RUNNERS.get(name)
-    if runner is None:
+    if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    runner, keys = _RUNNERS[name]
+    for key in sorted(params):
+        if key not in keys:
+            raise SuiteParamError(
+                f"suite parameter {key!r} is not read by {name} (reads: {', '.join(keys) or 'none'})"
+            )
     checks = runner(params, random.Random(seed))
     return {
         "suite": name,
@@ -370,17 +375,13 @@ def _suite_yd_braidings(params: dict, rng: random.Random) -> list[dict]:
         _check("transposition_sign_graded_dims", "nichols-dims",
                dims == [1, 3, 4, 3, 1], dims=dims, total=sum(dims))
     )
-    # symmetrizer factorization at degree 3
-    from itertools import product as _product
-
+    # the engine's recursion S_m = L_m (S_{m-1} (x) id) against the full S_m
     ok = True
-    for basis in _product(range(space.D), repeat=3):
-        s3 = yd._apply_sm(space, {basis: F.one}, 3)
-        v = yd._apply_s1j(space, {basis: F.one}, 2, 0)
-        v = yd._apply_s1j(space, v, 1, 1)
-        if s3 != v:
-            ok = False
-            break
+    for m in range(2, 5):
+        for basis in product(range(space.D), repeat=m):
+            lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
+            lifted = yd._apply_lm(space, yd._extend(lower, basis[-1]), m)
+            ok = ok and lifted == yd._apply_sm(space, {basis: F.one}, m)
     checks.append(_check("symmetrizer_factorization", "symmetrizer", ok))
     # scalar screens
     one, m1 = F.one, F.minus_one()
@@ -419,12 +420,13 @@ def _suite_fk_dims(params: dict, rng: random.Random) -> list[dict]:
     return checks
 
 
+# suite -> (runner, the parameter keys it reads)
 _RUNNERS = {
-    "group_laws": _suite_group_laws,
-    "rack_axioms": _suite_rack_axioms,
-    "juxtaposition": _suite_juxtaposition,
-    "type_d_witnesses": _suite_type_d_witnesses,
-    "classification": _suite_classification,
-    "yd_braidings": _suite_yd_braidings,
-    "fk_dims": _suite_fk_dims,
+    "group_laws": (_suite_group_laws, ("count", "max_n")),
+    "rack_axioms": (_suite_rack_axioms, ("count", "max_n")),
+    "juxtaposition": (_suite_juxtaposition, ("group", "max_total")),
+    "type_d_witnesses": (_suite_type_d_witnesses, ("cycle_signs",)),
+    "classification": (_suite_classification, ("groups", "ranks")),
+    "yd_braidings": (_suite_yd_braidings, ()),
+    "fk_dims": (_suite_fk_dims, ("max_n",)),
 }

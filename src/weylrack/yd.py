@@ -1,9 +1,11 @@
 """Yetter-Drinfeld modules over conjugacy classes, braidings, and symmetrizers.
 
-A module M(O_s, rho) is spanned by g_i (x) v over a numbered class t_1..t_M
-with section g_i |> s = t_i and a centralizer representation rho.  The braiding
-is C(g_i v (x) g_j w) = g_{j'} (rho(nu_j(t_i)) w) (x) g_i v, where
-t_i g_j = g_{j'} nu_j(t_i) with nu_j(t_i) in the centralizer.
+A module M(O_s, chi) is spanned by e_i = g_i (x) 1 over a numbered class
+t_1..t_D with section g_i |> s = t_i and a character chi of the centralizer of
+s.  Every representation built here is a character, so the braiding is of
+rack type and monomial: C(e_i (x) e_j) = q_ij e_{j'} (x) e_i with
+t_{j'} = t_i |> t_j and q_ij = chi(nu_j(t_i)), where t_i g_j = g_{j'} nu_j(t_i)
+with nu_j(t_i) in the centralizer.
 
 Graded dimensions of the associated quotient of the tensor algebra are the
 exact ranks of the quantum symmetrizers S_m over a cyclotomic field, computed
@@ -30,7 +32,7 @@ from .classes import (
 from .classify import TypeDVerdict, Classifier, PROVEN, EXCEPTION
 from .cyclotomic import CycScalar, CyclotomicField
 from .errors import BudgetExceeded
-from .linalg import identity_matrix, independent_rows, invert_dense, mat_mul, rank
+from .linalg import independent_rows, rank
 from .signed import GroupKind, SignedPermutation, conjugate, identity, multiply
 
 DEFAULT_ENTRY_BUDGET = 5_000_000
@@ -49,25 +51,24 @@ class HypothesisError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# centralizer representations
+# centralizer characters
 
 
 @dataclass
 class CentralizerRep:
-    """A matrix representation of a centralizer, given on its generators."""
+    """A character of a centralizer, given by its values on the generators."""
 
     cen: Centralizer
     scalar_field: CyclotomicField
-    dim: int
-    images: dict  # generator key -> dim x dim matrix (tuple of row tuples)
+    images: dict  # generator key -> scalar
     _closure: Optional[dict] = field(default=None, repr=False)
 
     def closure(self, cap: int = 200_000) -> dict:
-        """Map every centralizer element key to its image matrix.
+        """Map every centralizer element key to its value.
 
-        Images are pushed along every edge x -> g x of the generators'
+        Values are multiplied along every edge x -> g x of the generators'
         closure, in breadth-first order; reaching an element along two paths
-        with different images means the images violate a relation, which is
+        with different values means the images violate a relation, which is
         reported as :class:`RepInconsistency`.
         """
         if self._closure is not None:
@@ -80,36 +81,32 @@ class CentralizerRep:
             return y
 
         self.cen.closure_tree(act, cap)
-        zero = self.scalar_field.zero
-        one = identity_matrix(self.dim, self.scalar_field.one, zero)
-        seen = {identity(self.cen.rep.n).key(): one}
+        seen = {identity(self.cen.rep.n).key(): self.scalar_field.one}
         for g, x, y in edges:
-            my = mat_mul(self.images[g.key()], seen[x.key()], zero)
+            my = self.images[g.key()] * seen[x.key()]
             if seen.setdefault(y.key(), my) != my:
                 raise RepInconsistency(f"images inconsistent at centralizer element {y}")
         self._closure = seen
         return seen
 
-    def value(self, x: SignedPermutation):
-        """Image matrix of a centralizer element."""
+    def value(self, x: SignedPermutation) -> CycScalar:
+        """The character's value at a centralizer element."""
         return self.closure()[x.key()]
 
 
-def trivial_rep(cen: Centralizer, scalar_field: CyclotomicField) -> CentralizerRep:
-    one = identity_matrix(1, scalar_field.one, scalar_field.zero)
-    return CentralizerRep(cen, scalar_field, 1, {g.key(): one for g in cen.generators})
-
-
 def scalar_rep(cen: Centralizer, scalar_field: CyclotomicField, values) -> CentralizerRep:
-    """One-dimensional representation from per-generator scalar values."""
+    """The character taking the given values on the centralizer's generators."""
     if len(values) != len(cen.generators):
         raise ValueError("one scalar per centralizer generator required")
-    images = {g.key(): ((v,),) for g, v in zip(cen.generators, values)}
-    return CentralizerRep(cen, scalar_field, 1, images)
+    return CentralizerRep(cen, scalar_field, {g.key(): v for g, v in zip(cen.generators, values)})
+
+
+def trivial_rep(cen: Centralizer, scalar_field: CyclotomicField) -> CentralizerRep:
+    return scalar_rep(cen, scalar_field, [scalar_field.one] * len(cen.generators))
 
 
 def perm_sign_rep(cen: Centralizer, scalar_field: CyclotomicField) -> CentralizerRep:
-    """Scalar rep sending each generator to the sign of its permutation part."""
+    """The character sending each generator to the sign of its permutation part."""
     values = []
     for g in cen.generators:
         parity = sum(len(c) - 1 for c in g.cycles()) % 2
@@ -122,9 +119,9 @@ def perm_sign_rep(cen: Centralizer, scalar_field: CyclotomicField) -> Centralize
 
 
 class BraidedVectorSpace:
-    """Dimension-D space with an invertible braiding given basis-sparsely.
+    """Dimension-D space with an invertible monomial braiding.
 
-    ``c_map[(u, v)]`` lists ((u2, v2), coeff) terms of C(e_u (x) e_v); the
+    ``c_map[(u, v)]`` is the one term ((u2, v2), coeff) of C(e_u (x) e_v); the
     inverse braiding is supplied the same way and checked against C.
     """
 
@@ -143,18 +140,16 @@ class BraidedVectorSpace:
                     raise ValueError(f"C inverse fails at basis pair ({u}, {v})")
 
     def apply_leg(self, vec: dict, leg: int, inverse: bool = False) -> dict:
-        """Apply C (or its inverse) on tensor legs (leg, leg+1) of basis tuples."""
+        """Apply C (or its inverse) on tensor legs (leg, leg+1) of basis tuples.
+
+        An invertible monomial braiding permutes the basis tuples, so distinct
+        tuples have distinct images and no two terms meet.
+        """
         table = self.cinv_map if inverse else self.c_map
-        out: dict = {}
+        out = {}
         for basis, coeff in vec.items():
-            for (u2, v2), c in table[(basis[leg], basis[leg + 1])]:
-                nb = basis[:leg] + (u2, v2) + basis[leg + 2 :]
-                cur = out.get(nb)
-                nv = coeff * c if cur is None else cur + coeff * c
-                if nv:
-                    out[nb] = nv
-                elif cur is not None:
-                    del out[nb]
+            pair, c = table[basis[leg : leg + 2]]
+            out[basis[:leg] + pair + basis[leg + 2 :]] = coeff * c
         return out
 
     def check_braid_equation(self, max_dim: int = 24) -> None:
@@ -176,8 +171,8 @@ def diagonal_braiding(scalar_field: CyclotomicField, q_matrix) -> BraidedVectorS
     c_map, cinv_map = {}, {}
     for u in range(D):
         for v in range(D):
-            c_map[(u, v)] = [((v, u), q_matrix[u][v])]
-            cinv_map[(u, v)] = [((v, u), q_matrix[v][u].inverse())]
+            c_map[(u, v)] = ((v, u), q_matrix[u][v])
+            cinv_map[(u, v)] = ((v, u), q_matrix[v][u].inverse())
     return BraidedVectorSpace(scalar_field, D, c_map, cinv_map)
 
 
@@ -192,84 +187,41 @@ def flip_braiding(scalar_field: CyclotomicField, D: int) -> BraidedVectorSpace:
 
 
 class YDModule:
-    """M(O_s, rho): class numeration + centralizer rep, with its braiding."""
+    """M(O_s, chi): class numeration + centralizer character, with its braiding."""
 
     def __init__(self, cls: ConjugacyClass, rep: CentralizerRep):
         self.cls = cls
         self.rep = rep
         self.scalar_field = rep.scalar_field
-        self.M = cls.size
-        self.d = rep.dim
-        self.D = self.M * self.d
-        self._pair_cache: dict = {}
-        self._inv_cache: dict = {}
+        self.D = cls.size
         # the section must implement the numeration
         for g, t in zip(cls.section, cls.elements):
             if conjugate(g, cls.rep) != t:
                 raise ValueError("class section inconsistent with numeration")
 
-    def nu(self, i: int, j: int) -> tuple[int, SignedPermutation]:
-        """(j', nu_j(t_i)) with t_i g_j = g_{j'} nu_j(t_i)."""
-        t_i, t_j = self.cls.elements[i], self.cls.elements[j]
-        jp = self.cls.index(conjugate(t_i, t_j))
-        nu = multiply(self.cls.section[jp].inverse(), multiply(t_i, self.cls.section[j]))
-        return jp, nu
-
-    def braid_pair(self, i: int, j: int):
-        """(j', matrix of rho(nu_j(t_i)))."""
-        cached = self._pair_cache.get((i, j))
-        if cached is None:
-            jp, nu = self.nu(i, j)
-            cached = (jp, self.rep.value(nu))
-            self._pair_cache[(i, j)] = cached
-        return cached
-
-    def basis_index(self, i: int, k: int) -> int:
-        return i * self.d + k
-
     def braided_space(self, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> BraidedVectorSpace:
-        """Materialize C and its inverse on the full D-dimensional basis."""
-        if self.D * self.D * self.d > entry_budget:
+        """Materialize C and its inverse on the D x D basis pairs, one term each."""
+        if self.D * self.D > entry_budget:
             raise BudgetExceeded(
-                f"braiding materialization ({self.D * self.D * self.d} entries)", entry_budget
+                f"braiding materialization ({self.D * self.D} entries)", entry_budget
             )
-        zero = self.scalar_field.zero
+        cls = self.cls
         c_map: dict = {}
         cinv_map: dict = {}
-        for i in range(self.M):
-            t_i = self.cls.elements[i]
-            for j in range(self.M):
-                jp, mat = self.braid_pair(i, j)
-                inv = self._inv_cache.get((i, j))
-                if inv is None:
-                    inv = invert_dense(mat, self.scalar_field.one, zero)
-                    self._inv_cache[(i, j)] = inv
-                for k in range(self.d):
-                    for l in range(self.d):
-                        u, v = self.basis_index(i, k), self.basis_index(j, l)
-                        c_map[(u, v)] = [
-                            ((self.basis_index(jp, kp), u), mat[kp][l])
-                            for kp in range(self.d)
-                            if mat[kp][l]
-                        ]
-                # inverse: C^{-1}(e_{(jp,a)} (x) e_{(i,k)}) uses the same (i,j) block
-                for a in range(self.d):
-                    for k in range(self.d):
-                        p, q = self.basis_index(jp, a), self.basis_index(i, k)
-                        cinv_map[(p, q)] = [
-                            ((q, self.basis_index(j, l)), inv[l][a])
-                            for l in range(self.d)
-                            if inv[l][a]
-                        ]
+        for i, t_i in enumerate(cls.elements):
+            for j, (t_j, g_j) in enumerate(zip(cls.elements, cls.section)):
+                # t_i g_j = g_{j'} nu_j(t_i) with t_{j'} = t_i |> t_j
+                jp = cls.index(conjugate(t_i, t_j))
+                q = self.rep.value(multiply(cls.section[jp].inverse(), multiply(t_i, g_j)))
+                c_map[(i, j)] = ((jp, i), q)
+                cinv_map[(jp, i)] = ((i, j), q.inverse())
         space = BraidedVectorSpace(self.scalar_field, self.D, c_map, cinv_map)
         space.verify_inverse()
         return space
 
     def self_braiding_scalar(self) -> CycScalar:
-        """q_{s,s} = rho(s) for a scalar rep; the class representative's value."""
-        if self.d != 1:
-            raise ValueError("self-braiding scalar requires a 1-dimensional rep")
-        return self.rep.value(self.cls.rep)[0][0]
+        """q_{s,s} = chi(s), the character's value at the class representative."""
+        return self.rep.value(self.cls.rep)
 
 
 def build_yd_module(cls: ConjugacyClass, rep: CentralizerRep) -> YDModule:
@@ -401,11 +353,11 @@ def nichols_graded_dims(
 
 @dataclass
 class PsiEmbedding:
-    """psi: M(O_{a pi}, rho1) -> M(O_{a pi # b tau}, rho1 (x) rho2)."""
+    """psi: M(O_{a pi}, chi1) -> M(O_{a pi # b tau}, chi1 (x) chi2)."""
 
     left: YDModule
     codomain: YDModule
-    columns: dict  # (i, k) -> sparse codomain vector {(idx, kp): coeff}
+    columns: list  # i -> (codomain index, scalar): psi(e_i) = scalar * e_index
     injective: bool
     intertwines: bool
 
@@ -417,20 +369,17 @@ def psi_embedding(
 ) -> PsiEmbedding:
     """Embed the left block's module into the juxtaposed class's module.
 
-    Requires orthogonal blocks and a scalar right rep with trivial
-    self-braiding (q = rho2(b tau) = 1); raises HypothesisError otherwise.
+    Requires orthogonal blocks and a right character with trivial
+    self-braiding (q = chi2(b tau) = 1); raises HypothesisError otherwise.
     Checks injectivity and exact intertwining with the braidings.
     """
-    if right_rep.dim != 1:
-        raise HypothesisError("right rep must be one-dimensional")
     sf = left.scalar_field
     if right_rep.scalar_field != sf:
         raise ValueError("left and right reps must share a scalar field")
     a_pi, b_tau = left.cls.rep, right_cls.rep
     if not is_orthogonal(a_pi, b_tau):
         raise HypothesisError("blocks are not orthogonal")
-    q_right = right_rep.value(b_tau)[0][0]
-    if q_right != sf.one:
+    if right_rep.value(b_tau) != sf.one:
         raise HypothesisError("right self-braiding scalar q must be 1")
 
     n, m = a_pi.n, b_tau.n
@@ -439,66 +388,35 @@ def psi_embedding(
     cen_big = centralizer(left.cls.kind, z, big)
     left_vals = left.rep.closure()
     right_vals = right_rep.closure()
-    zero = sf.zero
     images = {}
     for g in cen_big.generators:
         gl, gr = split(g, n)
-        q = right_vals[gr.key()][0][0]
-        mat = left_vals[gl.key()]
-        images[g.key()] = tuple(tuple(q * e for e in row) for row in mat)
-    codomain = build_yd_module(big, CentralizerRep(cen_big, sf, left.d, images))
+        images[g.key()] = left_vals[gl.key()] * right_vals[gr.key()]
+    codomain = build_yd_module(big, CentralizerRep(cen_big, sf, images))
 
-    cod_vals = codomain.rep.closure()
     id_right = identity(m)
-    columns = {}
-    for i in range(left.M):
-        g_i = left.cls.section[i]
+    columns = []
+    for g_i in left.cls.section:
         emb = juxtapose(g_i, id_right)
         idx = big.index(conjugate(emb, z))
         nu = multiply(big.section[idx].inverse(), emb)
-        mat = cod_vals[nu.key()]
-        for k in range(left.d):
-            columns[(i, k)] = {
-                (idx, kp): mat[kp][k] for kp in range(left.d) if mat[kp][k]
-            }
-
-    flat = [
-        {codomain.basis_index(*ck): v for ck, v in col.items()}
-        for col in columns.values()
-    ]
-    injective = rank(flat) == left.D
+        columns.append((idx, codomain.rep.value(nu)))
+    injective = rank({idx: q} for idx, q in columns) == left.D
 
     left_space = left.braided_space()
     cod_space = codomain.braided_space()
 
     def push(vec):
-        out = {}
-        for (bi, bj), coeff in vec.items():
-            i, k = divmod(bi, left.d)
-            j, l = divmod(bj, left.d)
-            for (p1, a1), c1 in columns[(i, k)].items():
-                u = codomain.basis_index(p1, a1)
-                for (p2, a2), c2 in columns[(j, l)].items():
-                    v = codomain.basis_index(p2, a2)
-                    key = (u, v)
-                    nv = out.get(key, zero) + coeff * c1 * c2
-                    if nv:
-                        out[key] = nv
-                    elif key in out:
-                        del out[key]
-        return out
+        # vec is one term, so its image is one term
+        return {
+            (columns[i][0], columns[j][0]): coeff * columns[i][1] * columns[j][1]
+            for (i, j), coeff in vec.items()
+        }
 
-    intertwines = True
-    for u in range(left.D):
-        for v in range(left.D):
-            start = {(u, v): sf.one}
-            lhs = cod_space.apply_leg(push(start), 0)
-            rhs = push(left_space.apply_leg(start, 0))
-            if lhs != rhs:
-                intertwines = False
-                break
-        if not intertwines:
-            break
+    intertwines = all(
+        cod_space.apply_leg(push(start), 0) == push(left_space.apply_leg(start, 0))
+        for start in ({(u, v): sf.one} for u in range(left.D) for v in range(left.D))
+    )
     return PsiEmbedding(left, codomain, columns, injective, intertwines)
 
 

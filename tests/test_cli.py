@@ -217,6 +217,8 @@ def _is_usage_error(line):
             ("classification", '{"ranks": 5}', "ranks"),
             ("classification", '{"groups": ["S"]}', "groups"),
             ("fk_dims", '{"max_n": 1.5}', "max_n"),
+            # a key the suite does not read
+            ("fk_dims", '{"maxn": 2}', "maxn"),
         ]
     ],
 )

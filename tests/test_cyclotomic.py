@@ -16,6 +16,25 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_one():
+    # x^m - 1 is the product of Phi_d over the divisors d of m
+    for m in range(1, 61):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+        assert all(type(c) is int for c in cyclotomic_polynomial(m)), m
+
+
 def test_field_basics():
     F = CyclotomicField(2)
     assert F.degree == 1

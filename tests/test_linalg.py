@@ -1,19 +1,16 @@
-"""Sparse exact rank and small dense helpers."""
+"""Sparse exact rank and echelon forms."""
 import ast
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from weylrack import cyclotomic, fk, linalg
+from weylrack import cyclotomic, fk, linalg, yd
 from weylrack.cyclotomic import CyclotomicField
 from weylrack.linalg import (
     _inv,
     back_substitute,
     echelon,
-    identity_matrix,
     independent_rows,
-    invert_dense,
-    mat_mul,
     rank,
 )
 
@@ -134,9 +131,9 @@ def _true_divisions_and_floats(module):
 
 def test_no_floating_point_in_exact_engines():
     # int scalars and coefficients flow through these modules, where `/`
-    # would silently produce a float; inverses go through linalg._inv and
-    # cyclotomic._div instead
-    for module in (fk, linalg, cyclotomic):
+    # would silently produce a float; inverses go through linalg._inv,
+    # cyclotomic._div and CycScalar.inverse instead
+    for module in (fk, linalg, cyclotomic, yd):
         assert _true_divisions_and_floats(module) == [], module.__name__
 
 
@@ -161,12 +158,3 @@ def test_rank_with_cyclotomic_scalars():
         {0: F.one, 1: F.one},
     ]
     assert rank(rows) == 2
-
-
-def test_dense_inverse_roundtrip():
-    F = CyclotomicField(4)
-    i = F.zeta()
-    mat = ((F.one, i), (i, F.one))  # determinant 1 - i^2 = 2
-    inv = invert_dense(mat, F.one, F.zero)
-    prod = mat_mul(mat, inv, F.zero)
-    assert prod == identity_matrix(2, F.one, F.zero)

@@ -158,19 +158,34 @@ def test_rep_closure_cap():
     assert len(rep.closure(cap=cen.order)) == cen.order
 
 
-def test_psi_embedding_injective_and_intertwines():
+def _psi_b2_next_to_b3(left_factory):
+    """psi of B2 (1 2) with the given character next to B3 (1 2 3), trivial."""
     F = CyclotomicField(2)
     left_rep = from_cycles(2, 0, [(1, 2)])
     lcls = enumerate_class(GroupKind.B, left_rep)
-    lcen = centralizer(GroupKind.B, left_rep, lcls)
-    left = yd.build_yd_module(lcls, yd.trivial_rep(lcen, F))
+    left = yd.build_yd_module(lcls, left_factory(centralizer(GroupKind.B, left_rep, lcls), F))
     right_rep = from_cycles(3, 0, [(1, 2, 3)])
     rcls = enumerate_class(GroupKind.B, right_rep)
-    rcen = centralizer(GroupKind.B, right_rep, rcls)
     assert is_orthogonal(left_rep, right_rep)
-    emb = yd.psi_embedding(left, rcls, yd.trivial_rep(rcen, F))
+    rcen = centralizer(GroupKind.B, right_rep, rcls)
+    return left, yd.psi_embedding(left, rcls, yd.trivial_rep(rcen, F))
+
+
+def test_psi_embedding_injective_and_intertwines():
+    left, emb = _psi_b2_next_to_b3(yd.trivial_rep)
     assert emb.injective and emb.intertwines
     assert len(emb.columns) == left.D
+
+
+def test_psi_embedding_with_sign_character_on_the_left():
+    # q = -1 on the left block, so a wrong scalar in the codomain images
+    # breaks the intertwining
+    left, emb = _psi_b2_next_to_b3(yd.perm_sign_rep)
+    minus_one = left.scalar_field.minus_one()
+    assert left.self_braiding_scalar() == emb.codomain.self_braiding_scalar() == minus_one
+    assert emb.injective and emb.intertwines
+    assert len(emb.columns) == left.D == 2
+    assert emb.codomain.D == 160
 
 
 def test_psi_embedding_rejects_nontrivial_right_scalar():
