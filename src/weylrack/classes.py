@@ -1,10 +1,17 @@
 """Conjugacy classes and centralizers of the signed Weyl groups, plus the
 juxtaposition calculus (block concatenation # and orthogonality).
+
+A class is known by its representative, read off a bipartition (λ⁺, λ⁻) of
+n by :func:`class_reps`.  Its size |G| / |C(x)| comes from
+:func:`centralizer_order`, the product formula in the signed cycle type, so
+sizing every class of a rank lists no element.  The orbit BFS lists a
+class's elements and section only when a caller reads them, and checks their
+number against the formula.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
@@ -13,6 +20,7 @@ from .signed import (
     SignedPermutation,
     conjugate,
     contains,
+    cycle_structure,
     generators,
     group_order,
     identity,
@@ -21,6 +29,8 @@ from .signed import (
 )
 
 CLASS_BUDGET = 2_000_000
+# class representatives one call may list: every class of B_24 (94,235) fits
+REP_BUDGET = 200_000
 
 
 def orbit(seed: SignedPermutation, gens: Sequence[SignedPermutation], act, cap: int) -> dict:
@@ -47,25 +57,66 @@ def orbit(seed: SignedPermutation, gens: Sequence[SignedPermutation], act, cap: 
     return tree
 
 
-@dataclass
 class ConjugacyClass:
-    """An enumerated class with a section: section[i] |> rep == elements[i]."""
+    """The class of ``rep`` in ``kind``, sized by :func:`centralizer_order`.
 
-    kind: GroupKind
-    n: int
-    rep: SignedPermutation
-    elements: list[SignedPermutation]
-    section: list[SignedPermutation]
-    _index: dict = field(default_factory=dict, repr=False)
+    ``elements`` and ``section`` (section[i] |> rep == elements[i]) are
+    given by the caller or listed by the orbit BFS on first access.
+    """
+
+    def __init__(
+        self,
+        kind: GroupKind,
+        rep: SignedPermutation,
+        elements: Optional[list[SignedPermutation]] = None,
+        section: Optional[list[SignedPermutation]] = None,
+    ):
+        self.kind = kind
+        self.n = rep.n
+        self.rep = rep
+        self.size = group_order(kind, rep.n) // centralizer_order(kind, rep)
+        if elements is not None and not (len(elements) == len(section) == self.size):
+            raise ValueError(f"{len(elements)} elements given for a class of size {self.size}")
+        self._elements = elements
+        self._section = section
+        self._index: dict = {}
 
     @property
-    def size(self) -> int:
-        return len(self.elements)
+    def elements(self) -> list[SignedPermutation]:
+        if self._elements is None:
+            self._list(CLASS_BUDGET)
+        return self._elements
+
+    @property
+    def section(self) -> list[SignedPermutation]:
+        if self._section is None:
+            self._list(CLASS_BUDGET)
+        return self._section
 
     def index(self, x: SignedPermutation) -> int:
         if not self._index:
             self._index.update({t.key(): i for i, t in enumerate(self.elements)})
         return self._index[x.key()]
+
+    def _list(self, budget: int) -> None:
+        """Orbit of the rep under conjugation by the fixed generator list.
+
+        The final numeration is canonical: rep first, the rest sorted, so
+        output does not depend on traversal schedule.  Conjugators come from
+        the Schreier tree: each is a generator times its parent's conjugator.
+        """
+        rep, n = self.rep, self.n
+        if self.size > budget:
+            raise BudgetExceeded(f"orbit of {rep}", budget)
+        tree = orbit(rep, generators(self.kind, n), conjugate, budget)
+        if len(tree) != self.size:
+            raise RuntimeError(f"orbit of {rep} has {len(tree)} elements, the formula {self.size}")
+        conj: dict = {}
+        for k, (_, parent, g) in tree.items():
+            conj[k] = identity(n) if parent is None else multiply(g, conj[parent])
+        elements = [x for x, _, _ in tree.values()]
+        self._elements = [rep] + sorted(elements[1:], key=lambda x: x.key())
+        self._section = [conj[x.key()] for x in self._elements]
 
 
 def enumerate_class(
@@ -73,23 +124,42 @@ def enumerate_class(
     rep: SignedPermutation,
     budget: int = CLASS_BUDGET,
 ) -> ConjugacyClass:
-    """Orbit of ``rep`` under conjugation by the fixed generator list.
+    """The class of ``rep`` with its elements and section listed now;
+    raises :class:`BudgetExceeded` if it has more than ``budget`` elements."""
+    cls = ConjugacyClass(kind, rep)
+    cls._list(budget)
+    return cls
 
-    The final numeration is canonical: rep first, the rest sorted, so output
-    does not depend on traversal schedule.  Conjugators come from the
-    Schreier tree: each is a generator times its parent's conjugator.
-    """
-    if not contains(kind, rep):
-        raise ValueError(f"rep {rep} is not in group {kind.value}_{rep.n}")
-    n = rep.n
-    tree = orbit(rep, generators(kind, n), conjugate, budget)
-    conj: dict = {}
-    for k, (_, parent, g) in tree.items():
-        conj[k] = identity(n) if parent is None else multiply(g, conj[parent])
-    elements = [x for x, _, _ in tree.values()]
-    ordered = [rep] + sorted(elements[1:], key=lambda x: x.key())
-    section = [conj[x.key()] for x in ordered]
-    return ConjugacyClass(kind, n, rep, ordered, section)
+
+def centralizer_order(kind: GroupKind, x: SignedPermutation) -> int:
+    """|C(x)| in ``kind``, from the cycle type of x alone.
+
+    The centralizer in B permutes the a_k positive k-cycles of x among
+    themselves, and the b_k negative ones, and acts on each cycle's support
+    by the cycle's powers and their negatives, 2k elements in all:
+    ∏_k (2k)^(a_k + b_k) a_k! b_k!.  In S a k-cycle has k rotations and no
+    signs: ∏_k k^(m_k) m_k!.  D has index 2 in B, so its centralizer is half
+    of B's, unless the class splits in D: then C_B(x) lies in D (see
+    :func:`class_key`)."""
+    if not contains(kind, x):
+        raise ValueError(f"{x} is not in group {kind.value}_{x.n}")
+    if kind is GroupKind.S:
+        return _wreath_order(x.cycle_type(), 1)
+    sct = x.signed_cycle_type()
+    order = _wreath_order(sct.positive, 2) * _wreath_order(sct.negative, 2)
+    if kind is GroupKind.D and not _splits(kind, sct.positive, sct.negative):
+        order //= 2
+    return order
+
+
+def _wreath_order(lengths: Sequence[int], rotations: int) -> int:
+    # ∏_k (rotations·k)^(m_k) m_k! over the multiplicities m_k of the sorted
+    # ``lengths``: the j-th cycle in a run of k-cycles contributes rotations·k·j
+    order = run = 1
+    for i, k in enumerate(lengths):
+        run = run + 1 if i and lengths[i - 1] == k else 1
+        order *= rotations * k * run
+    return order
 
 
 @dataclass
@@ -203,17 +273,16 @@ def class_key(kind: GroupKind, x: SignedPermutation):
     which splits in two.  There x = (a, pi) = (b, 1) |> (0, pi) for a b with
     b + pi.b = a, solved cycle by cycle from b = 0 at each first point, and
     half is the parity of b: flipping b on a whole even cycle keeps it, and
-    C_B((0, pi)) lies in D, so a sign flip moves x to the other half."""
+    C_B((0, pi)) lies in D, so a sign flip moves x to the other half.  On a
+    cycle (c_0 .. c_{L-1}), b at c_t is the parity of a over c_1 .. c_t, so
+    a at c_t enters the parity of b L - t times: for even L, exactly when t
+    is odd, which is the ``odd_places`` mask of the cycle structure."""
     if not contains(kind, x):
         return None
     sct = x.signed_cycle_type()
     half = 0
     if _splits(kind, sct.positive, sct.negative):
-        for cyc in x.cycles():
-            b = 0
-            for j in cyc[1:]:
-                b ^= (x.bits >> (j - 1)) & 1
-                half ^= b
+        half = (x.bits & cycle_structure(x.perm).odd_places).bit_count() & 1
     return sct, half
 
 
@@ -238,7 +307,12 @@ def class_reps(kind: GroupKind, n: int) -> list[SignedPermutation]:
     the first point of each negative cycle.  D keeps an even number of
     negative cycles and gives a split class a second rep, the first
     conjugated by the sign flip at point 1; S keeps no negative cycles.
+    Raises :class:`BudgetExceeded`, before listing any, if there are more
+    than ``REP_BUDGET`` classes.
     """
+    count = class_count(kind, n)
+    if count > REP_BUDGET:
+        raise BudgetExceeded(f"class list of {kind.value}_{n} ({count} classes)", REP_BUDGET)
     flip = SignedPermutation(n, 1, tuple(range(n)))
     reps = []
     for k in range(n + 1):
@@ -258,10 +332,28 @@ def class_reps(kind: GroupKind, n: int) -> list[SignedPermutation]:
     return sorted(reps, key=lambda x: x.key())
 
 
+def class_count(kind: GroupKind, n: int) -> int:
+    """The number of reps :func:`class_reps` lists, counted without them."""
+    # by_parity[k][e]: partitions of k into a number of parts of parity e
+    by_parity = [[1, 0]] + [[0, 0] for _ in range(n)]
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            by_parity[k][0] += by_parity[k - part][1]
+            by_parity[k][1] += by_parity[k - part][0]
+    p = [even + odd for even, odd in by_parity]
+    if kind is GroupKind.S:
+        return p[n]
+    if kind is GroupKind.B:
+        return sum(p[k] * p[n - k] for k in range(n + 1))
+    # D: an even number of negative cycles, and a second rep for each
+    # partition of n into even parts, all positive
+    return sum(p[k] * by_parity[n - k][0] for k in range(n + 1)) + (0 if n % 2 else p[n // 2])
+
+
 def all_classes(kind: GroupKind, n: int) -> list[ConjugacyClass]:
-    """Every conjugacy class, enumerated from its representative in
-    :func:`class_reps`."""
-    return [enumerate_class(kind, rep) for rep in class_reps(kind, n)]
+    """Every conjugacy class, one per representative in :func:`class_reps`;
+    sized by formula, listed only when read."""
+    return [ConjugacyClass(kind, rep) for rep in class_reps(kind, n)]
 
 
 class ClassMembership:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 from . import __version__, fk, yd
 from .cache import ResultCache
-from .classes import all_classes, centralizer, enumerate_class
+from .classes import ConjugacyClass, centralizer, class_reps, enumerate_class
 from .classify import classify
 from .cyclotomic import CyclotomicField
 from .errors import BudgetExceeded
@@ -199,10 +199,8 @@ def _cached(args, command: str, inputs: dict, compute):
 
 def _cmd_classes(args) -> int:
     kind, n = args.group, args.n
-    if args.rep is not None:
-        classes = [enumerate_class(kind, args.rep)]
-    else:
-        classes = all_classes(kind, n)
+    reps = class_reps(kind, n) if args.rep is None else [args.rep]
+    # one class at a time, so its row reads the rep's memoised cycles
     rows = [
         {
             "rep": format_element(cls.rep),
@@ -210,7 +208,7 @@ def _cmd_classes(args) -> int:
             "signed_type": str(cls.rep.signed_cycle_type()),
             "centralizer_order": group_order(kind, n) // cls.size,
         }
-        for cls in classes
+        for cls in (ConjugacyClass(kind, rep) for rep in reps)
     ]
     payload = {"group": kind.value, "n": n, "classes": rows, "count": len(rows)}
     _emit(

@@ -6,12 +6,17 @@ form, 0-indexed internally).  Cycle notation appears only at the text boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 MAX_RANK = 64
+# permutations whose cycle structure is remembered; a decision-procedure
+# verdict cuts its class out of a few hundred candidate permutations
+CYCLE_MEMO = 4096
 
 
 class GroupKind(Enum):
@@ -127,36 +132,55 @@ class SignedPermutation:
 
         Each cycle starts at its minimum element; cycles sorted by minimum.
         """
-        seen = [False] * self.n
-        out = []
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.perm[i]
-            while j != i:
-                seen[j] = True
-                cyc.append(j)
-                j = self.perm[j]
-            out.append(tuple(c + 1 for c in cyc))
-        return out
+        return list(cycle_structure(self.perm).cycles)
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths of the permutation part, descending, 1s included."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return cycle_structure(self.perm).lengths
 
     def signed_cycle_type(self) -> SignedCycleType:
         pos, neg = [], []
-        for cyc in self.cycles():
-            sign = 0
-            for i in cyc:
-                sign ^= (self.bits >> (i - 1)) & 1
-            (neg if sign else pos).append(len(cyc))
+        bits = self.bits
+        structure = cycle_structure(self.perm)
+        for cyc, mask in zip(structure.cycles, structure.masks):
+            (neg if (bits & mask).bit_count() & 1 else pos).append(len(cyc))
         return SignedCycleType(tuple(sorted(pos)), tuple(sorted(neg)))
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+class CycleStructure(NamedTuple):
+    """The cycles of one permutation, with their supports as bit masks."""
+
+    cycles: tuple[tuple[int, ...], ...]  # as SignedPermutation.cycles()
+    masks: tuple[int, ...]  # bit i-1 of masks[c] is set iff i lies on cycles[c]
+    lengths: tuple[int, ...]  # the cycle type, descending, 1s included
+    odd_places: int  # the points at places 1, 3, 5, ... of their cycles (from 0)
+
+
+@functools.lru_cache(maxsize=CYCLE_MEMO)
+def cycle_structure(perm: tuple[int, ...]) -> CycleStructure:
+    """The cycle structure of a one-line (0-indexed) permutation, memoised
+    per permutation: every element with this permutation part shares it."""
+    seen = [False] * len(perm)
+    cycles, masks, odd_places = [], [], 0
+    for i, j in enumerate(perm):
+        if seen[i]:
+            continue
+        seen[i] = True
+        cyc, mask = [i], 1 << i
+        while j != i:
+            seen[j] = True
+            cyc.append(j)
+            mask |= 1 << j
+            j = perm[j]
+        for j in cyc[1::2]:
+            odd_places |= 1 << j
+        cycles.append(tuple([j + 1 for j in cyc]))
+        masks.append(mask)
+    lengths = tuple(sorted((len(c) for c in cycles), reverse=True))
+    return CycleStructure(tuple(cycles), tuple(masks), lengths, odd_places)
 
 
 _new = object.__new__

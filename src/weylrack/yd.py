@@ -236,7 +236,7 @@ def renumber_class(cls: ConjugacyClass, order) -> ConjugacyClass:
     """Same class under a shuffled numeration (for invariance checks)."""
     elements = [cls.elements[i] for i in order]
     section = [cls.section[i] for i in order]
-    return ConjugacyClass(cls.kind, cls.n, cls.rep, elements, section)
+    return ConjugacyClass(cls.kind, cls.rep, elements, section)
 
 
 # ---------------------------------------------------------------------------

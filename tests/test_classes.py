@@ -6,9 +6,12 @@ import pytest
 from weylrack.classes import (
     BudgetExceeded,
     ClassMembership,
+    ConjugacyClass,
     _reduce_generators,
     all_classes,
     centralizer,
+    centralizer_order,
+    class_count,
     class_key,
     class_reps,
     embed_left,
@@ -57,6 +60,46 @@ def test_class_counts_partition_sym():
     # S_n: one class per partition
     assert len(all_classes(GroupKind.S, 4)) == 5
     assert len(all_classes(GroupKind.S, 5)) == 7
+
+
+FORMULA_RANKS = [(GroupKind.B, range(1, 7)), (GroupKind.D, range(2, 7)), (GroupKind.S, range(1, 7))]
+
+
+@pytest.mark.parametrize("kind,ranks", FORMULA_RANKS)
+def test_formula_sizes_match_the_orbit_bfs(kind, ranks):
+    for n in ranks:
+        for rep in class_reps(kind, n):
+            assert ConjugacyClass(kind, rep).size == len(enumerate_class(kind, rep).elements)
+
+
+@pytest.mark.parametrize("kind,ranks", FORMULA_RANKS)
+def test_centralizer_order_matches_the_closure(kind, ranks):
+    for n in range(ranks.start, 6):
+        for rep in class_reps(kind, n):
+            assert centralizer_order(kind, rep) == len(centralizer(kind, rep).elements())
+
+
+def test_classes_list_elements_on_first_read():
+    rep = from_cycles(4, 0b0001, [(1, 2, 3)])
+    cls = ConjugacyClass(GroupKind.B, rep)
+    assert cls._elements is None and cls.size == 32
+    assert cls.section[cls.index(cls.elements[5])] == enumerate_class(GroupKind.B, rep).section[5]
+    with pytest.raises(ValueError):
+        ConjugacyClass(GroupKind.B, rep, cls.elements[1:], cls.section[1:])
+    with pytest.raises(ValueError):
+        ConjugacyClass(GroupKind.D, rep)
+
+
+@pytest.mark.parametrize("kind", list(GroupKind))
+def test_class_count_counts_the_reps(kind):
+    for n in range(2 if kind is GroupKind.D else 1, 13):
+        assert class_count(kind, n) == len(class_reps(kind, n))
+
+
+def test_class_reps_refuse_more_than_their_budget():
+    assert class_count(GroupKind.B, 24) == 94_235
+    with pytest.raises(BudgetExceeded):
+        class_reps(GroupKind.B, 40)
 
 
 def test_enumerate_class_is_orbit():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv)."""
 import json
+import time
 
 import pytest
 
@@ -30,6 +31,16 @@ def test_classes_single_rep(capsys):
     code, data = run_json(capsys, "classes", "--n", "3", "--rep", "000:(1 2)")
     assert code == 0 and data["count"] == 1
     assert data["classes"][0]["size"] * data["classes"][0]["centralizer_order"] == 48
+
+
+@pytest.mark.parametrize("group,count,total", [("B", 185, 10_321_920), ("D", 100, 5_160_960)])
+def test_classes_rank_8_sized_without_listing(capsys, group, count, total):
+    # listing the elements by BFS would take minutes
+    t0 = time.monotonic()
+    code, data = run_json(capsys, "classes", "--group", group, "--n", "8")
+    assert time.monotonic() - t0 < 2.0
+    assert code == 0 and data["count"] == count
+    assert sum(r["size"] for r in data["classes"]) == total
 
 
 def test_typed_proven_and_exception(capsys):
@@ -150,6 +161,18 @@ def test_nichols_budget_exit_code(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "degree-2" in lines[0] and "budget of 10" in lines[0]
+
+
+def test_classes_budget_exit_code(capsys):
+    # B_40 has 9,035,539 classes; the reps are counted, not listed
+    t0 = time.monotonic()
+    code = main(["classes", "--group", "B", "--n", "40"])
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "weylrack: class list of B_40 (9035539 classes) exceeds its budget of 200000"
+    ]
 
 
 def test_fk_budget_exit_code(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from weylrack import cyclotomic, fk, linalg, yd
+from weylrack import classes, cyclotomic, fk, linalg, signed, yd
 from weylrack.cyclotomic import CyclotomicField
 from weylrack.linalg import (
     _inv,
@@ -133,7 +133,7 @@ def test_no_floating_point_in_exact_engines():
     # int scalars and coefficients flow through these modules, where `/`
     # would silently produce a float; inverses go through linalg._inv,
     # cyclotomic._div and CycScalar.inverse instead
-    for module in (fk, linalg, cyclotomic, yd):
+    for module in (fk, linalg, cyclotomic, yd, classes, signed):
         assert _true_divisions_and_floats(module) == [], module.__name__
 
 

@@ -132,3 +132,25 @@ def test_signed_cycle_type_separates_sample_classes():
     c = from_cycles(3, 0b011, [(1, 2)])  # positive again (two signs cancel)
     assert signed_cycle_type(a) != signed_cycle_type(b)
     assert signed_cycle_type(a) == signed_cycle_type(c)
+
+
+def test_memoised_cycle_structure_matches_a_plain_walk():
+    # the walk below is the reference for the memoised cycles and masks
+    rng = random.Random(43)
+    for _ in range(300):
+        x = random_element(rng, rng.randint(1, 10))
+        seen, cycles = set(), []
+        for i in range(1, x.n + 1):
+            cyc = []
+            while i not in seen:
+                seen.add(i)
+                cyc.append(i)
+                i = x.pi[i - 1]
+            if cyc:
+                cycles.append(tuple(cyc))
+        assert x.cycles() == cycles
+        assert x.cycle_type() == tuple(sorted(map(len, cycles), reverse=True))
+        signs = [sum(x.a[i - 1] for i in c) % 2 for c in cycles]
+        pos = tuple(sorted(len(c) for c, s in zip(cycles, signs) if not s))
+        neg = tuple(sorted(len(c) for c, s in zip(cycles, signs) if s))
+        assert (signed_cycle_type(x).positive, signed_cycle_type(x).negative) == (pos, neg)
