@@ -16,7 +16,6 @@ from .signed import (
 from .rack import (
     FiniteRack,
     TypeDWitness,
-    Undetermined,
     brute_force_type_d,
     check_decomposition,
     rack_from_class,

@@ -54,27 +54,19 @@ def _perm_with_cycles(n: int, base: SignedPermutation, replace: dict) -> tuple[i
     return perm_from_cycles(n, [replace.get(cyc, cyc) for cyc in base.cycles()])
 
 
-def _scan_fibers(
+def _first_witness(
     R: list[SignedPermutation],
     S: list[SignedPermutation],
-    preferred: list[tuple[SignedPermutation, SignedPermutation]],
+    candidates: list[tuple[SignedPermutation, SignedPermutation]],
     tag: str,
 ) -> Optional[TypeDWitness]:
-    if not R or not S:
-        return None
+    """The witness on the first candidate pair with a in R, b in S and
+    sq(a, b) != b, or None."""
     rkeys = {x.key() for x in R}
     skeys = {y.key() for y in S}
-    for a, b in preferred:
+    for a, b in candidates:
         if a.key() in rkeys and b.key() in skeys and sq(a, b) != b:
             return TypeDWitness(R, S, a, b, tag=tag)
-    for a in R:
-        for b in S:
-            if sq(a, b) != b:
-                return TypeDWitness(R, S, a, b, tag=tag)
-    for b in S:
-        for a in R:
-            if sq(b, a) != a:
-                return TypeDWitness(S, R, b, a, tag=tag)
     return None
 
 
@@ -102,17 +94,17 @@ def _fiber_rule(x: SignedPermutation, member, replace: dict, support, cases, tag
     """R and S are the class elements over tau = x's permutation and over mu
     = tau with the cycles in ``replace`` replaced.  ``cases`` lists the sign
     layouts (a bits, b bits) on the points of ``support``; the pairs they
-    give, with x's bits elsewhere, are tried before the scan."""
+    give, with x's bits elsewhere, are the candidate pairs."""
     n = x.n
     mu = _perm_with_cycles(n, x, replace)
     tail = x.bits & ~_bits_on(support)
-    preferred = [
+    candidates = [
         (SignedPermutation(n, tail | a, x.perm), SignedPermutation(n, tail | b, mu))
         for a, b in cases
     ]
     R = _cut(member, n, [x.perm], range(1 << n))
     S = _cut(member, n, [mu], range(1 << n))
-    return _scan_fibers(R, S, preferred, tag)
+    return _first_witness(R, S, candidates, tag)
 
 
 def witness_odd_cycle(x: SignedPermutation, member) -> Optional[TypeDWitness]:
@@ -208,8 +200,8 @@ def witness_fixed_points(x: SignedPermutation, member) -> Optional[TypeDWitness]
     p, q = cyc[0], cyc[1]
     xi = perm_from_cycles(n, [(p, q, r)])
     y = conjugate(SignedPermutation(n, 0, _compose(perm_from_cycles(n, [(i, n0)]), xi)), x)
-    preferred = [(x, y)] if not a[n0 - 1] else [(y, x)]
-    return _scan_fibers(parts[0], parts[1], preferred, tag="fixed_point_bit")
+    candidates = [(x, y)] if not a[n0 - 1] else [(y, x)]
+    return _first_witness(parts[0], parts[1], candidates, tag="fixed_point_bit")
 
 
 WITNESS_RULES = (witness_odd_cycle, witness_two_triples, witness_pairs_triple, witness_fixed_points)
@@ -233,7 +225,11 @@ def lift_from_sym(
     x: SignedPermutation, sym_witness: TypeDWitness, member
 ) -> Optional[TypeDWitness]:
     """Lift a zero-sign (symmetric-subgroup) witness for the class of the
-    permutation part to the signed class of x."""
+    permutation part to the signed class of x.
+
+    a and b are the first elements of R and S over the permutations of the
+    symmetric witness's a and b.  The permutation part of sq(a, b) is sq of
+    the permutation parts, which differs from b's, so sq(a, b) != b."""
     ok = sym_witness.validate(member=lambda z: z.bits == 0)
     if not ok:
         raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
@@ -241,12 +237,9 @@ def lift_from_sym(
     span = sym_orbit_span(x.bits, n)
     R = _cut(member, n, sorted({z.perm for z in sym_witness.R}), span)
     S = _cut(member, n, sorted({z.perm for z in sym_witness.S}), span)
-    # conjugators from the symmetric class BFS give the canonical pair
-    sym_cls = enumerate_class(GroupKind.S, SignedPermutation(n, 0, x.perm))
-    h = sym_cls.section[sym_cls.index(SignedPermutation(n, 0, sym_witness.a.perm))]
-    g = sym_cls.section[sym_cls.index(SignedPermutation(n, 0, sym_witness.b.perm))]
-    preferred = [(conjugate(h, x), conjugate(g, x))]
-    return _scan_fibers(R, S, preferred, tag="sym_lift")
+    a = [z for z in R if z.perm == sym_witness.a.perm][:1]
+    b = [z for z in S if z.perm == sym_witness.b.perm][:1]
+    return _first_witness(R, S, list(zip(a, b)), tag="sym_lift")
 
 
 def propagate_juxtaposition(witness: TypeDWitness, right: SignedPermutation) -> TypeDWitness:
@@ -298,13 +291,14 @@ class Classifier:
     """The decision procedure for one group and rank.
 
     The witness rules of ``WITNESS_RULES`` are tried in order, then the
-    exception list, then the symmetric-subgroup lift and last the search of
-    :func:`rack.brute_force_type_d` with ``max_pairs`` orbit pairs.  Every
-    witness rule cuts its parts out with a :func:`classes.class_key`
-    membership test; only the lift and the search enumerate a class.  Every
-    ``ProvenTypeD`` witness has passed the exhaustive check of
-    :meth:`rack.TypeDWitness.validate` against that membership test.
-    Symmetric-subgroup witnesses are cached across calls."""
+    exception list, and last the lift of a symmetric-subgroup witness.  Each
+    rule builds its own pair (a, b) and cuts its parts out with a
+    :func:`classes.class_key` membership test; only the symmetric-subgroup
+    witness, found by :func:`rack.brute_force_type_d` within ``max_pairs``
+    orbit pairs, lists a class, and that is a class of S_n.  A class no rule
+    decides is ``Undetermined``.  Every ``ProvenTypeD`` witness has passed the
+    exhaustive check of :meth:`rack.TypeDWitness.validate` against that
+    membership test.  Symmetric-subgroup witnesses are cached across calls."""
 
     def __init__(self, kind: GroupKind, n: int, max_pairs: int = MAX_PAIRS):
         self.kind = kind
@@ -317,8 +311,7 @@ class Classifier:
         key = SignedPermutation(self.n, 0, perm).cycle_type()
         if key not in self._sym_witnesses:
             cls = enumerate_class(GroupKind.S, SignedPermutation(self.n, 0, perm))
-            found = brute_force_type_d(cls.elements, self.max_pairs)
-            self._sym_witnesses[key] = found if isinstance(found, TypeDWitness) else None
+            self._sym_witnesses[key] = brute_force_type_d(cls.elements, self.max_pairs)
         return self._sym_witnesses[key]
 
     def classify(self, x: SignedPermutation) -> TypeDVerdict:
@@ -343,13 +336,13 @@ class Classifier:
         sym = self._sym_witness(x.perm)
         if sym is not None and (v := proven(lift_from_sym(x, sym, member))):
             return v
-        found = brute_force_type_d(enumerate_class(self.kind, x).elements, self.max_pairs)
-        if isinstance(found, TypeDWitness) and (v := proven(found)):
-            return v
-        return TypeDVerdict(UNDETERMINED, reason="search budget exhausted")
+        return TypeDVerdict(
+            UNDETERMINED,
+            reason=f"no rule decides the class (S_n witness search: {self.max_pairs} orbit pairs)",
+        )
 
 
 def classify(kind: GroupKind, x: SignedPermutation, max_pairs: int = MAX_PAIRS) -> TypeDVerdict:
     """The verdict of :class:`Classifier` on x; ``max_pairs`` bounds the
-    orbit-pair search of the fallback."""
+    orbit-pair search for the symmetric-subgroup witness of the lift."""
     return Classifier(kind, x.n, max_pairs).classify(x)

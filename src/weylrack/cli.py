@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
+import signal
 import sys
 import time
 from typing import NamedTuple, Optional
@@ -115,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="budget override: typed orbit pairs (max_pairs), nichols and fk "
-        "(linear engine) entries per degree",
+        help="budget override: typed orbit pairs of the S_n witness search (max_pairs), "
+        "nichols and fk (linear engine) entries per degree",
     )
     parser.add_argument("--cache-dir", default=None, help="directory for the JSONL result cache")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -411,7 +413,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Run one subcommand; exit code 2 is a usage error, 3 an exhausted budget."""
+    """Run one subcommand; exit code 2 is a usage error, 3 an exhausted
+    budget, 141 a reader that closed the output pipe early."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "group", None) is GroupKind.D and args.n < 2:
@@ -431,6 +434,11 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetExceeded as exc:
         print(f"weylrack: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): send what is still
+        # buffered to devnull and exit as a process ended by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

@@ -453,22 +453,15 @@ class FinitenessProbe:
 
     @classmethod
     def from_dims(cls, dims: list, max_degree: int) -> "FinitenessProbe":
-        """The verdict of graded dims computed up to ``max_degree``."""
+        """The verdict of graded dims computed up to ``max_degree``.
+
+        A zero at degree m settles all higher degrees: for the linear engine
+        the next space is a quotient of A_m (x) V = 0; for the rewrite engine
+        every subword of an irreducible word is irreducible.
+        """
         if len(dims) <= max_degree:
             return cls("VanishesAtDegree", len(dims), dims)
         return cls("StillGrowing", None, dims)
 
     def to_json(self) -> dict:
         return {"status": self.status, "degree": self.degree, "dims": self.dims}
-
-
-def finiteness_probe(
-    pres: QuadraticPresentation, max_degree: int, engine: str = "linear"
-) -> FinitenessProbe:
-    """Did the graded dimension reach zero within the probe window?
-
-    A zero at degree m settles all higher degrees: for the linear engine the
-    next space is a quotient of A_m (x) V = 0; for the rewrite engine every
-    subword of an irreducible word is irreducible.
-    """
-    return FinitenessProbe.from_dims(graded_dims(pres, max_degree, engine), max_degree)

@@ -281,11 +281,6 @@ class TypeDWitness:
 # -- search ----------------------------------------------------------------
 
 
-@dataclass
-class Undetermined:
-    reason: str
-
-
 def pair_orbit_witness(
     elements: Sequence[SignedPermutation], max_pairs: int = MAX_PAIRS
 ) -> Optional[TypeDWitness]:
@@ -337,13 +332,12 @@ def pair_orbit_witness(
 
 def brute_force_type_d(
     elements: Sequence[SignedPermutation], max_pairs: int = MAX_PAIRS
-) -> TypeDWitness | Undetermined:
+) -> Optional[TypeDWitness]:
     """Exhaustive bipartition search for racks of at most ``EXHAUSTIVE_CAP``
-    elements, then the orbit-pair search over ``max_pairs`` pairs."""
+    elements, then the orbit-pair search over ``max_pairs`` pairs; None when
+    neither finds a witness."""
     elts = sorted(elements, key=lambda x: x.key())
     m = len(elts)
-    if m < 2:
-        return Undetermined("no nonempty bipartition exists")
     if m <= EXHAUSTIVE_CAP:
         for mask in range(1, (1 << m) - 1):
             if mask & 1 == 0:
@@ -360,7 +354,4 @@ def brute_force_type_d(
                         # same bipartition with the roles of the parts swapped
                         return TypeDWitness(S, R, b, a, tag="exhaustive")
         # fall through: a larger ambient subrack may still separate
-    w = pair_orbit_witness(elts, max_pairs)
-    if w is not None:
-        return w
-    return Undetermined("search budget exhausted")
+    return pair_orbit_witness(elts, max_pairs)

@@ -1,10 +1,11 @@
 """Type-D decision procedure: witness constructions, exception list, dispatch."""
+import importlib
 import itertools
 import random
 
 import pytest
 
-from weylrack.classes import ClassMembership, all_classes, enumerate_class
+from weylrack.classes import ClassMembership, all_classes, class_reps, enumerate_class
 from weylrack.classify import (
     EXCEPTION,
     PROVEN,
@@ -109,6 +110,39 @@ def test_sym_lift():
     member = member_for(GroupKind.B, x)
     w = lift_from_sym(x, sym, member)
     assert w is not None and w.validate(member=member)
+
+
+@pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
+def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
+    # every rep of rank 5-7 and one seeded conjugate each: the procedure
+    # lists only S_n classes, and a lifted witness keeps the permutation
+    # parts of its S_n witness's pair
+    module = importlib.import_module("weylrack.classify")
+    listed, lifts = set(), []
+    enumerate_s, lift = module.enumerate_class, module.lift_from_sym
+
+    def spy_enumerate(k, x, *args, **kwargs):
+        listed.add(k)
+        return enumerate_s(k, x, *args, **kwargs)
+
+    def spy_lift(x, sym, member):
+        w = lift(x, sym, member)
+        lifts.append((sym, w))
+        return w
+
+    monkeypatch.setattr(module, "enumerate_class", spy_enumerate)
+    monkeypatch.setattr(module, "lift_from_sym", spy_lift)
+    rng = random.Random(f"constructed-pairs:{kind.value}")
+    for n in (5, 6, 7):
+        clf = Classifier(kind, n)
+        for rep in class_reps(kind, n):
+            if rep.perm == tuple(range(n)):
+                continue
+            for x in (rep, conjugate(random_element(rng, n, kind), rep)):
+                assert clf.classify(x).status in (PROVEN, EXCEPTION), str(x)
+    assert listed == {GroupKind.S}
+    assert lifts and all(w is not None for _, w in lifts)
+    assert all((w.a.perm, w.b.perm) == (sym.a.perm, sym.b.perm) for sym, w in lifts)
 
 
 def test_propagate_juxtaposition():

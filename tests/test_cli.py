@@ -1,9 +1,14 @@
 """End-to-end CLI behavior through main(argv)."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import weylrack
 from weylrack.cli import build_parser, main
 
 
@@ -313,3 +318,19 @@ def test_typed_budget_bounds_the_search_and_keys_the_cache(capsys, tmp_path):
     code, data = run_json(capsys, *argv, "--budget", "1")
     assert data["status"] == "Undetermined" and data["cached"] is True
 
+
+
+def test_reader_closing_the_pipe_ends_the_command_quietly():
+    # S_25 lists 1958 classes, about 300 KB: more than a pipe buffer holds
+    env = {**os.environ, "PYTHONPATH": str(Path(weylrack.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylrack.cli", "classes", "--group", "S", "--n", "25"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"S_25: 1958 classes")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -141,17 +141,17 @@ def test_engines_agree_on_random_sign_twists():
 
 
 def test_finiteness_probe_statuses():
-    finite = fk.finiteness_probe(fk.fk_presentation(3), 10)
+    finite = fk.FinitenessProbe.from_dims(fk.graded_dims(fk.fk_presentation(3), 10), 10)
     assert finite.status == "VanishesAtDegree"
     assert finite.degree == 5
     assert sum(finite.dims) == 12
     # truncating before the dimensions vanish leaves the question open
-    open_probe = fk.finiteness_probe(fk.fk_presentation(3), 3)
+    open_probe = fk.FinitenessProbe.from_dims(fk.graded_dims(fk.fk_presentation(3), 3), 3)
     assert open_probe.status == "StillGrowing"
 
 
 def test_probe_json_roundtrip():
-    probe = fk.finiteness_probe(fk.fk_presentation(3), 10)
+    probe = fk.FinitenessProbe.from_dims(fk.graded_dims(fk.fk_presentation(3), 10), 10)
     data = probe.to_json()
     assert data["status"] == "VanishesAtDegree"
     assert data["dims"] == [1, 3, 4, 3, 1]
