@@ -111,15 +111,22 @@ class CyclotomicField:
         return self.scalar(-1)
 
     def _reduce(self, coeffs: list) -> tuple:
-        """A polynomial's coefficient list modulo Phi_m (monic, so no division)."""
-        coeffs = list(coeffs)
+        """A polynomial's coefficient list modulo Phi_m (monic, so no division).
+
+        Input of at most ``degree`` terms is already reduced and is only padded
+        with zeros; longer input is copied and its high terms folded down.
+        """
         deg = self.degree
-        for k in range(len(coeffs) - 1, deg - 1, -1):
+        n = len(coeffs)
+        if n <= deg:
+            return tuple(coeffs) + (0,) * (deg - n)
+        coeffs = list(coeffs)
+        poly = self.poly
+        for k in range(n - 1, deg - 1, -1):
             c = coeffs[k]
             if c:
                 for i in range(deg + 1):
-                    coeffs[k - deg + i] -= c * self.poly[i]
-        coeffs = coeffs[:deg] + [0] * max(0, deg - len(coeffs))
+                    coeffs[k - deg + i] -= c * poly[i]
         return tuple(coeffs[:deg])
 
 

@@ -8,7 +8,10 @@ algebra is the instance (alpha, beta, gamma, lambda) = (1, 1, -1, 1).
 Graded dimensions are computed by two independent engines: an iterative
 linear-algebra quotient (degree by degree, on the echelon kernel of
 :mod:`weylrack.linalg`) and a degree-truncated noncommutative rewriting system
-whose irreducible words are counted by a finite automaton.
+whose irreducible words are counted by a finite automaton.  The rewriting
+system comes from a critical-pair completion: every overlap and inclusion of
+two rules waits on one heap ordered by degree and is resolved once, and each
+polynomial is reduced through a max-heap of its pending words.
 
 Coefficients are exact and never floats.  They are ``int`` as long as every
 pivot (linear engine) or rule leading coefficient (rewrite engine) is a unit
@@ -20,7 +23,9 @@ integer (``linalg._normal``), so later reductions through it stay in ``int``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from heapq import heapify, heappop, heappush
+from itertools import count, permutations, product
+from operator import neg
 from typing import Optional
 
 from .errors import BudgetExceeded
@@ -266,35 +271,60 @@ def _word_key(w: Word):
 
 
 def _reduce(poly: Poly, rules: dict, lengths: set) -> Poly:
-    """Fully rewrite a polynomial; the monomial order strictly decreases."""
-    poly = {w: c for w, c in poly.items() if c}
-    while True:
-        target = None
-        for w in sorted(poly, key=_word_key, reverse=True):
-            for L in lengths:
-                if L > len(w):
-                    continue
-                for pos in range(len(w) - L + 1):
-                    sub = w[pos : pos + L]
-                    if sub in rules:
-                        target = (w, pos, sub)
-                        break
-                if target:
+    """Fully rewrite a polynomial, through a max-heap of pending words.
+
+    Words wait in a heap keyed by the negated deglex key, so the largest pending
+    word comes out first.  It is either rewritten by one rule into strictly
+    smaller words, whose coefficients collect in ``pending``, or it is
+    irreducible and moves to the result.  No word larger than a popped one
+    enters the heap again, so each word is popped once and the result comes
+    out in decreasing deglex order, leading word first.
+    """
+    pending: dict = {}
+    heap: list = []
+    for w, c in poly.items():
+        if c:
+            pending[w] = c
+            heap.append(((-len(w), *map(neg, w)), w))
+    heapify(heap)
+    result: Poly = {}
+    while heap:
+        w = heappop(heap)[1]
+        coeff = pending.pop(w)
+        if not coeff:
+            continue
+        rhs = None
+        for L in lengths:
+            for pos in range(len(w) - L + 1):
+                rhs = rules.get(w[pos : pos + L])
+                if rhs is not None:
                     break
-            if target:
+            if rhs is not None:
                 break
-        if target is None:
-            return poly
-        w, pos, sub = target
-        coeff = poly.pop(w)
-        pre, post = w[:pos], w[pos + len(sub) :]
-        for rw, rc in rules[sub].items():
+        if rhs is None:
+            result[w] = coeff
+            continue
+        pre, post = w[:pos], w[pos + L :]
+        for rw, rc in rhs.items():
             nw = pre + rw + post
-            nv = poly.get(nw, 0) + coeff * rc
-            if nv:
-                poly[nw] = nv
-            elif nw in poly:
-                del poly[nw]
+            if nw in pending:
+                pending[nw] += coeff * rc
+            else:
+                pending[nw] = coeff * rc
+                heappush(heap, ((-len(nw), *map(neg, nw)), nw))
+    return result
+
+
+def _ambiguities(la: Word, lb: Word):
+    """Positions at which ``lb`` meets ``la``: overlaps and inclusions.
+
+    ``lb`` starts at ``pos`` inside ``la`` and either runs past its end (a
+    proper suffix of ``la`` is a proper prefix of ``lb``) or ends inside it (an
+    inclusion, ``lb`` a proper subword of ``la``).
+    """
+    for pos in range(0 if len(lb) < len(la) else 1, len(la)):
+        if la[pos : pos + len(lb)] == lb[: len(la) - pos]:
+            yield pos
 
 
 @dataclass
@@ -305,6 +335,7 @@ class RewriteSystem:
     rules: dict  # Word -> Poly
     completed_to: int
     confluent: bool  # all overlaps of total degree <= completed_to resolve
+    pairs: int = 0  # critical pairs resolved by the completion
 
     def irreducible_counts(self, max_degree: int) -> list[int]:
         """Words avoiding every rule lhs, counted by an automaton walk."""
@@ -350,76 +381,62 @@ def complete_to_degree(
     max_degree: int,
     rule_budget: int = 20_000,
 ) -> RewriteSystem:
-    """Resolve all overlap ambiguities of total degree <= max_degree."""
-    rules: dict = {}
+    """Resolve all overlap ambiguities of total degree <= max_degree.
 
-    def add_poly(poly: Poly) -> bool:
-        poly = _reduce(poly, rules, {len(w) for w in rules})
+    A critical-pair completion (Bergman's diamond lemma, run as Buchberger's
+    algorithm).  Each new rule puts its overlaps and inclusions with every
+    rule so far and with itself, in both orders, on one heap keyed by (word
+    degree, insertion sequence).  Each pair is popped and resolved once: the
+    two rewrites of its word are subtracted and reduced, and a nonzero
+    remainder becomes a new rule.  Rules only accumulate, so a pair that
+    resolved stays resolved.  A pair whose word exceeds ``max_degree`` is not
+    queued and makes the system non-confluent.
+    """
+    rules: dict = {}
+    lengths: set = set()
+    queue: list = []
+    seq = count()
+    confluent = True
+    pairs = 0
+
+    def queue_pairs(la: Word, lb: Word) -> None:
+        nonlocal confluent
+        for pos in _ambiguities(la, lb):
+            degree = max(len(la), pos + len(lb))
+            if degree > max_degree:
+                confluent = False
+            else:
+                heappush(queue, (degree, next(seq), la, lb, pos))
+
+    def add_poly(poly: Poly) -> None:
+        poly = _reduce(poly, rules, lengths)
         if not poly:
-            return False
-        lead = max(poly, key=_word_key)
+            return
+        lead = next(iter(poly))
         inv = _inv(poly.pop(lead))
         if len(rules) >= rule_budget:
             raise BudgetExceeded("rewrite rules", rule_budget)
+        for old in rules:
+            queue_pairs(lead, old)
+            queue_pairs(old, lead)
+        queue_pairs(lead, lead)
         rules[lead] = {w: _normal(-c * inv) for w, c in poly.items()}
-        return True
+        lengths.add(len(lead))
 
     for rel in sorted(pres.relations, key=lambda r: sorted(map(_word_key, r))):
-        add_poly(dict(rel))
+        add_poly(rel)
 
-    confluent = True
-    while True:
-        new_polys = []
-        items = sorted(rules.items(), key=lambda kv: _word_key(kv[0]))
-        for la, ra in items:
-            for lb, rb in items:
-                # overlap: a proper suffix of la equals a proper prefix of lb
-                for k in range(1, min(len(la), len(lb))):
-                    if la[-k:] != lb[:k]:
-                        continue
-                    word = la + lb[k:]
-                    if len(word) > max_degree:
-                        confluent = False
-                        continue
-                    via_a = {rw + word[len(la):]: rc for rw, rc in ra.items()}
-                    via_b = {word[: len(la) - k] + rw: rc for rw, rc in rb.items()}
-                    diff: Poly = dict(via_a)
-                    for w, c in via_b.items():
-                        nv = diff.get(w, 0) - c
-                        if nv:
-                            diff[w] = nv
-                        elif w in diff:
-                            del diff[w]
-                    diff = _reduce(diff, rules, {len(w) for w in rules})
-                    if diff:
-                        new_polys.append(diff)
-                # inclusion: lb occurs strictly inside la
-                if la != lb and len(lb) < len(la):
-                    for pos in range(len(la) - len(lb) + 1):
-                        if la[pos : pos + len(lb)] == lb:
-                            alt = {
-                                la[:pos] + rw + la[pos + len(lb) :]: rc
-                                for rw, rc in rb.items()
-                            }
-                            diff = dict(ra)
-                            for w, c in alt.items():
-                                nv = diff.get(w, 0) - c
-                                if nv:
-                                    diff[w] = nv
-                                elif w in diff:
-                                    del diff[w]
-                            diff = _reduce(diff, rules, {len(w) for w in rules})
-                            if diff:
-                                new_polys.append(diff)
-        added = False
-        for poly in sorted(
-            new_polys, key=lambda p: sorted(map(_word_key, p), reverse=True)
-        ):
-            if add_poly(poly):
-                added = True
-        if not added:
-            break
-    return RewriteSystem(pres.num_gens, rules, max_degree, confluent)
+    while queue:
+        _, _, la, lb, pos = heappop(queue)
+        pairs += 1
+        end = pos + len(lb)
+        word = la[:pos] + lb + la[end:]
+        diff: Poly = {rw + word[len(la) :]: rc for rw, rc in rules[la].items()}
+        for rw, rc in rules[lb].items():
+            w = word[:pos] + rw + word[end:]
+            diff[w] = diff.get(w, 0) - rc
+        add_poly(diff)
+    return RewriteSystem(pres.num_gens, rules, max_degree, confluent, pairs)
 
 
 # ---------------------------------------------------------------------------

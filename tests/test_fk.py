@@ -57,6 +57,48 @@ def test_e5_prefix():
     assert fk.graded_dims(pres, 8, engine="rewrite") == e5
 
 
+def _q_integer_product(factors, max_degree):
+    """Coefficients of prod [k]_t = 1 + t + ... + t^(k-1), to max_degree."""
+    coeffs = [1] + [0] * max_degree
+    for k in factors:
+        coeffs = [sum(coeffs[m - j] for j in range(min(k, m + 1))) for m in range(max_degree + 1)]
+    return coeffs
+
+
+def test_e5_series_to_degree_12_on_the_rewrite_engine():
+    # Hilbert series of E_5: [4]^4 [5]^2 [6]^4 (Fomin-Kirillov; Grana)
+    e5 = _q_integer_product([4] * 4 + [5] * 2 + [6] * 4, 12)
+    assert e5[:9] == [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796]
+    assert fk.graded_dims(fk.fk_presentation(5), 12, engine="rewrite") == e5
+
+
+def _ambiguity_count(words, max_degree):
+    """(left, right, position) overlaps and inclusions of degree <= max_degree."""
+    total = 0
+    for la in words:
+        for lb in words:
+            for k in range(1, min(len(la), len(lb))):
+                if la[-k:] == lb[:k] and len(la) + len(lb) - k <= max_degree:
+                    total += 1
+            if len(lb) < len(la):
+                total += sum(
+                    la[pos : pos + len(lb)] == lb for pos in range(len(la) - len(lb) + 1)
+                )
+    return total
+
+
+@pytest.mark.parametrize("n, max_degree", [(4, 14), (5, 8)])
+def test_each_critical_pair_is_resolved_at_most_once(n, max_degree):
+    system = fk.complete_to_degree(fk.fk_presentation(n), max_degree)
+    assert 0 < system.pairs <= _ambiguity_count(list(system.rules), max_degree)
+
+
+def test_rewrite_rule_budget():
+    with pytest.raises(BudgetExceeded, match="rewrite rules") as info:
+        fk.complete_to_degree(fk.fk_presentation(4), 14, rule_budget=10)
+    assert info.value.limit == 10
+
+
 def _exact(value) -> bool:
     return type(value) in (int, Fraction)
 
@@ -126,7 +168,7 @@ def test_ordered_form_generates_same_ideal():
 
 
 def test_engines_agree_on_random_sign_twists():
-    from itertools import permutations
+    from itertools import combinations, permutations
 
     rng = random.Random(43)
     triples = list(permutations(range(1, 4), 3))
@@ -138,6 +180,19 @@ def test_engines_agree_on_random_sign_twists():
         lin = fk.graded_dims(pres, 8, engine="linear")
         rew = fk.graded_dims(pres, 8, engine="rewrite")
         assert lin == rew
+    # gauge twists of E_4 by signs eps_ij = eps_ji on pairs are isomorphic to
+    # E_4: alpha(i,j,k) = eps_ki eps_ij, beta(i,j,k) = eps_ki eps_jk
+    e4 = [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
+    triples = list(permutations(range(1, 5), 3))
+    for _ in range(3):
+        eps = {}
+        for i, j in combinations(range(1, 5), 2):
+            eps[(i, j)] = eps[(j, i)] = rng.choice([1, -1])
+        alpha = {(i, j, k): eps[(k, i)] * eps[(i, j)] for i, j, k in triples}
+        beta = {(i, j, k): eps[(k, i)] * eps[(j, k)] for i, j, k in triples}
+        pres = fk.presentation(4, alpha, beta, -1, 1)
+        assert fk.graded_dims(pres, 14, engine="linear") == e4
+        assert fk.graded_dims(pres, 14, engine="rewrite") == e4
 
 
 def test_finiteness_probe_statuses():
