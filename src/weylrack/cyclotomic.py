@@ -16,8 +16,8 @@ only +-1 entries and pivots, so it runs in ``int`` arithmetic throughout.
 With ``Fraction`` coefficients its degree-5 run spent two thirds of its time
 in ``CycScalar.__mul__``; with ``int`` coefficients the ``nichols`` benchmark
 takes 0.34 s instead of 0.98 s (2 cores, host-corrected; see
-``BENCH_nichols_intcyc.json``), and degrees 1-7 take 14 s at a 146 MB peak
-instead of 41 s at 193 MB.
+``BENCH_nichols_intcyc.json``), and degrees 1-7 took 14 s at 146 MB instead of
+41 s at 193 MB; with candidates streamed into the elimination, 10 s at 50 MB.
 """
 from __future__ import annotations
 

@@ -243,7 +243,7 @@ def graded_dims_linear(
                     if entries > entry_budget:
                         raise BudgetExceeded(f"degree-{m} fk relation entries", entry_budget)
                     rows.append(vec)
-        pivots = back_substitute(echelon(rows)[0])
+        pivots = back_substitute(echelon(rows))
         free_basis = [c for c in range(cur_dim * G) if c not in pivots]
         new_dim = len(free_basis)
         if new_dim == 0:

@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over a field.
 
-One elimination loop, :func:`echelon`, serves every caller: ``rank`` and
-``independent_rows`` are views of it, and the Fomin-Kirillov linear engine
-calls it directly, with :func:`back_substitute` for the reduced form.
+One elimination loop, :func:`echelon`, serves every caller: ``rank`` counts its
+pivots, the Nichols engine streams each degree's candidates into it, and the
+Fomin-Kirillov linear engine adds :func:`back_substitute` for the reduced form.
 
 Entries may be ``int``, :class:`fractions.Fraction` or
 :class:`weylrack.cyclotomic.CycScalar`; anything supporting +, -, *, truthiness
@@ -48,19 +48,17 @@ def _sub_scaled(row: dict, c, tail: dict) -> None:
                 del row[col]
 
 
-def echelon(rows) -> tuple[dict, list[int]]:
+def echelon(rows) -> dict:
     """Row echelon form, taking rows greedily in input order.
 
-    ``rows`` is an iterable of sparse {col: value} dicts; columns may be any
-    sortable hashable keys (ints, tuples, ...).  Returns ``(pivots, kept)``:
-    ``pivots`` maps each pivot column ``lead`` to the tail of its normalized
-    row (the row is e_lead + tail, every tail column exceeds ``lead``), and
-    ``kept`` lists the indices of the rows that added a pivot.  The kept rows
-    are linearly independent and span the row space.
+    ``rows`` is an iterable of sparse {col: value} dicts, read once, so a
+    generator is never held whole; columns may be any sortable hashable keys
+    (ints, tuples, ...).  Returns ``pivots``, mapping each pivot column ``lead``
+    to the tail of its normalized row: the rows e_lead + tail are linearly
+    independent, span the row space, and every tail column exceeds ``lead``.
     """
     pivots: dict = {}
-    kept = []
-    for index, row in enumerate(rows):
+    for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
             # eliminate against the pivot whose column leads this row, repeating
@@ -76,8 +74,7 @@ def echelon(rows) -> tuple[dict, list[int]]:
         lead = min(row)
         inv = _inv(row.pop(lead))
         pivots[lead] = {c: inv * v for c, v in row.items()}
-        kept.append(index)
-    return pivots, kept
+    return pivots
 
 
 def back_substitute(pivots: dict) -> dict:
@@ -95,12 +92,7 @@ def back_substitute(pivots: dict) -> dict:
     return pivots
 
 
-def independent_rows(rows) -> list[int]:
-    """Indices of the rows that add a pivot, taking rows greedily in input order."""
-    return echelon(rows)[1]
-
-
 def rank(rows) -> int:
     """Rank of a sparse matrix given as an iterable of {col: value} dicts."""
-    return len(independent_rows(rows))
+    return len(echelon(rows))
 

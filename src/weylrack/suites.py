@@ -297,7 +297,7 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
 
 def _suite_classification(params: dict, rng: random.Random) -> list[dict]:
     ns = _param(
-        params, "ranks", [5], lambda v: _ints_in(v, 2), f"a list of integers in 2..{MAX_RANK}"
+        params, "ranks", [5], lambda v: _ints_in(v, 5), f"a list of integers in 5..{MAX_RANK}"
     )
     groups = _param(
         params,

@@ -32,13 +32,14 @@ from .classes import (
 from .classify import TypeDVerdict, Classifier, PROVEN, EXCEPTION
 from .cyclotomic import CycScalar, CyclotomicField
 from .errors import BudgetExceeded
-from .linalg import independent_rows, rank
+from .linalg import echelon, rank
 from .signed import GroupKind, SignedPermutation, conjugate, identity, multiply
 
 DEFAULT_ENTRY_BUDGET = 5_000_000
-# candidate entries held at one Nichols degree; each costs roughly 290 bytes of
-# peak memory: S_4 transpositions with the sign character hold 457,733 at
-# degree 7 and peak at 146 MB (ru_maxrss), 21 MB of it before the engine starts
+BRAID_CHECK_MAX_DIM = 24
+# candidate entries one Nichols degree generates; memory follows the echelon rows
+# held, about 230 bytes each: S_4 transpositions with the sign character generate
+# 466,122 at degree 7, hold 106,462 and peak at 50 MB (ru_maxrss, 21 MB at start)
 NICHOLS_ENTRY_BUDGET = 1_000_000
 
 
@@ -152,10 +153,10 @@ class BraidedVectorSpace:
             out[basis[:leg] + pair + basis[leg + 2 :]] = coeff * c
         return out
 
-    def check_braid_equation(self, max_dim: int = 24) -> None:
+    def check_braid_equation(self) -> None:
         """(id(x)C)(C(x)id)(id(x)C) == (C(x)id)(id(x)C)(C(x)id) on all triples."""
-        if self.D > max_dim:
-            raise BudgetExceeded(f"braid-equation check on dimension {self.D}", max_dim)
+        if self.D > BRAID_CHECK_MAX_DIM:
+            raise BudgetExceeded(f"braid-equation check on dimension {self.D}", BRAID_CHECK_MAX_DIM)
         one = self.scalar_field.one
         for basis in product(range(self.D), repeat=3):
             start = {basis: one}
@@ -199,11 +200,11 @@ class YDModule:
             if conjugate(g, cls.rep) != t:
                 raise ValueError("class section inconsistent with numeration")
 
-    def braided_space(self, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> BraidedVectorSpace:
+    def braided_space(self) -> BraidedVectorSpace:
         """Materialize C and its inverse on the D x D basis pairs, one term each."""
-        if self.D * self.D > entry_budget:
+        if self.D * self.D > DEFAULT_ENTRY_BUDGET:
             raise BudgetExceeded(
-                f"braiding materialization ({self.D * self.D} entries)", entry_budget
+                f"braiding materialization ({self.D * self.D} entries)", DEFAULT_ENTRY_BUDGET
             )
         cls = self.cls
         c_map: dict = {}
@@ -291,12 +292,13 @@ def _extend(vec: dict, v: int) -> dict:
     return {basis + (v,): coeff for basis, coeff in vec.items()}
 
 
-def symmetrizer(space: BraidedVectorSpace, m: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> dict:
+def symmetrizer(space: BraidedVectorSpace, m: int) -> dict:
     """Columns of S_m on V^{(x)m}: basis tuple -> sparse image vector."""
     if m < 1:
         raise ValueError("degree must be >= 1")
-    if space.D ** m > entry_budget:
-        raise BudgetExceeded(f"degree-{m} symmetrizer ({space.D ** m} columns)", entry_budget)
+    if space.D ** m > DEFAULT_ENTRY_BUDGET:
+        raise BudgetExceeded(f"degree-{m} symmetrizer ({space.D ** m} columns)",
+                             DEFAULT_ENTRY_BUDGET)
     one = space.scalar_field.one
     return {
         basis: _apply_sm(space, {basis: one}, m)
@@ -304,13 +306,13 @@ def symmetrizer(space: BraidedVectorSpace, m: int, entry_budget: int = DEFAULT_E
     }
 
 
-def symmetrizer_rank(space: BraidedVectorSpace, m: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> int:
+def symmetrizer_rank(space: BraidedVectorSpace, m: int) -> int:
     """rank S_m from all D^m columns: the oracle for :func:`nichols_graded_dims`."""
     if m == 0:
         return 1
     if m == 1:
         return space.D
-    return rank(symmetrizer(space, m, entry_budget).values())
+    return rank(symmetrizer(space, m).values())
 
 
 def nichols_graded_dims(
@@ -321,30 +323,35 @@ def nichols_graded_dims(
     """[rank S_0, rank S_1, ...] stopping early when a rank hits zero.
 
     Degree by degree: S_m = L_m (S_{m-1} (x) id) (see :func:`_apply_lm`), so
-    im S_m is spanned by L_m(c (x) e_v) over the independent columns
-    c = S_{m-1}(e_w) kept at degree m-1 and v in 0..D-1.  The candidates that
-    raise the exact rank are kept for the next degree.  ``entry_budget``
-    bounds the nonzero entries of one degree's candidate columns.
+    im S_m is spanned by L_m(c (x) e_v) for c in any basis of im S_{m-1} and
+    v in 0..D-1.  The normalized echelon rows e_lead + tail of degree m-1 are
+    such a basis: the candidates stream into :func:`linalg.echelon` as they
+    are generated, and its pivots are the next degree's basis.
+    ``entry_budget`` bounds the nonzero entries one degree generates.
     """
-    one = space.scalar_field.one
-    kept = [{(v,): one} for v in range(space.D)]
+    pivots = {(v,): {} for v in range(space.D)}  # degree 1: the rows e_v
     dims = [1]
     for m in range(1, max_degree + 1):
         if m > 1:
-            candidates = []
-            entries = 0
-            for col in kept:
-                for v in range(space.D):
-                    cand = _apply_lm(space, _extend(col, v), m)
-                    entries += len(cand)
-                    if entries > entry_budget:
-                        raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget)
-                    candidates.append(cand)
-            kept = [candidates[i] for i in independent_rows(candidates)]
-        if not kept:
+            pivots = echelon(_candidates(space, pivots, m, entry_budget))
+        if not pivots:
             break
-        dims.append(len(kept))
+        dims.append(len(pivots))
     return dims
+
+
+def _candidates(space: BraidedVectorSpace, pivots: dict, m: int, entry_budget: int):
+    """L_m(c (x) e_v), one at a time, for each row c = e_lead + tail of ``pivots``."""
+    one = space.scalar_field.one
+    entries = 0
+    for lead, tail in pivots.items():
+        col = {lead: one, **tail}
+        for v in range(space.D):
+            cand = _apply_lm(space, _extend(col, v), m)
+            entries += len(cand)
+            if entries > entry_budget:
+                raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget)
+            yield cand
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,8 @@ def _is_usage_error(line):
             ("fk_dims", '{"max_n": 1.5}', "max_n"),
             # a key the suite does not read
             ("fk_dims", '{"maxn": 2}', "maxn"),
+            # the classifier decides no class below rank 5
+            ("classification", '{"ranks": [4]}', "ranks"),
         ]
     ],
 )

@@ -114,7 +114,7 @@ def test_non_unit_leads_fall_back_to_fraction(monkeypatch):
 
     def recording_echelon(rows):
         result = echelon(rows)
-        pivots.append(result[0])
+        pivots.append(result)
         return result
 
     monkeypatch.setattr(fk, "echelon", recording_echelon)

@@ -10,7 +10,6 @@ from weylrack.linalg import (
     _inv,
     back_substitute,
     echelon,
-    independent_rows,
     rank,
 )
 
@@ -58,7 +57,7 @@ def test_rank_fuzz_against_dense_oracle():
         assert rank(rows) == dense_rank(rows, ncols)
 
 
-def test_independent_rows_greedy_against_dense_oracle():
+def test_echelon_reads_a_one_shot_generator_like_its_list():
     rng = random.Random(43)
     for _ in range(150):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
@@ -66,13 +65,9 @@ def test_independent_rows_greedy_against_dense_oracle():
             {c: Fraction(rng.randint(-2, 2)) for c in range(ncols) if rng.random() < 0.5}
             for _ in range(nrows)
         ]
-        kept = independent_rows(rows)
-        assert kept == sorted(set(kept))
-        assert dense_rank([rows[i] for i in kept], ncols) == len(kept)
-        for k in range(nrows + 1):
-            # greedy in input order: a prefix keeps exactly its rank many rows
-            assert sum(i < k for i in kept) == dense_rank(rows[:k], ncols)
-        assert rank(rows) == len(kept)
+        pivots = echelon(rows)
+        streamed = echelon(dict(row) for row in rows)
+        assert streamed == pivots and list(streamed) == list(pivots)
 
 
 def test_int_rows_with_non_unit_pivots_against_dense_oracle():
@@ -84,8 +79,8 @@ def test_int_rows_with_non_unit_pivots_against_dense_oracle():
             {c: rng.randint(-4, 4) for c in range(ncols) if rng.random() < 0.6}
             for _ in range(nrows)
         ]
-        pivots, kept = echelon(rows)
-        assert len(kept) == len(pivots) == dense_rank(rows, ncols)
+        pivots = echelon(rows)
+        assert len(pivots) == dense_rank(rows, ncols)
         values = [v for tail in pivots.values() for v in tail.values()]
         assert all(type(v) in (int, Fraction) for v in values)
         fractions_seen += any(type(v) is Fraction for v in values)

@@ -119,6 +119,14 @@ def test_s4_transpositions_sign_match_fomin_kirillov_e4():
     assert dims == fk.graded_dims(fk.fk_presentation(4), 5, "rewrite")
 
 
+@pytest.mark.slow
+def test_s4_transpositions_sign_through_degree_eight():
+    # degree 8 generates 1,701,282 candidate entries, above the default budget
+    space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
+    dims = yd.nichols_graded_dims(space, 8, entry_budget=2_000_000)
+    assert dims == [1, 6, 19, 42, 71, 96, 106, 96, 71]
+
+
 def test_nichols_entry_budget_names_degree():
     space = _class_space(GroupKind.S, 3, [(1, 2)], yd.perm_sign_rep)
     with pytest.raises(BudgetExceeded, match="degree-2") as exc:
