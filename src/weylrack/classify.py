@@ -1,20 +1,29 @@
 """Constructive type-D witnesses and the decision procedure for conjugacy
 classes of the signed Weyl groups (rank > 4, nontrivial permutation part).
 
-Every witness is produced inside the input's own class: the relevant cycles
-are squared or re-paired in place and the decomposition is cut out of the
-class by permutation-part fibers, so no global normal-form conjugation is
-needed.  Every verdict carries a witness that re-validates from scratch.
+Every witness is built inside the input's own class from one pair (a, b):
+each rule squares or re-pairs cycles in place, or moves a sign to a fixed
+point, so no global normal-form conjugation is needed.  R and S are the
+conjugation orbits of a and b under <a, b> (Andruskiewitsch-Fantino-Garcia-
+Vendramin 2011): each orbit is closed under conjugation by the group, which
+holds R u S, so only disjointness and sq(a, b) != b depend on the rule.
+Every verdict carries a witness that re-validates from scratch.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .classes import ClassMembership, enumerate_class, juxtapose
+from .classes import CLASS_BUDGET, ClassMembership, enumerate_class, juxtapose, orbit
 from .rack import MAX_PAIRS, TypeDWitness, brute_force_type_d, sq
-from .signed import GroupKind, SignedPermutation, _compose, conjugate, perm_from_cycles
+from .signed import (
+    GroupKind,
+    SignedPermutation,
+    _compose,
+    conjugate,
+    cycle_structure,
+    perm_from_cycles,
+)
 
 PROVEN = "ProvenTypeD"
 EXCEPTION = "InExceptionList"
@@ -54,26 +63,18 @@ def _perm_with_cycles(n: int, base: SignedPermutation, replace: dict) -> tuple[i
     return perm_from_cycles(n, [replace.get(cyc, cyc) for cyc in base.cycles()])
 
 
-def _first_witness(
-    R: list[SignedPermutation],
-    S: list[SignedPermutation],
-    candidates: list[tuple[SignedPermutation, SignedPermutation]],
-    tag: str,
+def _pair_witness(
+    member, candidates: list[tuple[SignedPermutation, SignedPermutation]], tag: str
 ) -> Optional[TypeDWitness]:
-    """The witness on the first candidate pair with a in R, b in S and
-    sq(a, b) != b, or None."""
-    rkeys = {x.key() for x in R}
-    skeys = {y.key() for y in S}
+    """The witness on the first candidate pair with a and b in the class and
+    sq(a, b) != b, or None.  R and S are the orbits of a and b under
+    conjugation by <a, b>; the rule's pair keeps them disjoint."""
     for a, b in candidates:
-        if a.key() in rkeys and b.key() in skeys and sq(a, b) != b:
+        if member(a) and member(b) and sq(a, b) != b:
+            R, S = ([z for z, _, _ in orbit(c, (a, b), conjugate, CLASS_BUDGET).values()]
+                    for c in (a, b))
             return TypeDWitness(R, S, a, b, tag=tag)
     return None
-
-
-def _cut(member, n: int, perms, signs) -> list[SignedPermutation]:
-    """The class elements among the pairs (sign bits, permutation) drawn from
-    ``signs`` x ``perms``, permutation-major."""
-    return [z for perm in perms for bits in signs if member(z := SignedPermutation(n, bits, perm))]
 
 
 def _bits_on(positions) -> int:
@@ -91,10 +92,12 @@ def _odd(bits: int) -> int:
 
 
 def _fiber_rule(x: SignedPermutation, member, replace: dict, support, cases, tag: str):
-    """R and S are the class elements over tau = x's permutation and over mu
-    = tau with the cycles in ``replace`` replaced.  ``cases`` lists the sign
-    layouts (a bits, b bits) on the points of ``support``; the pairs they
-    give, with x's bits elsewhere, are the candidate pairs."""
+    """a lies over tau = x's permutation and b over mu = tau with the cycles
+    in ``replace`` replaced.  ``cases`` lists the sign layouts (a bits, b
+    bits) on the points of ``support``; the pairs they give, with x's bits
+    elsewhere, are the candidate pairs.  tau and mu commute, so conjugation
+    by <a, b> fixes both permutation parts and the orbit of a stays over tau,
+    that of b over mu."""
     n = x.n
     mu = _perm_with_cycles(n, x, replace)
     tail = x.bits & ~_bits_on(support)
@@ -102,9 +105,7 @@ def _fiber_rule(x: SignedPermutation, member, replace: dict, support, cases, tag
         (SignedPermutation(n, tail | a, x.perm), SignedPermutation(n, tail | b, mu))
         for a, b in cases
     ]
-    R = _cut(member, n, [x.perm], range(1 << n))
-    S = _cut(member, n, [mu], range(1 << n))
-    return _first_witness(R, S, candidates, tag)
+    return _pair_witness(member, candidates, tag)
 
 
 def witness_odd_cycle(x: SignedPermutation, member) -> Optional[TypeDWitness]:
@@ -162,12 +163,11 @@ def witness_fixed_points(x: SignedPermutation, member) -> Optional[TypeDWitness]
 
     Applies to a transposition or 3-cycle with the rest fixed, when there are
     three fixed points and their sign bits are not all equal: take n0 and i
-    fixed with unequal bits, r another fixed point and U = the moved cycle
-    with i and r.  R and S are the class elements whose permutation part is
-    supported on U and whose bits off U and n0 are x's, with bit n0 = 0 in R
-    and 1 in S.  Conjugation inside R u S keeps the bits off U, n0 included,
-    so R and S are subracks that act on each other.  No class is enumerated:
-    the candidates are cut out by ``member``.
+    fixed with unequal bits and r another fixed point.  The pair is x and its
+    conjugate y by (i n0)(p q r), which carries the moved cycle to one
+    through r and swaps the unequal bits.  Both fix n0, so conjugation by
+    <x, y> keeps the bit at n0, and it separates the orbit of x from that of
+    y.  No class is enumerated.
     """
     n = x.n
     moved = [c for c in x.cycles() if len(c) > 1]
@@ -181,44 +181,24 @@ def witness_fixed_points(x: SignedPermutation, member) -> Optional[TypeDWitness]
     if found is None:
         return None
     n0, i, r = found
-    cyc = moved[0]
-    U = sorted(cyc + (i, r))
-    free = U + [n0]
-    perms = []
-    for images in itertools.permutations(U):
-        perm = tuple(dict(zip(U, images)).get(j, j) - 1 for j in range(1, n + 1))
-        if SignedPermutation(n, 0, perm).cycle_type() == x.cycle_type():
-            perms.append(perm)
-    outside = x.bits & ~_bits_on(free)
-    signs = [outside | _bits_on(j for k, j in enumerate(free) if sub >> k & 1)
-             for sub in range(1 << len(free))]
-    parts: tuple[list, list] = ([], [])
-    for z in _cut(member, n, perms, signs):
-        parts[z.bits >> (n0 - 1) & 1].append(z)
-    # (p q r) carries the moved cycle to one through r, and (i n0) swaps the
-    # unequal bits, so y lies in the other part than x
-    p, q = cyc[0], cyc[1]
+    p, q = moved[0][:2]
     xi = perm_from_cycles(n, [(p, q, r)])
     y = conjugate(SignedPermutation(n, 0, _compose(perm_from_cycles(n, [(i, n0)]), xi)), x)
     candidates = [(x, y)] if not a[n0 - 1] else [(y, x)]
-    return _first_witness(parts[0], parts[1], candidates, tag="fixed_point_bit")
+    return _pair_witness(member, candidates, tag="fixed_point_bit")
 
 
 WITNESS_RULES = (witness_odd_cycle, witness_two_triples, witness_pairs_triple, witness_fixed_points)
 
 
-def sym_orbit_span(a_bits: int, n: int) -> list[int]:
-    """The subgroup of Z_2^n generated by all coordinate permutations of a.
-
-    For 0 < |a| < n, e_i + e_j is the difference of two permutations of a, so
-    the span holds every even-weight vector, and every vector if |a| is odd.
-    """
-    w = bin(a_bits).count("1")
-    if w == 0:
-        return [0]
-    if w == n:
-        return [0, a_bits]
-    return [d for d in range(1 << n) if w % 2 or not _odd(d)]
+def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
+    """A permutation h with h src h^-1 = dst, for src and dst of one cycle
+    type: it maps the cycles of src onto those of dst of equal length."""
+    h = [0] * len(src)
+    for c, d in zip(*(sorted(cycle_structure(p).cycles, key=len) for p in (src, dst))):
+        for i, j in zip(c, d):
+            h[i - 1] = j - 1
+    return tuple(h)
 
 
 def lift_from_sym(
@@ -227,19 +207,17 @@ def lift_from_sym(
     """Lift a zero-sign (symmetric-subgroup) witness for the class of the
     permutation part to the signed class of x.
 
-    a and b are the first elements of R and S over the permutations of the
-    symmetric witness's a and b.  The permutation part of sq(a, b) is sq of
-    the permutation parts, which differs from b's, so sq(a, b) != b."""
+    a and b are the conjugates of x by (0, h) with h carrying x's permutation
+    onto those of the symmetric witness's a and b.  The symmetric parts are
+    closed under conjugation by <a.perm, b.perm>, so the orbits of a and b
+    under <a, b> lie over disjoint sets of permutations; the permutation part
+    of sq(a, b) is sq of the permutation parts, so sq(a, b) != b."""
     ok = sym_witness.validate(member=lambda z: z.bits == 0)
     if not ok:
         raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
-    n = x.n
-    span = sym_orbit_span(x.bits, n)
-    R = _cut(member, n, sorted({z.perm for z in sym_witness.R}), span)
-    S = _cut(member, n, sorted({z.perm for z in sym_witness.S}), span)
-    a = [z for z in R if z.perm == sym_witness.a.perm][:1]
-    b = [z for z in S if z.perm == sym_witness.b.perm][:1]
-    return _first_witness(R, S, list(zip(a, b)), tag="sym_lift")
+    a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm)), x)
+            for z in (sym_witness.a, sym_witness.b))
+    return _pair_witness(member, [(a, b)], tag="sym_lift")
 
 
 def propagate_juxtaposition(witness: TypeDWitness, right: SignedPermutation) -> TypeDWitness:
@@ -292,13 +270,14 @@ class Classifier:
 
     The witness rules of ``WITNESS_RULES`` are tried in order, then the
     exception list, and last the lift of a symmetric-subgroup witness.  Each
-    rule builds its own pair (a, b) and cuts its parts out with a
-    :func:`classes.class_key` membership test; only the symmetric-subgroup
-    witness, found by :func:`rack.brute_force_type_d` within ``max_pairs``
-    orbit pairs, lists a class, and that is a class of S_n.  A class no rule
-    decides is ``Undetermined``.  Every ``ProvenTypeD`` witness has passed the
-    exhaustive check of :meth:`rack.TypeDWitness.validate` against that
-    membership test.  Symmetric-subgroup witnesses are cached across calls."""
+    rule builds its own pair (a, b), checks it with a :func:`classes.class_key`
+    membership test, and takes R and S as the orbits of a and b under
+    conjugation by <a, b>; only the symmetric-subgroup witness, found by
+    :func:`rack.brute_force_type_d` within ``max_pairs`` orbit pairs, lists a
+    class, and that is a class of S_n.  A class no rule decides is
+    ``Undetermined``.  Every ``ProvenTypeD`` witness has passed the exhaustive
+    check of :meth:`rack.TypeDWitness.validate` against that membership test.
+    Symmetric-subgroup witnesses are cached across calls."""
 
     def __init__(self, kind: GroupKind, n: int, max_pairs: int = MAX_PAIRS):
         self.kind = kind

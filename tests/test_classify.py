@@ -1,11 +1,17 @@
 """Type-D decision procedure: witness constructions, exception list, dispatch."""
 import importlib
-import itertools
 import random
 
 import pytest
 
-from weylrack.classes import ClassMembership, all_classes, class_reps, enumerate_class
+from weylrack.classes import (
+    CLASS_BUDGET,
+    ClassMembership,
+    all_classes,
+    class_reps,
+    enumerate_class,
+    orbit,
+)
 from weylrack.classify import (
     EXCEPTION,
     PROVEN,
@@ -14,7 +20,6 @@ from weylrack.classify import (
     exception_case,
     lift_from_sym,
     propagate_juxtaposition,
-    sym_orbit_span,
     witness_fixed_points,
     witness_odd_cycle,
     witness_pairs_triple,
@@ -72,8 +77,8 @@ def test_fixed_point_witness():
 @pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
 @pytest.mark.parametrize("text", ["10000001:(1 2 3)", "00110:(1 2)"])
 def test_fixed_point_witness_is_cut_from_a_small_support(kind, text):
-    # R u S moves only the cycle and two fixed points, and leaves every sign
-    # bit but those and one more (n0) as in x
+    # R u S moves only the cycle and one fixed point (r), and changes sign
+    # bits only there and at the two fixed points i and n0
     x0 = parse_element(text)
     rng = random.Random(f"fixed-point:{kind.value}:{text}")
     for _ in range(4):
@@ -83,9 +88,8 @@ def test_fixed_point_witness_is_cut_from_a_small_support(kind, text):
         w = v.witness
         moved = {j for c in x.cycles() if len(c) > 1 for j in c}
         support = {j + 1 for z in w.R + w.S for j in range(x.n) if z.perm[j] != j}
-        assert moved <= support and len(support) == len(moved) + 2
         changed = {j + 1 for z in w.R + w.S for j in range(x.n) if (z.bits ^ x.bits) >> j & 1}
-        assert len(changed - support) == 1
+        assert moved <= support and len(support | changed) == len(moved) + 3
         assert w.validate(member=member_for(kind, x))
 
 
@@ -115,8 +119,9 @@ def test_sym_lift():
 @pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
 def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     # every rep of rank 5-7 and one seeded conjugate each: the procedure
-    # lists only S_n classes, and a lifted witness keeps the permutation
-    # parts of its S_n witness's pair
+    # lists only S_n classes, a lifted witness keeps the permutation parts of
+    # its S_n witness's pair, and every witness's R and S are the orbits of a
+    # and b under conjugation by <a, b>
     module = importlib.import_module("weylrack.classify")
     listed, lifts = set(), []
     enumerate_s, lift = module.enumerate_class, module.lift_from_sym
@@ -133,14 +138,28 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     monkeypatch.setattr(module, "enumerate_class", spy_enumerate)
     monkeypatch.setattr(module, "lift_from_sym", spy_lift)
     rng = random.Random(f"constructed-pairs:{kind.value}")
+    witnesses = []
     for n in (5, 6, 7):
         clf = Classifier(kind, n)
         for rep in class_reps(kind, n):
             if rep.perm == tuple(range(n)):
                 continue
             for x in (rep, conjugate(random_element(rng, n, kind), rep)):
-                assert clf.classify(x).status in (PROVEN, EXCEPTION), str(x)
+                v = clf.classify(x)
+                assert v.status in (PROVEN, EXCEPTION), str(x)
+                if v.status == PROVEN:
+                    witnesses.append(v.witness)
     assert listed == {GroupKind.S}
+    assert {w.tag for w in witnesses} == {
+        "odd_cycle_fibers",
+        "two_triples_fibers",
+        "pair_repairing_fibers",
+        "fixed_point_bit",
+        "sym_lift",
+    }
+    for w in witnesses:
+        for part, c in ((w.R, w.a), (w.S, w.b)):
+            assert {z.key() for z in part} == orbit(c, (w.a, w.b), conjugate, CLASS_BUDGET).keys()
     assert lifts and all(w is not None for _, w in lifts)
     assert all((w.a.perm, w.b.perm) == (sym.a.perm, sym.b.perm) for sym, w in lifts)
 
@@ -228,24 +247,23 @@ def test_witness_rule_returns_none_without_its_shape(rule, text):
     assert rule(x, member_for(GroupKind.B, x)) is None
 
 
-def test_sym_orbit_span_is_the_span_of_the_permutations():
-    for n in range(1, 6):
-        for a in range(1 << n):
-            perms = {
-                sum(1 << p[i] for i in range(n) if a >> i & 1)
-                for p in itertools.permutations(range(n))
-            }
-            span = {0}
-            for v in perms:
-                span |= {s ^ v for s in span}
-            got = sym_orbit_span(a, n)
-            assert len(got) == len(set(got)) and set(got) == span, (n, a)
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("kind, proven, exceptions", [("B", 163, 13), ("D", 87, 8)])
 def test_classification_rank_eight(kind, proven, exceptions):
     (check,) = run_suite("classification", {"ranks": [8], "groups": [kind]})["checks"]
+    assert check["passed"]
+    assert check["detail"] == {
+        "exceptions": exceptions,
+        "mismatched": [],
+        "proven": proven,
+        "undetermined": [],
+    }
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, proven, exceptions", [("B", 282, 8), ("D", 141, 4)])
+def test_classification_rank_nine(kind, proven, exceptions):
+    (check,) = run_suite("classification", {"ranks": [9], "groups": [kind]})["checks"]
     assert check["passed"]
     assert check["detail"] == {
         "exceptions": exceptions,
