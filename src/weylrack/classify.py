@@ -3,19 +3,19 @@ classes of the signed Weyl groups (rank > 4, nontrivial permutation part).
 
 Every witness is built inside the input's own class from one pair (a, b):
 each rule squares or re-pairs cycles in place, or moves a sign to a fixed
-point, so no global normal-form conjugation is needed.  R and S are the
+point, so no global normal-form conjugation is needed.  The rule hands its
+candidate pairs to :func:`rack.pair_witness`, which takes R and S as the
 conjugation orbits of a and b under <a, b> (Andruskiewitsch-Fantino-Garcia-
-Vendramin 2011): each orbit is closed under conjugation by the group, which
-holds R u S, so only disjointness and sq(a, b) != b depend on the rule.
-Every verdict carries a witness that re-validates from scratch.
+Vendramin 2011); the rule's pair keeps them disjoint.  Every verdict carries
+a witness that re-validates from scratch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .classes import CLASS_BUDGET, ClassMembership, enumerate_class, juxtapose, orbit
-from .rack import MAX_PAIRS, TypeDWitness, brute_force_type_d, sq
+from .classes import ClassMembership, enumerate_class, juxtapose
+from .rack import TypeDWitness, brute_force_type_d, pair_witness
 from .signed import (
     GroupKind,
     SignedPermutation,
@@ -63,20 +63,6 @@ def _perm_with_cycles(n: int, base: SignedPermutation, replace: dict) -> tuple[i
     return perm_from_cycles(n, [replace.get(cyc, cyc) for cyc in base.cycles()])
 
 
-def _pair_witness(
-    member, candidates: list[tuple[SignedPermutation, SignedPermutation]], tag: str
-) -> Optional[TypeDWitness]:
-    """The witness on the first candidate pair with a and b in the class and
-    sq(a, b) != b, or None.  R and S are the orbits of a and b under
-    conjugation by <a, b>; the rule's pair keeps them disjoint."""
-    for a, b in candidates:
-        if member(a) and member(b) and sq(a, b) != b:
-            R, S = ([z for z, _, _ in orbit(c, (a, b), conjugate, CLASS_BUDGET).values()]
-                    for c in (a, b))
-            return TypeDWitness(R, S, a, b, tag=tag)
-    return None
-
-
 def _bits_on(positions) -> int:
     out = 0
     for i in positions:
@@ -105,7 +91,7 @@ def _fiber_rule(x: SignedPermutation, member, replace: dict, support, cases, tag
         (SignedPermutation(n, tail | a, x.perm), SignedPermutation(n, tail | b, mu))
         for a, b in cases
     ]
-    return _pair_witness(member, candidates, tag)
+    return pair_witness(candidates, tag, member)
 
 
 def witness_odd_cycle(x: SignedPermutation, member) -> Optional[TypeDWitness]:
@@ -185,7 +171,7 @@ def witness_fixed_points(x: SignedPermutation, member) -> Optional[TypeDWitness]
     xi = perm_from_cycles(n, [(p, q, r)])
     y = conjugate(SignedPermutation(n, 0, _compose(perm_from_cycles(n, [(i, n0)]), xi)), x)
     candidates = [(x, y)] if not a[n0 - 1] else [(y, x)]
-    return _pair_witness(member, candidates, tag="fixed_point_bit")
+    return pair_witness(candidates, "fixed_point_bit", member)
 
 
 WITNESS_RULES = (witness_odd_cycle, witness_two_triples, witness_pairs_triple, witness_fixed_points)
@@ -217,7 +203,7 @@ def lift_from_sym(
         raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
     a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm)), x)
             for z in (sym_witness.a, sym_witness.b))
-    return _pair_witness(member, [(a, b)], tag="sym_lift")
+    return pair_witness([(a, b)], "sym_lift", member)
 
 
 def propagate_juxtaposition(witness: TypeDWitness, right: SignedPermutation) -> TypeDWitness:
@@ -270,19 +256,18 @@ class Classifier:
 
     The witness rules of ``WITNESS_RULES`` are tried in order, then the
     exception list, and last the lift of a symmetric-subgroup witness.  Each
-    rule builds its own pair (a, b), checks it with a :func:`classes.class_key`
-    membership test, and takes R and S as the orbits of a and b under
-    conjugation by <a, b>; only the symmetric-subgroup witness, found by
-    :func:`rack.brute_force_type_d` within ``max_pairs`` orbit pairs, lists a
-    class, and that is a class of S_n.  A class no rule decides is
-    ``Undetermined``.  Every ``ProvenTypeD`` witness has passed the exhaustive
-    check of :meth:`rack.TypeDWitness.validate` against that membership test.
+    rule builds its own pair (a, b) and hands it to :func:`rack.pair_witness`
+    with a :func:`classes.class_key` membership test; only the
+    symmetric-subgroup witness, found by :func:`rack.brute_force_type_d`'s scan
+    from the first element of the class, lists a class, and that is a class
+    of S_n.  A class no rule decides is ``Undetermined``.  Every
+    ``ProvenTypeD`` witness has passed the exhaustive check of
+    :meth:`rack.TypeDWitness.validate` against that membership test.
     Symmetric-subgroup witnesses are cached across calls."""
 
-    def __init__(self, kind: GroupKind, n: int, max_pairs: int = MAX_PAIRS):
+    def __init__(self, kind: GroupKind, n: int):
         self.kind = kind
         self.n = n
-        self.max_pairs = max_pairs
         self.membership = ClassMembership(kind, n)
         self._sym_witnesses: dict[tuple, Optional[TypeDWitness]] = {}
 
@@ -290,7 +275,7 @@ class Classifier:
         key = SignedPermutation(self.n, 0, perm).cycle_type()
         if key not in self._sym_witnesses:
             cls = enumerate_class(GroupKind.S, SignedPermutation(self.n, 0, perm))
-            self._sym_witnesses[key] = brute_force_type_d(cls.elements, self.max_pairs)
+            self._sym_witnesses[key] = brute_force_type_d(cls.elements)
         return self._sym_witnesses[key]
 
     def classify(self, x: SignedPermutation) -> TypeDVerdict:
@@ -315,13 +300,9 @@ class Classifier:
         sym = self._sym_witness(x.perm)
         if sym is not None and (v := proven(lift_from_sym(x, sym, member))):
             return v
-        return TypeDVerdict(
-            UNDETERMINED,
-            reason=f"no rule decides the class (S_n witness search: {self.max_pairs} orbit pairs)",
-        )
+        return TypeDVerdict(UNDETERMINED, reason="no rule decides the class")
 
 
-def classify(kind: GroupKind, x: SignedPermutation, max_pairs: int = MAX_PAIRS) -> TypeDVerdict:
-    """The verdict of :class:`Classifier` on x; ``max_pairs`` bounds the
-    orbit-pair search for the symmetric-subgroup witness of the lift."""
-    return Classifier(kind, x.n, max_pairs).classify(x)
+def classify(kind: GroupKind, x: SignedPermutation) -> TypeDVerdict:
+    """The verdict of :class:`Classifier` on x."""
+    return Classifier(kind, x.n).classify(x)

@@ -22,7 +22,7 @@ from .classes import ConjugacyClass, centralizer, class_reps, enumerate_class
 from .classify import classify
 from .cyclotomic import CyclotomicField
 from .errors import BudgetExceeded
-from .rack import MAX_PAIRS, sq, sq_formula_commuting, sq_formula_general
+from .rack import sq, sq_formula_commuting, sq_formula_general
 from .signed import MAX_RANK, GroupKind, contains, format_element, group_order, multiply, parse_element
 from .suites import SUITES, SuiteParamError, run_suite
 
@@ -51,7 +51,7 @@ def _bounded_int(low: int, high: Optional[int] = None):
 
 
 _rank = _bounded_int(1, MAX_RANK)
-_degree = _bounded_int(1)
+_positive = _bounded_int(1)
 
 
 def _element(value: str):
@@ -115,10 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_positive,
         default=None,
-        help="budget override: typed orbit pairs of the S_n witness search (max_pairs), "
-        "nichols and fk (linear engine) entries per degree",
+        help="budget override for nichols and fk (linear engine): entries per degree",
     )
     parser.add_argument("--cache-dir", default=None, help="directory for the JSONL result cache")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -126,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--budget", type=_positive, default=argparse.SUPPRESS)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -162,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="'trivial', 'sign', or comma-separated scalar values "
         "(1, -1, or zetaM^K) for the centralizer generators",
     )
-    p.add_argument("--max-degree", type=_degree, default=6)
+    p.add_argument("--max-degree", type=_positive, default=6)
 
     p = sub.add_parser("fk", parents=[common], help="graded dimensions of a quadratic algebra")
     p.add_argument("--n", type=_bounded_int(2, MAX_RANK), required=True)
-    p.add_argument("--max-degree", type=_degree, default=12)
+    p.add_argument("--max-degree", type=_positive, default=12)
     p.add_argument("--signs", default=None, help="JSON file with alpha/beta/gamma/lambda maps")
     p.add_argument("--engine", choices=("linear", "rewrite", "both"), default="both")
 
@@ -228,12 +227,8 @@ def _cmd_classes(args) -> int:
 
 def _cmd_typed(args) -> int:
     x = args.rep
-    max_pairs = MAX_PAIRS if args.budget is None else args.budget
-    inputs = {"group": args.group.value, "n": args.n, "rep": format_element(x),
-              "max_pairs": max_pairs}
-    payload, cached = _cached(
-        args, "typed", inputs, lambda: classify(args.group, x, max_pairs).to_json()
-    )
+    inputs = {"group": args.group.value, "n": args.n, "rep": format_element(x)}
+    payload, cached = _cached(args, "typed", inputs, lambda: classify(args.group, x).to_json())
     payload = {**payload, "cached": cached}
     _emit(
         args,
@@ -427,6 +422,8 @@ def main(argv: Optional[list] = None) -> int:
             parser.error(f"--rep {format_element(rep)} is not in {args.group.value}_{args.n}")
     if args.command == "sq" and args.x.n != args.y.n:
         parser.error("--x and --y must share a rank")
+    if args.budget is not None and args.command not in ("nichols", "fk"):
+        parser.error(f"--budget applies only to nichols and fk, not {args.command}")
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -1,15 +1,16 @@
 """Finite racks, the four-fold conjugation sq, subrack decompositions and
-type-D search.
+type-D witnesses.
 
 Conjugacy classes give racks via x |> y = x y x^-1; a type-D witness is a
-decomposition of a subrack into R, S plus a pair with sq(a, b) != b.
+decomposition of a subrack into R, S plus a pair with sq(a, b) != b, built
+by :func:`pair_witness` from the pair's <a, b>-conjugation orbits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .classes import orbit
+from .classes import CLASS_BUDGET, orbit
 from .errors import BudgetExceeded
 from .signed import (
     SignedPermutation,
@@ -24,10 +25,8 @@ from .signed import (
 
 DEFAULT_TABLE_CAP = 20_000
 AXIOM_CHECK_CAP = 200  # size**3 self-distributivity triples
-EXHAUSTIVE_CAP = 14  # largest class searched over all bipartitions
-MAX_PAIRS = 400  # default number of pairs the orbit-pair search tries
-ORBIT_CAP = 4000  # largest two-generator orbit the orbit-pair search builds
-SQ_SCAN_CAP = 40_000  # (a, b) pairs scanned for sq(a, b) != b per orbit pair
+MAX_PAIRS = 400  # pairs (first element, b) the class scan tries
+ORBIT_CAP = 4000  # largest <a, b>-orbit the class scan builds
 
 
 class RackError(ValueError):
@@ -281,77 +280,47 @@ class TypeDWitness:
 # -- search ----------------------------------------------------------------
 
 
-def pair_orbit_witness(
-    elements: Sequence[SignedPermutation], max_pairs: int = MAX_PAIRS
+def pair_witness(
+    candidates: Iterable[tuple[SignedPermutation, SignedPermutation]],
+    tag: str,
+    member: Optional[Callable[[SignedPermutation], bool]] = None,
+    cap: int = CLASS_BUDGET,
 ) -> Optional[TypeDWitness]:
-    """Search for a type-D witness via two-generator conjugation orbits.
+    """The witness on the first candidate pair (a, b) with a and b passing
+    ``member``, sq(a, b) != b and b outside the orbit of a under conjugation
+    by <a, b>; None when no candidate qualifies.
 
-    For r, s in the class, the conjugation orbits of r and s under <r, s> are
-    each closed under conjugation by both, so when the orbits are disjoint
-    their union is a subrack with a ready-made decomposition; it remains to
-    find a pair with sq(a, b) != b.  The group is finite, so the orbits need
-    no inverse conjugators.  Deterministic scan order; at most ``max_pairs``
-    pairs are tried, orbits beyond ``ORBIT_CAP`` are skipped and at most
-    ``SQ_SCAN_CAP`` (a, b) pairs are scanned per orbit pair.
+    R and S are the orbits of a and b under <a, b>
+    (Andruskiewitsch-Fantino-Garcia-Vendramin 2011): each is closed under
+    conjugation by the group, which holds R u S, and two orbits are equal or
+    disjoint.  An orbit beyond ``cap`` elements raises BudgetExceeded.
     """
-    elts = list(elements)
-    tried = 0
-    for i, r in enumerate(elts):
-        for s in elts[i + 1 :]:
-            if tried >= max_pairs:
-                return None
-            tried += 1
-            if r.perm == s.perm:
-                continue  # same fiber never separates under <r, s>
-            try:
-                orb_r = orbit(r, (r, s), conjugate, ORBIT_CAP)
-                if s.key() in orb_r:
-                    continue
-                orb_s = orbit(s, (r, s), conjugate, ORBIT_CAP)
-            except BudgetExceeded:
-                continue
-            if orb_r.keys() & orb_s.keys():
-                continue
-            R = sorted((x for x, _, _ in orb_r.values()), key=lambda x: x.key())
-            S = sorted((y for y, _, _ in orb_s.values()), key=lambda y: y.key())
-            scanned = 0
-            for a in R:
-                for b in S:
-                    scanned += 1
-                    if scanned > SQ_SCAN_CAP:
-                        break
-                    if sq(a, b) != b:
-                        return TypeDWitness(R, S, a, b, tag="orbit_pair")
-                else:
-                    continue
-                break
-        if tried >= max_pairs:
-            break
+    for a, b in candidates:
+        if (member is None or member(a) and member(b)) and sq(a, b) != b:
+            orb_a = orbit(a, (a, b), conjugate, cap)
+            if b.key() not in orb_a:
+                R, S = ([z for z, _, _ in orb.values()]
+                        for orb in (orb_a, orbit(b, (a, b), conjugate, cap)))
+                return TypeDWitness(R, S, a, b, tag=tag)
     return None
 
 
-def brute_force_type_d(
-    elements: Sequence[SignedPermutation], max_pairs: int = MAX_PAIRS
-) -> Optional[TypeDWitness]:
-    """Exhaustive bipartition search for racks of at most ``EXHAUSTIVE_CAP``
-    elements, then the orbit-pair search over ``max_pairs`` pairs; None when
-    neither finds a witness."""
+def brute_force_type_d(elements: Sequence[SignedPermutation]) -> Optional[TypeDWitness]:
+    """A type-D witness for the class ``elements``, or None.
+
+    A rack is of type D iff some pair (r, s) has sq(r, s) != s and lies in two
+    orbits of <r, s>.  In a class r can be conjugated to any element, so the
+    scan fixes a as the first element in key order and runs b over the next
+    ``MAX_PAIRS`` elements; a pair with an orbit beyond ``ORBIT_CAP`` is
+    skipped.  For a class of at most ``MAX_PAIRS`` + 1 elements, None proves
+    that the class is not of type D.
+    """
     elts = sorted(elements, key=lambda x: x.key())
-    m = len(elts)
-    if m <= EXHAUSTIVE_CAP:
-        for mask in range(1, (1 << m) - 1):
-            if mask & 1 == 0:
-                continue  # fix element 0 in R: halves the search, no loss
-            R = [elts[i] for i in range(m) if mask >> i & 1]
-            S = [elts[i] for i in range(m) if not mask >> i & 1]
-            if not check_decomposition(R, S):
-                continue
-            for a in R:
-                for b in S:
-                    if sq(a, b) != b:
-                        return TypeDWitness(R, S, a, b, tag="exhaustive")
-                    if sq(b, a) != a:
-                        # same bipartition with the roles of the parts swapped
-                        return TypeDWitness(S, R, b, a, tag="exhaustive")
-        # fall through: a larger ambient subrack may still separate
-    return pair_orbit_witness(elts, max_pairs)
+    for b in elts[1 : MAX_PAIRS + 1]:
+        try:
+            w = pair_witness([(elts[0], b)], "orbit_pair", cap=ORBIT_CAP)
+        except BudgetExceeded:
+            continue
+        if w is not None:
+            return w
+    return None

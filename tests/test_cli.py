@@ -311,14 +311,37 @@ def test_char_roots_of_unity(capsys):
     assert dims == [[1, 1]] * 3
 
 
-def test_typed_budget_bounds_the_search_and_keys_the_cache(capsys, tmp_path):
-    argv = ["--cache-dir", str(tmp_path), "typed", "--n", "6", "--rep", "000000:(1 2 3 4)"]
-    code, data = run_json(capsys, *argv, "--budget", "1")
-    assert code == 0 and data["status"] == "Undetermined" and data["cached"] is False
-    code, data = run_json(capsys, *argv)
-    assert code == 0 and data["status"] == "ProvenTypeD" and data["cached"] is False
-    code, data = run_json(capsys, *argv, "--budget", "1")
-    assert data["status"] == "Undetermined" and data["cached"] is True
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize("before", [True, False])
+def test_budget_below_one_is_a_usage_error(capsys, value, before):
+    argv = ["fk", "--n", "4"]
+    argv = ["--budget", value, *argv] if before else [*argv, "--budget", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "argument --budget" in captured.err and "exceeds" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--n", "3"],
+        ["typed", "--n", "6", "--rep", "000000:(1 2 3 4)"],
+        ["sq", "--x", "01:(1 2)", "--y", "10:(1 2)"],
+        ["verify", "--suite", "group_laws"],
+    ],
+)
+def test_budget_rejected_where_no_budget_is_read(capsys, argv):
+    for placed in (["--budget", "5", *argv], [*argv, "--budget", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(placed)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = [line for line in captured.err.splitlines() if _is_usage_error(line)]
+        assert "--budget applies only to nichols and fk" in line and argv[0] in line
 
 
 

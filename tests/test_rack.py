@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from weylrack.classes import ClassMembership, enumerate_class
+from weylrack.classes import ClassMembership, all_classes, enumerate_class
 from weylrack.classify import PROVEN, classify
 from weylrack import rack as rack_module
 from weylrack.errors import BudgetExceeded
@@ -18,7 +18,6 @@ from weylrack.rack import (
     check_decomposition,
     commuting_balance_sides,
     is_square_commutative,
-    pair_orbit_witness,
     rack_from_class,
     sq,
     sq_formula_commuting,
@@ -142,11 +141,14 @@ def test_witness_validate_and_json_roundtrip():
     assert w2.validate(member=lambda t: mem.same_class(t, x))
 
 
-def test_pair_orbit_witness_respects_orbit_cap(monkeypatch):
+def test_brute_force_respects_orbit_cap_and_max_pairs(monkeypatch):
     cls = enumerate_class(GroupKind.B, from_cycles(5, 0, [(1, 2, 3, 4, 5)]))
-    assert isinstance(pair_orbit_witness(cls.elements), TypeDWitness)
-    monkeypatch.setattr(rack_module, "ORBIT_CAP", 1)
-    assert pair_orbit_witness(cls.elements) is None
+    assert isinstance(brute_force_type_d(cls.elements), TypeDWitness)
+    with monkeypatch.context() as m:
+        m.setattr(rack_module, "ORBIT_CAP", 1)
+        assert brute_force_type_d(cls.elements) is None
+    monkeypatch.setattr(rack_module, "MAX_PAIRS", 0)
+    assert brute_force_type_d(cls.elements) is None
 
 
 def test_brute_force_undetermined_on_singleton():
@@ -160,6 +162,52 @@ def test_brute_force_no_witness_on_sym_transpositions():
     cls = enumerate_class(GroupKind.S, from_cycles(3, 0, [(1, 2)]))
     out = brute_force_type_d(cls.elements)
     assert out is None
+
+
+def _type_d_oracle(elements) -> bool:
+    """Whether some pair (r, s) of the class has sq(r, s) != s and s outside
+    the orbit of r under conjugation by <r, s>: every ordered pair, orbits
+    uncapped."""
+    for r in elements:
+        for s in elements:
+            if sq(r, s) == s:
+                continue
+            orbit_r, frontier = {r.key()}, [r]
+            while frontier:
+                x = frontier.pop()
+                for g in (r, s):
+                    z = conjugate(g, x)
+                    if z.key() not in orbit_r:
+                        orbit_r.add(z.key())
+                        frontier.append(z)
+            if s.key() not in orbit_r:
+                return True
+    return False
+
+
+_ORACLE_CLASSES = [
+    cls
+    for kind, ranks in ((GroupKind.S, (4, 5, 6)), (GroupKind.B, (3, 4)), (GroupKind.D, (4, 5)))
+    for n in ranks
+    for cls in all_classes(kind, n)
+    if cls.size <= 120
+]
+
+
+def test_brute_force_agrees_with_all_pairs_oracle():
+    """Below MAX_PAIRS + 1 elements the scan from the first element is
+    complete: it finds a witness exactly when some pair of the class does."""
+    assert max(cls.size for cls in _ORACLE_CLASSES) <= rack_module.MAX_PAIRS + 1
+    verdicts = []
+    for cls in _ORACLE_CLASSES:
+        w = brute_force_type_d(cls.elements)
+        assert (w is not None) == _type_d_oracle(cls.elements), str(cls.rep)
+        if w is not None:
+            keys = {x.key() for x in cls.elements}
+            assert w.validate(member=lambda z: z.key() in keys)
+        verdicts.append(w is not None)
+    # both answers occur, so the agreement is not vacuous
+    assert verdicts.count(True) == 18 and verdicts.count(False) == 59
 
 
 # -- the pairwise oracle for check_decomposition ----------------------------
