@@ -14,11 +14,9 @@ from .signed import (
     signed_cycle_type,
 )
 from .rack import (
-    FiniteRack,
     TypeDWitness,
     brute_force_type_d,
     check_decomposition,
-    rack_from_class,
     sq,
 )
 from .classes import (
@@ -43,7 +41,6 @@ from .classify import (
     TypeDVerdict,
     classify,
     exception_case,
-    propagate_juxtaposition,
 )
 from .cyclotomic import CyclotomicField, CycScalar, cyclotomic_polynomial
 from .errors import BudgetExceeded

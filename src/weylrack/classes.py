@@ -400,12 +400,15 @@ def verify_juxtaposition_identities(
     ``group_laws`` suite checks ``multiply`` and ``conjugate`` against monomial
     matrices, whence associativity and that multiplicativity.
 
-    Under orthogonality of class representatives: (iii) the centralizer of
-    the juxtaposition is the internal direct product of the embedded block
-    centralizers, (iv) elements factor uniquely through the embeddings, and
-    (vi) the orbit of the juxtaposition under conjugation by the block
-    subgroup equals the element-wise juxtaposition of the two classes, and
-    that juxtaposition sits inside the full conjugacy class.
+    Under orthogonality of class representatives x and y, with z = x # y:
+    (iii) |C(x)| |C(y)| = |G_{n+m}| / |class of z|, the class as listed;
+    (iv) every u # v with u in C(x) and v in C(y) fixes z.  C(x) and C(y)
+    are the stabilizers of the reps in the block groups listed for (i).
+    With (iii), and because # is injective, C(x) # C(y) is all of C(z), so
+    every element of C(z) factors blockwise and uniquely.  (vi) The orbit of
+    z under conjugation by the block subgroup equals the element-wise
+    juxtaposition of the two classes, and that juxtaposition sits inside the
+    full conjugacy class.
     """
     from .signed import elements as group_elements
 
@@ -417,7 +420,8 @@ def verify_juxtaposition_identities(
     seconds += [(g, one_m) for g in generators(kind, n)]
     seconds += [(one_n, h) for h in generators(kind, m)]
     seconds = [(xp, yp, juxtapose(xp, yp)) for xp, yp in seconds]
-    for x, y in itertools.product(group_elements(kind, n), group_elements(kind, m)):
+    left_group, right_group = list(group_elements(kind, n)), list(group_elements(kind, m))
+    for x, y in itertools.product(left_group, right_group):
         xy = juxtapose(x, y)
         for xp, yp, xyp in seconds:
             if multiply(xy, xyp) != juxtapose(multiply(x, xp), multiply(y, yp)):
@@ -440,20 +444,12 @@ def verify_juxtaposition_identities(
     right_classes = all_classes(kind, m)
     block_gens = [juxtapose(g, identity(m)) for g in generators(kind, n)]
     block_gens += [juxtapose(identity(n), g) for g in generators(kind, m)]
-    block_cens: dict = {}  # rep key -> centralizer of that block class
-    block_keys: dict = {}  # rep key -> keys of the centralizer's elements
+    stabilizers: dict = {}  # rep key -> the block group's elements fixing the rep
 
-    def block_centralizer(cls):
-        key = cls.rep.key()
-        if key not in block_cens:
-            block_cens[key] = centralizer(kind, cls.rep, cls)
-        return block_cens[key]
-
-    def element_keys(cen):
-        key = cen.rep.key()
-        if key not in block_keys:
-            block_keys[key] = {u.key() for u in cen.elements()}
-        return block_keys[key]
+    def stabilizer(group, rep):
+        if rep.key() not in stabilizers:
+            stabilizers[rep.key()] = [g for g in group if conjugate(g, rep) == rep]
+        return stabilizers[rep.key()]
 
     for lcls in all_classes(kind, n):
         for rcls in right_classes:
@@ -471,29 +467,15 @@ def verify_juxtaposition_identities(
             if expected != block_orbit or not expected <= zkeys:
                 ok_vi = False
                 report["counterexamples"].append(("vi", str(lcls.rep), str(rcls.rep)))
-            lcen = block_centralizer(lcls)
-            rcen = block_centralizer(rcls)
-            zcen_order = group_order(kind, n + m) // zc.size
-            if lcen.order * rcen.order != zcen_order:
+            lcen = stabilizer(left_group, lcls.rep)
+            rcen = stabilizer(right_group, rcls.rep)
+            if len(lcen) * len(rcen) * len(zc.elements) != group_order(kind, n + m):
                 ok_iii = False
                 report["counterexamples"].append(("iii", str(lcls.rep), str(rcls.rep)))
-            # unique blockwise factorization of the juxtaposed centralizer
-            try:
-                zelems = centralizer(kind, z, zc).elements()
-            except BudgetExceeded:
-                zelems = None
-            if zelems is not None:
-                lkeys, rkeys = element_keys(lcen), element_keys(rcen)
-                for w in zelems:
-                    try:
-                        lw, rw = split(w, n)
-                    except ValueError:
-                        ok_iv = False
-                        report["counterexamples"].append(("iv", str(w)))
-                        continue
-                    if lw.key() not in lkeys or rw.key() not in rkeys:
-                        ok_iv = False
-                        report["counterexamples"].append(("iv", str(w)))
+            for u, v in itertools.product(lcen, rcen):
+                if conjugate(juxtapose(u, v), z) != z:
+                    ok_iv = False
+                    report["counterexamples"].append(("iv", str(u), str(v)))
     report["checks"].append({"name": "centralizer_order_multiplies", "rule": "iii", "passed": ok_iii})
     report["checks"].append({"name": "centralizer_factors_blockwise", "rule": "iv", "passed": ok_iv})
     report["checks"].append({"name": "class_of_juxtaposition_splits", "rule": "vi", "passed": ok_vi})

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classes import ClassMembership, enumerate_class, juxtapose
+from .classes import ClassMembership, enumerate_class
 from .rack import TypeDWitness, brute_force_type_d, pair_witness
 from .signed import (
     GroupKind,
@@ -204,20 +204,6 @@ def lift_from_sym(
     a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm)), x)
             for z in (sym_witness.a, sym_witness.b))
     return pair_witness([(a, b)], "sym_lift", member)
-
-
-def propagate_juxtaposition(witness: TypeDWitness, right: SignedPermutation) -> TypeDWitness:
-    """Juxtapose a whole witness with a fixed right block."""
-    ok = witness.validate()
-    if not ok:
-        raise ValueError(f"input witness does not validate: {ok.reason}")
-    return TypeDWitness(
-        [juxtapose(r, right) for r in witness.R],
-        [juxtapose(s, right) for s in witness.S],
-        juxtapose(witness.a, right),
-        juxtapose(witness.b, right),
-        tag=(witness.tag + "+juxtaposed").lstrip("+"),
-    )
 
 
 # -- exception list --------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Finite racks, the four-fold conjugation sq, subrack decompositions and
-type-D witnesses.
+"""The four-fold conjugation sq on conjugacy-class racks, subrack
+decompositions and type-D witnesses.
 
 Conjugacy classes give racks via x |> y = x y x^-1; a type-D witness is a
 decomposition of a subrack into R, S plus a pair with sq(a, b) != b, built
@@ -19,68 +19,15 @@ from .signed import (
     _invert_perm,
     conjugate,
     format_element,
-    multiply,
     parse_element,
 )
 
-DEFAULT_TABLE_CAP = 20_000
-AXIOM_CHECK_CAP = 200  # size**3 self-distributivity triples
 MAX_PAIRS = 400  # pairs (first element, b) the class scan tries
 ORBIT_CAP = 4000  # largest <a, b>-orbit the class scan builds
 
 
 class RackError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FiniteRack:
-    """A finite rack as an index table: table[x][y] = x |> y."""
-
-    size: int
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple = ()  # optional back-references (e.g. SignedPermutation)
-
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def sq(self, x: int, y: int) -> int:
-        t = self.table
-        return t[x][t[y][t[x][y]]]
-
-    def check_axioms(self) -> None:
-        """Raise on the first axiom violation; exhaustive over all triples."""
-        if self.size > AXIOM_CHECK_CAP:
-            raise BudgetExceeded(f"rack axiom check on {self.size} elements", AXIOM_CHECK_CAP)
-        t = self.table
-        for x in range(self.size):
-            if t[x][x] != x:
-                raise RackError(f"not idempotent at {x}")
-            if len(set(t[x])) != self.size:
-                raise RackError(f"row {x} is not a bijection")
-        for x in range(self.size):
-            for y in range(self.size):
-                for z in range(self.size):
-                    if t[x][t[y][z]] != t[t[x][y]][t[x][z]]:
-                        raise RackError(f"self-distributivity fails at {(x, y, z)}")
-
-
-def rack_from_class(elements: Sequence[SignedPermutation], cap: int = DEFAULT_TABLE_CAP) -> FiniteRack:
-    """Conjugation rack on an enumerated conjugacy class."""
-    if len(elements) > cap:
-        raise BudgetExceeded(f"rack table for a class of size {len(elements)}", cap)
-    index = {x.key(): i for i, x in enumerate(elements)}
-    table = []
-    for x in elements:
-        row = []
-        for y in elements:
-            z = conjugate(x, y)
-            try:
-                row.append(index[z.key()])
-            except KeyError:
-                raise RackError("element set is not closed under conjugation") from None
-        table.append(tuple(row))
-    return FiniteRack(len(elements), tuple(table), tuple(elements))
 
 
 def sq(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:

@@ -29,11 +29,10 @@ from .classes import (
     juxtapose,
     split,
 )
-from .classify import TypeDVerdict, Classifier, PROVEN, EXCEPTION
 from .cyclotomic import CycScalar, CyclotomicField
 from .errors import BudgetExceeded
 from .linalg import echelon, rank
-from .signed import GroupKind, SignedPermutation, conjugate, identity, multiply
+from .signed import SignedPermutation, conjugate, identity, multiply
 
 DEFAULT_ENTRY_BUDGET = 5_000_000
 BRAID_CHECK_MAX_DIM = 24
@@ -556,30 +555,3 @@ def case_table_screen(
         if _as_sign(mu1) != want:
             return Verdict(INFINITE, f"case ({case_id}) forces mu1 = {want}")
     return Verdict(INCONCLUSIVE, f"case ({case_id}) scalar constraints hold")
-
-
-def type_d_screen(kind: GroupKind, x: SignedPermutation) -> Verdict:
-    """Screen a class by type-D detection: a decomposition kills all reps.
-
-    For n > 4 and nontrivial permutation part, a proven decomposition means no
-    centralizer rep yields finite graded dimensions; exception types are
-    reported as inconclusive with their tag.
-    """
-    n = x.n
-    if n <= 4:
-        raise ValueError("screen applies to rank > 4")
-    perm_id = all(x.perm[i] == i for i in range(n))
-    if perm_id:
-        raise ValueError("screen applies to nontrivial permutation parts")
-    verdict: TypeDVerdict = Classifier(kind, n).classify(x)
-    if verdict.status == PROVEN:
-        return Verdict(
-            INFINITE,
-            "class is of type D; infinite for every centralizer rep",
-            {"witness": verdict.witness.to_json() if verdict.witness else None},
-        )
-    if verdict.status == EXCEPTION:
-        return Verdict(
-            INCONCLUSIVE, "type is on the exception list", {"tag": verdict.exception_case}
-        )
-    return Verdict(INCONCLUSIVE, "type-D search inconclusive", {"reason": verdict.reason})

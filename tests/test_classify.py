@@ -10,6 +10,7 @@ from weylrack.classes import (
     all_classes,
     class_reps,
     enumerate_class,
+    juxtapose,
     orbit,
 )
 from weylrack.classify import (
@@ -19,13 +20,12 @@ from weylrack.classify import (
     classify,
     exception_case,
     lift_from_sym,
-    propagate_juxtaposition,
     witness_fixed_points,
     witness_odd_cycle,
     witness_pairs_triple,
     witness_two_triples,
 )
-from weylrack.rack import TypeDWitness, brute_force_type_d
+from weylrack.rack import TypeDWitness, brute_force_type_d, pair_witness
 from weylrack.signed import (
     GroupKind,
     SignedPermutation,
@@ -165,14 +165,16 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
 
 
 def test_propagate_juxtaposition():
+    # the witness of the juxtaposed pair is the old witness with the right
+    # block appended: conjugation by a # right acts on x # right as a on x
     x = from_cycles(5, 0, [(1, 2, 3, 4, 5)])
-    member = member_for(GroupKind.B, x)
-    w = witness_odd_cycle(x, member)
+    w = witness_odd_cycle(x, member_for(GroupKind.B, x))
     right = from_cycles(2, 0b01, [(1, 2)])
-    wj = propagate_juxtaposition(w, right)
-    mem7 = ClassMembership(GroupKind.B, 7)
-    z = wj.a
-    assert wj.validate(member=lambda t: mem7.same_class(t, z))
+    member = member_for(GroupKind.B, juxtapose(x, right))
+    wj = pair_witness([(juxtapose(w.a, right), juxtapose(w.b, right))], "juxtaposed", member)
+    assert wj.validate(member)
+    for part, old in ((wj.R, w.R), (wj.S, w.S)):
+        assert {t.key() for t in part} == {juxtapose(t, right).key() for t in old}
 
 
 @pytest.mark.parametrize(
@@ -198,6 +200,28 @@ def test_exception_tag_iii_requires_constant_fixed_signs():
     # a sign on one fixed point breaks constancy: no longer exceptional
     y = from_cycles(5, 0b00100, [(1, 2)])
     assert exception_case(y) is None
+
+
+# ((2, 2), 2 fixed points) classes with unequal signs on the fixed points
+# that are of type D all the same; the exception list still tags them (ii)
+# until the benchmark oracle, which carries the same table, is updated
+_TYPE_D_EXCEPTIONS = [
+    (GroupKind.B, "000001:(1 2)(3 4)", "100000:(2 5)(3 4)", 3),
+    (GroupKind.B, "000101:(1 2)(4 5)", "100100:(2 3)(4 5)", 3),
+    (GroupKind.B, "010101:(2 3)(4 5)", "110100:(2 6)(4 5)", 6),
+    (GroupKind.D, "000101:(1 2)(4 5)", "100100:(2 3)(4 5)", 3),
+]
+
+
+@pytest.mark.parametrize("kind,x,b,size", _TYPE_D_EXCEPTIONS)
+def test_exception_classes_with_a_type_d_witness(kind, x, b, size):
+    x, b = parse_element(x), parse_element(b)
+    assert len({x.a[i] for i in range(x.n) if x.perm[i] == i}) == 2
+    member = member_for(kind, x)
+    w = pair_witness([(x, b)], "", member)
+    assert w.validate(member)
+    assert (len(w.R), len(w.S)) == (size, size)
+    assert exception_case(x) == "ii"
 
 
 def test_classify_below_rank_five_is_out_of_scope():

@@ -132,6 +132,36 @@ def test_no_floating_point_in_exact_engines():
         assert _true_divisions_and_floats(module) == [], module.__name__
 
 
+def _imports(tree):
+    """(bound name, imported module, line) for every import in ``tree``;
+    the module of ``from .x import y`` reads "x"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.asname or a.name.split(".")[0], a.name, node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [(a.asname or a.name, node.module or "", node.lineno) for a in node.names]
+    return found
+
+
+def test_every_import_is_used():
+    # no linter runs on the package, so an import left behind by a deletion
+    # would go unnoticed; __init__ imports only to re-export
+    package = Path(signed.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [(line, name) for name, _, line in _imports(tree) if name not in read]
+        assert unused == [], path.name
+
+
+def test_nichols_layer_does_not_import_the_certificate_layer():
+    tree = ast.parse(Path(yd.__file__).read_text(encoding="utf-8"))
+    assert not [m for _, m, _ in _imports(tree) if m.split(".")[-1] == "classify"]
+
+
 def test_rank_handles_fill_in_on_new_pivot_columns():
     # elimination introduces a leading entry in a column that already has a
     # pivot; a single substitution pass would miscount

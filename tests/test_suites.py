@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from weylrack.suites import SUITES, run_suite
+from weylrack.classes import enumerate_class
+from weylrack.signed import GroupKind, from_cycles
+from weylrack.suites import SUITES, _is_conjugation_rack, run_suite
 
 # small parameter overrides so the whole file stays fast; the acceptance test
 # runs the full-size versions
@@ -40,3 +42,12 @@ def test_report_shape():
     for check in report["checks"]:
         assert set(check) >= {"name", "tag", "passed"}
     json.dumps(report)  # JSON-serializable throughout
+
+
+def test_rack_axiom_check_needs_a_closed_set():
+    for rep in (from_cycles(3, 0b101, [(1, 2)]), from_cycles(4, 0, [(1, 2, 3)])):
+        elements = enumerate_class(GroupKind.B, rep).elements
+        assert _is_conjugation_rack(elements)
+        # x |> y runs over the whole class as y does, so a class with one
+        # element removed is not closed
+        assert not _is_conjugation_rack(elements[1:])

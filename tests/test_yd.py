@@ -271,12 +271,3 @@ def test_case_table_screen_all_cases(case):
 def test_case_table_screen_pattern_mismatch_rejected():
     with pytest.raises(ValueError):
         yd.case_table_screen("iii", ((1, 2),), (0, 0), (0, 0), -1, 1)
-
-
-def test_type_d_screen():
-    x = from_cycles(5, 0, [(1, 2, 3, 4, 5)])
-    v = yd.type_d_screen(GroupKind.B, x)
-    assert v.status == yd.INFINITE
-    y = from_cycles(5, 0, [(1, 2)])  # exception type (iii)
-    v2 = yd.type_d_screen(GroupKind.B, y)
-    assert v2.status == yd.INCONCLUSIVE
