@@ -409,7 +409,16 @@ def verify_juxtaposition_identities(
     z under conjugation by the block subgroup equals the element-wise
     juxtaposition of the two classes, and that juxtaposition sits inside the
     full conjugacy class.
+
+    Only B and S are supported: D_n x D_m is not the block subgroup of
+    D_{n+m}, which also holds the pairs of sign flips odd in each block, so
+    D raises ValueError.
     """
+    if kind not in (GroupKind.B, GroupKind.S):
+        raise ValueError(
+            f"juxtaposition identities are checked in B and S only, not {kind.value}: "
+            "D_n x D_m is not the block subgroup of D_(n+m)"
+        )
     from .signed import elements as group_elements
 
     report = {"n": n, "m": m, "group": kind.value, "checks": [], "counterexamples": []}

@@ -11,13 +11,15 @@ Euclidean algorithm over Q, and their integral coefficients turn back into
 ``int``, so the inverse of a unit +-zeta^k has ``int`` coefficients.  No
 floating point anywhere.
 
-The Nichols engine over Q(zeta_2) (S_4 transpositions, sign character) sees
-only +-1 entries and pivots, so it runs in ``int`` arithmetic throughout.
-With ``Fraction`` coefficients its degree-5 run spent two thirds of its time
-in ``CycScalar.__mul__``; with ``int`` coefficients the ``nichols`` benchmark
-takes 0.34 s instead of 0.98 s (2 cores, host-corrected; see
-``BENCH_nichols_intcyc.json``), and degrees 1-7 took 14 s at 146 MB instead of
-41 s at 193 MB; with candidates streamed into the elimination, 10 s at 50 MB.
+The Nichols engine (``yd.nichols_graded_dims``) uses these scalars only
+when its braiding has a non-rational scalar.  A braiding whose scalars all
+lie in Q (every +-1 character, over any Q(zeta_m)) runs over Q on ``int``
+and ``Fraction`` values instead: the ``nichols`` benchmark (S_4
+transpositions, sign character, degree 5) takes about 0.05 s instead of
+0.22 s on ``CycScalar`` (2 cores, host-corrected; see
+``BENCH_nichols_rational.json``).  Scalars still build the braiding and run
+the ``symmetrizer_rank`` oracle and every non-rational character (zeta_3 on
+S_3 3-cycles, say).
 """
 from __future__ import annotations
 

@@ -230,7 +230,7 @@ def _suite_rack_axioms(params: dict, rng: random.Random) -> list[dict]:
 
 def _suite_juxtaposition(params: dict, rng: random.Random) -> list[dict]:
     total = _param(params, "max_total", 6, lambda v: _int_in(v, 2), f"an integer in 2..{MAX_RANK}")
-    # D has no rank-1 blocks
+    # the identities are checked in B and S only (D_n x D_m is not a block subgroup)
     kind = GroupKind(_param(params, "group", "B", lambda v: v in ("B", "S"), "B or S"))
     checks = []
     for n in range(1, total):
@@ -396,7 +396,7 @@ def _suite_yd_braidings(params: dict, rng: random.Random) -> list[dict]:
     for m in range(2, 5):
         for basis in product(range(space.D), repeat=m):
             lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
-            lifted = yd._apply_lm(space, yd._extend(lower, basis[-1]), m)
+            lifted = yd._apply_lm(space.cinv_map, yd._extend(lower, basis[-1]), m)
             ok = ok and lifted == yd._apply_sm(space, {basis: F.one}, m)
     checks.append(_check("symmetrizer_factorization", "symmetrizer", ok))
     # scalar screens

@@ -8,10 +8,13 @@ t_{j'} = t_i |> t_j and q_ij = chi(nu_j(t_i)), where t_i g_j = g_{j'} nu_j(t_i)
 with nu_j(t_i) in the centralizer.
 
 Graded dimensions of the associated quotient of the tensor algebra are the
-exact ranks of the quantum symmetrizers S_m over a cyclotomic field, computed
-degree by degree on B^{m-1} (x) V; the full symmetrizer is kept as the
-oracle.  The module also houses the scalar screening rules used to rule out
-finite dimension for juxtaposed classes.
+exact ranks of the quantum symmetrizers S_m, computed degree by degree on
+B^{m-1} (x) V.  The engine runs over Q whenever every braiding scalar is
+rational (every +-1 character): a rational matrix has the same rank over Q
+as over any cyclotomic field containing it.  Otherwise it runs over the
+cyclotomic field.  The full symmetrizer, always over the cyclotomic field,
+is kept as the oracle.  The module also houses the scalar screening rules
+used to rule out finite dimension for juxtaposed classes.
 """
 from __future__ import annotations
 
@@ -37,8 +40,9 @@ from .signed import SignedPermutation, conjugate, identity, multiply
 DEFAULT_ENTRY_BUDGET = 5_000_000
 BRAID_CHECK_MAX_DIM = 24
 # candidate entries one Nichols degree generates; memory follows the echelon rows
-# held, about 230 bytes each: S_4 transpositions with the sign character generate
-# 466,122 at degree 7, hold 106,462 and peak at 50 MB (ru_maxrss, 21 MB at start)
+# held, about 160 bytes each over Q: S_4 transpositions with the sign character
+# generate 466,122 at degree 7, hold 106,462 and peak at 37 MB (ru_maxrss, 21 MB
+# at start)
 NICHOLS_ENTRY_BUDGET = 1_000_000
 
 
@@ -145,12 +149,7 @@ class BraidedVectorSpace:
         An invertible monomial braiding permutes the basis tuples, so distinct
         tuples have distinct images and no two terms meet.
         """
-        table = self.cinv_map if inverse else self.c_map
-        out = {}
-        for basis, coeff in vec.items():
-            pair, c = table[basis[leg : leg + 2]]
-            out[basis[:leg] + pair + basis[leg + 2 :]] = coeff * c
-        return out
+        return _apply_leg(self.cinv_map if inverse else self.c_map, vec, leg)
 
     def check_braid_equation(self) -> None:
         """(id(x)C)(C(x)id)(id(x)C) == (C(x)id)(id(x)C)(C(x)id) on all triples."""
@@ -163,6 +162,15 @@ class BraidedVectorSpace:
             rhs = self.apply_leg(self.apply_leg(self.apply_leg(start, 0), 1), 0)
             if lhs != rhs:
                 raise ValueError(f"braid equation fails at basis triple {basis}")
+
+
+def _apply_leg(table: dict, vec: dict, leg: int) -> dict:
+    """The monomial map ``table`` on tensor legs (leg, leg+1) of basis tuples."""
+    out = {}
+    for basis, coeff in vec.items():
+        pair, c = table[basis[leg : leg + 2]]
+        out[basis[:leg] + pair + basis[leg + 2 :]] = coeff * c
+    return out
 
 
 def diagonal_braiding(scalar_field: CyclotomicField, q_matrix) -> BraidedVectorSpace:
@@ -273,15 +281,16 @@ def _apply_sm(space: BraidedVectorSpace, vec: dict, m: int, offset: int = 0) -> 
     return _apply_sm(space, vec, m - 1, offset + 1)
 
 
-def _apply_lm(space: BraidedVectorSpace, vec: dict, m: int) -> dict:
+def _apply_lm(cinv: dict, vec: dict, m: int) -> dict:
     """L_m = sum_{k=0}^{m-1} T_{m-k}...T_{m-1} on m legs, T_{m-1} applied first.
 
-    T_i is C^{-1} on legs (i, i+1).  With S_m = L_m (S_{m-1} (x) id), one
-    running partial product gives every term in m-1 leg applications.
+    T_i is C^{-1} on legs (i, i+1), read from the inverse-braiding table
+    ``cinv``.  With S_m = L_m (S_{m-1} (x) id), one running partial product
+    gives every term in m-1 leg applications.
     """
     total = dict(vec)
     for leg in range(m - 2, -1, -1):
-        vec = space.apply_leg(vec, leg, inverse=True)
+        vec = _apply_leg(cinv, vec, leg)
         _add_into(total, vec)
     return total
 
@@ -327,26 +336,49 @@ def nichols_graded_dims(
     such a basis: the candidates stream into :func:`linalg.echelon` as they
     are generated, and its pivots are the next degree's basis.
     ``entry_budget`` bounds the nonzero entries one degree generates.
+
+    When every inverse-braiding scalar is rational (every character with
+    values +-1, whatever its field), the loop runs over Q on a copy of the
+    table holding ``int`` and ``Fraction`` values.  Its candidates are then
+    rational rows, elimination commutes with the embedding Q -> Q(zeta_m),
+    and so ranks, pivots and candidate entry counts (hence the budget's
+    refusals) are those of the cyclotomic run.  Otherwise the loop runs on
+    the ``CycScalar`` table.  The oracle :func:`symmetrizer_rank` always
+    stays cyclotomic.
     """
+    cinv, one = _rational_table(space.cinv_map), 1
+    if cinv is None:
+        cinv, one = space.cinv_map, space.scalar_field.one
     pivots = {(v,): {} for v in range(space.D)}  # degree 1: the rows e_v
     dims = [1]
     for m in range(1, max_degree + 1):
         if m > 1:
-            pivots = echelon(_candidates(space, pivots, m, entry_budget))
+            pivots = echelon(_candidates(cinv, space.D, one, pivots, m, entry_budget))
         if not pivots:
             break
         dims.append(len(pivots))
     return dims
 
 
-def _candidates(space: BraidedVectorSpace, pivots: dict, m: int, entry_budget: int):
+def _rational_table(table: dict) -> Optional[dict]:
+    """``table`` with each scalar replaced by its rational value (``int`` or
+    ``Fraction``), or None if some scalar has a coordinate past the first."""
+    out = {}
+    for key, (pair, q) in table.items():
+        c0, *rest = q.coeffs
+        if any(rest):
+            return None
+        out[key] = (pair, c0)
+    return out
+
+
+def _candidates(cinv: dict, D: int, one, pivots: dict, m: int, entry_budget: int):
     """L_m(c (x) e_v), one at a time, for each row c = e_lead + tail of ``pivots``."""
-    one = space.scalar_field.one
     entries = 0
     for lead, tail in pivots.items():
         col = {lead: one, **tail}
-        for v in range(space.D):
-            cand = _apply_lm(space, _extend(col, v), m)
+        for v in range(D):
+            cand = _apply_lm(cinv, _extend(col, v), m)
             entries += len(cand)
             if entries > entry_budget:
                 raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget)

@@ -237,3 +237,9 @@ def test_juxtaposition_identities_small():
     for n, m in ((1, 1), (1, 2), (2, 2)):
         report = verify_juxtaposition_identities(n, m, GroupKind.B)
         assert report["passed"], report["counterexamples"][:3]
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+def test_juxtaposition_identities_refuse_d(n, m):
+    with pytest.raises(ValueError, match="B and S"):
+        verify_juxtaposition_identities(n, m, GroupKind.D)

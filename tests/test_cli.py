@@ -313,6 +313,16 @@ def test_char_roots_of_unity(capsys):
     assert dims == [[1, 1]] * 3
 
 
+def test_nichols_non_rational_character(capsys):
+    code, data = run_json(
+        capsys, "nichols", "--group", "S", "--n", "3", "--rep", "000:(1 2 3)",
+        "--char", "zeta3^1", "--max-degree", "4",
+    )
+    assert code == 0
+    assert data["graded_dims"] == [1, 2, 4, 6, 10]
+    assert data["total"] == 23
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "x"])
 @pytest.mark.parametrize("before", [True, False])
 def test_budget_below_one_is_a_usage_error(capsys, value, before):

@@ -5,7 +5,7 @@ import pytest
 
 from weylrack import fk, yd
 from weylrack.classes import centralizer, enumerate_class, is_orthogonal
-from weylrack.cyclotomic import CyclotomicField
+from weylrack.cyclotomic import CyclotomicField, CycScalar
 from weylrack.errors import BudgetExceeded
 from weylrack.signed import GroupKind, from_cycles
 
@@ -68,16 +68,20 @@ def test_symmetrizer_factorization():
     for m in range(2, 5):
         for basis in product(range(space.D), repeat=m):
             lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
-            lifted = yd._apply_lm(space, yd._extend(lower, basis[-1]), m)
+            lifted = yd._apply_lm(space.cinv_map, yd._extend(lower, basis[-1]), m)
             assert lifted == yd._apply_sm(space, {basis: F.one}, m), basis
 
 
-def _class_space(kind, n, cycles, rep_factory):
+def _class_space(kind, n, cycles, rep_factory, F=CyclotomicField(2)):
     x = from_cycles(n, 0, cycles)
     cls = enumerate_class(kind, x)
     cen = centralizer(kind, x, cls)
-    module = yd.build_yd_module(cls, rep_factory(cen, CyclotomicField(2)))
+    module = yd.build_yd_module(cls, rep_factory(cen, F))
     return module.braided_space()
+
+
+def _zeta3_rep(cen, F):
+    return yd.scalar_rep(cen, F, [F.zeta(1)])
 
 
 def _oracle_dims(space, max_degree):
@@ -102,7 +106,13 @@ CROSS_ENGINE = {
     "B3-(1 2)-sign": (lambda: _class_space(GroupKind.B, 3, [(1, 2)], yd.perm_sign_rep), 4),
     "S4-transpositions-sign": (
         lambda: _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep), 4),
+    "zeta3-diagonal": (
+        lambda: yd.diagonal_braiding(CyclotomicField(3), [[CyclotomicField(3).zeta(1)]]), 4),
+    "S3-3-cycles-zeta3": (
+        lambda: _class_space(GroupKind.S, 3, [(1, 2, 3)], _zeta3_rep, CyclotomicField(3)), 4),
 }
+# the spaces whose engine runs on the CycScalar table, not over Q
+NON_RATIONAL = {"zeta3-diagonal": [1, 1, 1], "S3-3-cycles-zeta3": [1, 2, 4, 6, 10]}
 
 
 @pytest.mark.parametrize("name", sorted(CROSS_ENGINE))
@@ -110,6 +120,37 @@ def test_recursive_dims_match_symmetrizer_rank(name):
     build, max_degree = CROSS_ENGINE[name]
     space = build()
     assert yd.nichols_graded_dims(space, max_degree) == _oracle_dims(space, max_degree)
+
+
+def _count_products(monkeypatch) -> list:
+    products = []
+    mul = CycScalar.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counted)
+    return products
+
+
+@pytest.mark.parametrize("name", sorted(NON_RATIONAL))
+def test_non_rational_braidings_keep_the_cyclotomic_table(monkeypatch, name):
+    build, max_degree = CROSS_ENGINE[name]
+    space = build()
+    assert any(any(q.coeffs[1:]) for _, q in space.cinv_map.values())
+    products = _count_products(monkeypatch)
+    assert yd.nichols_graded_dims(space, max_degree) == NON_RATIONAL[name]
+    assert products
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_rational_braidings_run_without_cyclotomic_products(monkeypatch, modulus):
+    # perm_sign_rep over Q(zeta_4) has values +-1 in a degree-2 field
+    space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep, CyclotomicField(modulus))
+    products = _count_products(monkeypatch)
+    assert yd.nichols_graded_dims(space, 5) == [1, 6, 19, 42, 71, 96]
+    assert not products
 
 
 def test_s4_transpositions_sign_match_fomin_kirillov_e4():
