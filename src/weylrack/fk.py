@@ -9,9 +9,16 @@ Graded dimensions are computed by two independent engines: an iterative
 linear-algebra quotient (degree by degree, on the echelon kernel of
 :mod:`weylrack.linalg`) and a degree-truncated noncommutative rewriting system
 whose irreducible words are counted by a finite automaton.  The rewriting
-system comes from a critical-pair completion: every overlap and inclusion of
-two rules waits on one heap ordered by degree and is resolved once, and each
-polynomial is reduced through a max-heap of its pending words.
+system comes from a critical-pair completion: every overlap of two rules waits
+on one heap ordered by degree and is resolved once, and each polynomial is
+reduced through a max-heap of its pending words.  Inside the completion a word
+is an integer, b = (num_gens - 1).bit_length() bits per letter with the first
+letter most significant, so that on words of one length integer order is lex
+order; subwords are read by shift and mask from one {lhs: rhs} table per lhs
+length, and a rewrite adds (rhs - lhs) << shift.  The left-hand sides form an
+antichain under the subword order, so there are no inclusion ambiguities, and
+an index of every lhs by its proper prefixes and suffixes hands a new rule only
+the rules it overlaps.  ``RewriteSystem.rules`` is returned on tuple words.
 
 Coefficients are exact and never floats.  They are ``int`` as long as every
 pivot (linear engine) or rule leading coefficient (rewrite engine) is a unit
@@ -25,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import count, permutations, product
-from operator import neg
 from typing import Optional
 
 from .errors import BudgetExceeded
@@ -71,6 +77,17 @@ class QuadraticPresentation:
     @property
     def num_gens(self) -> int:
         return len(self.gens)
+
+
+def _check_relations(pres: QuadraticPresentation) -> None:
+    """Both engines read a relation word as a pair of generator indices."""
+    for rel in pres.relations:
+        for w in rel:
+            if len(w) != 2 or not all(type(g) is int and 0 <= g < pres.num_gens for g in w):
+                raise ValueError(
+                    f"relation word {w!r} is not a pair of generator indices "
+                    f"0..{pres.num_gens - 1}"
+                )
 
 
 def _build(n, alpha, beta, gamma, lam, label) -> QuadraticPresentation:
@@ -214,6 +231,7 @@ def graded_dims_linear(
     so each coordinate of A_{m-1} (x) V projects onto A_m in one lookup.
     ``entry_budget`` bounds the nonzero entries of one degree's relation rows.
     """
+    _check_relations(pres)
     G = pres.num_gens
     dims = [1, G]
     if max_degree == 0:
@@ -270,61 +288,67 @@ def _word_key(w: Word):
     return (len(w), w)
 
 
-def _reduce(poly: Poly, rules: dict, lengths: set) -> Poly:
-    """Fully rewrite a polynomial, through a max-heap of pending words.
+def _encode(w: Word, b: int) -> int:
+    code = 0
+    for g in w:
+        code = (code << b) | g
+    return code
 
-    Words wait in a heap keyed by the negated deglex key, so the largest pending
-    word comes out first.  It is either rewritten by one rule into strictly
-    smaller words, whose coefficients collect in ``pending``, or it is
-    irreducible and moves to the result.  No word larger than a popped one
-    enters the heap again, so each word is popped once and the result comes
-    out in decreasing deglex order, leading word first.
+
+def _decode(code: int, length: int, b: int) -> Word:
+    mask = (1 << b) - 1
+    return tuple((code >> (k * b)) & mask for k in reversed(range(length)))
+
+
+def _reduce(poly: dict, length: int, tables: list, b: int) -> dict:
+    """Fully rewrite a homogeneous polynomial on integer-coded words.
+
+    Every word of ``poly`` has ``length`` letters of ``b`` bits, first letter
+    most significant, so integer order is lex order and the largest word has
+    the largest code.  Words wait in a heap of negated codes, so the largest
+    pending word comes out first.  It is matched against ``tables``, one
+    ``(L, {lhs code: [(rhs code - lhs code, coeff), ...]}, mask_L)`` per lhs
+    length L in ascending order: the shortest lhs first, then the leftmost
+    position, where the subword at shift s is ``(code >> s) & mask_L``.  A
+    match rewrites it into strictly smaller words ``code + (delta << s)``,
+    whose coefficients collect in ``pending``; no match makes it irreducible,
+    and it moves to the result.  No word larger than a popped one enters the
+    heap again, so each word is popped once and the result comes out in
+    decreasing order, leading word first.
     """
     pending: dict = {}
     heap: list = []
     for w, c in poly.items():
         if c:
             pending[w] = c
-            heap.append(((-len(w), *map(neg, w)), w))
+            heap.append(-w)
     heapify(heap)
-    result: Poly = {}
+    probes = [(table.get, mask, range((length - L) * b, -1, -b)) for L, table, mask in tables]
+    result: dict = {}
     while heap:
-        w = heappop(heap)[1]
+        w = -heappop(heap)
         coeff = pending.pop(w)
         if not coeff:
             continue
-        rhs = None
-        for L in lengths:
-            for pos in range(len(w) - L + 1):
-                rhs = rules.get(w[pos : pos + L])
+        for get, mask, shifts in probes:
+            for s in shifts:
+                rhs = get((w >> s) & mask)
                 if rhs is not None:
                     break
-            if rhs is not None:
-                break
-        if rhs is None:
+            else:
+                continue
+            break
+        else:
             result[w] = coeff
             continue
-        pre, post = w[:pos], w[pos + L :]
-        for rw, rc in rhs.items():
-            nw = pre + rw + post
+        for delta, rc in rhs:
+            nw = w + (delta << s)
             if nw in pending:
                 pending[nw] += coeff * rc
             else:
                 pending[nw] = coeff * rc
-                heappush(heap, ((-len(nw), *map(neg, nw)), nw))
+                heappush(heap, -nw)
     return result
-
-
-def _ambiguities(la: Word, lb: Word):
-    """Positions at which ``lb`` meets ``la``: overlaps and inclusions.
-
-    ``lb`` starts at ``pos`` inside ``la`` and either runs past its end (a
-    proper suffix of ``la`` is a proper prefix of ``lb``) or ends inside it (an
-    inclusion, ``lb`` a proper subword of ``la``).
-    """
-    for pos in range(0 if len(lb) < len(la) else 1, len(la)):
-        if la[pos : pos + len(lb)] == lb[: len(la) - pos]:
-            yield pos
 
 
 @dataclass
@@ -384,58 +408,94 @@ def complete_to_degree(
     """Resolve all overlap ambiguities of total degree <= max_degree.
 
     A critical-pair completion (Bergman's diamond lemma, run as Buchberger's
-    algorithm).  Each new rule puts its overlaps and inclusions with every
-    rule so far and with itself, in both orders, on one heap keyed by (word
-    degree, insertion sequence).  Each pair is popped and resolved once: the
-    two rewrites of its word are subtracted and reduced, and a nonzero
-    remainder becomes a new rule.  Rules only accumulate, so a pair that
-    resolved stays resolved.  A pair whose word exceeds ``max_degree`` is not
-    queued and makes the system non-confluent.
+    algorithm) on integer-coded words (see :func:`_reduce`).  Each new rule
+    puts its overlaps with the rules so far, in both orders, and with itself
+    on one heap keyed by (word degree, insertion sequence).  Each pair is
+    popped and resolved once: the two rewrites of its word are subtracted and
+    reduced, and a nonzero remainder becomes a new rule.  Rules only
+    accumulate, so a pair that resolved stays resolved.  A pair whose word
+    exceeds ``max_degree`` is not queued and makes the system non-confluent.
+
+    Each new lead is fully reduced by the rules before it, and rules arrive in
+    non-decreasing length (relations are quadratic and pairs pop in degree
+    order), so the left-hand sides form an antichain under the subword order:
+    no lhs contains another and there are no inclusion ambiguities.  Overlaps
+    are then found through an index of every lhs by its proper prefixes and
+    proper suffixes, so a new lead meets only the rules it can overlap.  They
+    are queued by old-rule insertion index, (lead, old) before (old, lead),
+    positions ascending, then the lead's self-overlaps.
     """
-    rules: dict = {}
-    lengths: set = set()
+    _check_relations(pres)
+    b = max(1, (pres.num_gens - 1).bit_length())
+    lhs: list = []  # rule lhs codes, in insertion order
+    lens: list = []  # their lengths
+    rhs: list = []  # their rhs, as [(rhs code - lhs code, coeff), ...]
+    tables: list = []  # (L, {lhs code: rhs}, mask_L), L ascending
+    by_prefix: dict = {}  # (k, code of a proper prefix of length k) -> rule indices
+    by_suffix: dict = {}  # (k, code of a proper suffix of length k) -> rule indices
     queue: list = []
     seq = count()
     confluent = True
     pairs = 0
 
-    def queue_pairs(la: Word, lb: Word) -> None:
+    def queue_pair(degree: int, ia: int, ib: int) -> None:
+        # rule ib starts inside rule ia and runs past its end, to ``degree``
         nonlocal confluent
-        for pos in _ambiguities(la, lb):
-            degree = max(len(la), pos + len(lb))
-            if degree > max_degree:
-                confluent = False
-            else:
-                heappush(queue, (degree, next(seq), la, lb, pos))
+        if degree > max_degree:
+            confluent = False
+        else:
+            heappush(queue, (degree, next(seq), ia, ib))
 
-    def add_poly(poly: Poly) -> None:
-        poly = _reduce(poly, rules, lengths)
+    def add_poly(poly: dict, length: int) -> None:
+        poly = _reduce(poly, length, tables, b)
         if not poly:
             return
         lead = next(iter(poly))
         inv = _inv(poly.pop(lead))
-        if len(rules) >= rule_budget:
+        if len(lhs) >= rule_budget:
             raise BudgetExceeded("rewrite rules", rule_budget)
-        for old in rules:
-            queue_pairs(lead, old)
-            queue_pairs(old, lead)
-        queue_pairs(lead, lead)
-        rules[lead] = {w: _normal(-c * inv) for w, c in poly.items()}
-        lengths.add(len(lead))
+        new = len(lhs)
+        lhs.append(lead)
+        lens.append(length)
+        found = []
+        for k in range(1, length):
+            head = lead >> ((length - k) * b)
+            tail = lead & ((1 << (k * b)) - 1)
+            # the lead's k-letter suffix starts rule i: pair (lead, i) at length - k
+            found += [(i, 0, length - k) for i in by_prefix.get((k, tail), ())]
+            # rule i's k-letter suffix starts the lead: pair (i, lead) at lens[i] - k
+            found += [(i, 1, lens[i] - k) for i in by_suffix.get((k, head), ())]
+            if head == tail:  # a self-overlap, queued after every old rule's
+                found.append((new, 0, length - k))
+            by_prefix.setdefault((k, head), []).append(new)
+            by_suffix.setdefault((k, tail), []).append(new)
+        for i, order, pos in sorted(found):
+            if order:
+                queue_pair(pos + length, i, new)
+            else:
+                queue_pair(pos + lens[i], new, i)
+        rhs.append([(w - lead, _normal(-c * inv)) for w, c in poly.items()])
+        if not tables or tables[-1][0] != length:
+            tables.append((length, {}, (1 << (length * b)) - 1))
+        tables[-1][1][lead] = rhs[new]
 
     for rel in sorted(pres.relations, key=lambda r: sorted(map(_word_key, r))):
-        add_poly(rel)
+        add_poly({_encode(w, b): c for w, c in rel.items()}, 2)
 
     while queue:
-        _, _, la, lb, pos = heappop(queue)
+        degree, _, ia, ib = heappop(queue)
         pairs += 1
-        end = pos + len(lb)
-        word = la[:pos] + lb + la[end:]
-        diff: Poly = {rw + word[len(la) :]: rc for rw, rc in rules[la].items()}
-        for rw, rc in rules[lb].items():
-            w = word[:pos] + rw + word[end:]
+        shift = (degree - lens[ia]) * b  # the letters of rule ib past rule ia
+        word = (lhs[ia] << shift) | (lhs[ib] & ((1 << shift) - 1))
+        diff = {word + (delta << shift): rc for delta, rc in rhs[ia]}
+        for delta, rc in rhs[ib]:
+            w = word + delta
             diff[w] = diff.get(w, 0) - rc
-        add_poly(diff)
+        add_poly(diff, degree)
+    rules = {
+        _decode(code, L, b): {_decode(code + delta, L, b): c for delta, c in terms}
+        for code, L, terms in zip(lhs, lens, rhs)
+    }
     return RewriteSystem(pres.num_gens, rules, max_degree, confluent, pairs)
 
 

@@ -73,7 +73,11 @@ def echelon(rows) -> dict:
             continue
         lead = min(row)
         inv = _inv(row.pop(lead))
-        pivots[lead] = {c: inv * v for c, v in row.items()}
+        if type(inv) is Fraction:
+            # a non-unit pivot: keep integral entries ``int``
+            pivots[lead] = {c: _normal(inv * v) for c, v in row.items()}
+        else:
+            pivots[lead] = {c: inv * v for c, v in row.items()}
     return pivots
 
 

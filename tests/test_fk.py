@@ -1,5 +1,7 @@
 """Quadratic algebras: presentations, two dimension engines, finiteness probe."""
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,21 @@ def test_e5_series_to_degree_12_on_the_rewrite_engine():
     assert fk.graded_dims(fk.fk_presentation(5), 12, engine="rewrite") == e5
 
 
+@pytest.mark.slow
+def test_e5_whole_series_from_a_confluent_system():
+    # the longest lhs has length 16, so completing to 2 * 16 - 1 = 31 resolves
+    # every overlap: the system is confluent and its irreducible words are a
+    # basis of E_5 in every degree
+    system = fk.complete_to_degree(fk.fk_presentation(5), 31)
+    assert system.confluent
+    assert len(system.rules) == 237
+    assert system.pairs == 11_867
+    counts = system.irreducible_counts(41)
+    assert counts == _q_integer_product([4] * 4 + [5] * 2 + [6] * 4, 41)
+    assert sum(counts) == 8_294_400
+    assert max(m for m, c in enumerate(counts) if c) == 40
+
+
 def _ambiguity_count(words, max_degree):
     """(left, right, position) overlaps and inclusions of degree <= max_degree."""
     total = 0
@@ -90,7 +107,38 @@ def _ambiguity_count(words, max_degree):
 @pytest.mark.parametrize("n, max_degree", [(4, 14), (5, 8)])
 def test_each_critical_pair_is_resolved_at_most_once(n, max_degree):
     system = fk.complete_to_degree(fk.fk_presentation(n), max_degree)
-    assert 0 < system.pairs <= _ambiguity_count(list(system.rules), max_degree)
+    assert 0 < system.pairs == _ambiguity_count(list(system.rules), max_degree)
+
+
+def _rules_digest(rules) -> str:
+    """sha256 of every lhs and its rhs terms, in the system's own order."""
+    h = hashlib.sha256()
+    for lhs, rhs in rules.items():
+        h.update(repr((lhs, list(rhs.items()))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, max_degree, digest",
+    [
+        (4, 14, "e549f3d27354263acc409daad4c0dfab708646ea1fc0f51a9f49a4e5b0145a44"),
+        (5, 10, "ebfbd923b8756cde00b24a2db31e5b8b947654caca2c73290880957bbe2472f9"),
+    ],
+)
+def test_completion_rules_are_pinned(n, max_degree, digest):
+    # the rules, their order and each rhs in order, as the tuple-word engine
+    # built them; the word encoding and the overlap index must not move them
+    system = fk.complete_to_degree(fk.fk_presentation(n), max_degree)
+    assert _rules_digest(system.rules) == digest
+
+
+@pytest.mark.parametrize("word", [(0,), (0, 1, 1), (0, 2), (-1, 0)])
+def test_relation_words_must_be_generator_pairs(word):
+    pres = fk.QuadraticPresentation(3, [(1, 2), (1, 3)], [{(0, 0): 1}, {word: 1, (1, 0): 1}])
+    with pytest.raises(ValueError, match=re.escape(f"relation word {word!r}")):
+        fk.complete_to_degree(pres, 4)
+    with pytest.raises(ValueError, match=re.escape(f"relation word {word!r}")):
+        fk.graded_dims_linear(pres, 4)
 
 
 def test_rewrite_rule_budget():

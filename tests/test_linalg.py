@@ -97,6 +97,14 @@ def test_inverse_keeps_int_units():
     assert _inv(Fraction(-2, 3)) == Fraction(-3, 2)
 
 
+def test_non_unit_pivot_keeps_integral_tail_entries_int():
+    # 1/2 * 4 is integral and comes out as the int 2; 1/2 * 3 stays a Fraction
+    tail = echelon([{0: 2, 1: 4, 2: 3}])[0]
+    assert tail == {1: 2, 2: Fraction(3, 2)}
+    assert type(tail[1]) is int
+    assert type(tail[2]) is Fraction
+
+
 # the one function per module allowed a true division: its operands are
 # never both int, so `/` stays exact
 _DIVISION_HELPERS = {linalg: "_inv", cyclotomic: "_div"}
