@@ -22,8 +22,10 @@ the rules it overlaps.  ``RewriteSystem.rules`` is returned on tuple words.
 
 Coefficients are exact and never floats.  They are ``int`` as long as every
 pivot (linear engine) or rule leading coefficient (rewrite engine) is a unit
-+-1, which holds for every A(alpha, beta, gamma, lambda); a non-unit pivot
-falls back to ``Fraction``, so a hand-built presentation stays exact over Q.
++-1.  The linear engine eliminates each degree's rows sparsest first, and so
+meets only +-1 pivots on E_4 (every degree), E_5 through degree 8 and E_6
+through degree 6; a non-unit pivot falls back to ``Fraction``, so a hand-built
+presentation stays exact over Q.
 A rewrite rule's coefficients are ``int`` again wherever their value is an
 integer (``linalg._normal``), so later reductions through it stay in ``int``.
 """
@@ -41,9 +43,10 @@ Word = tuple  # tuple of generator indices
 Poly = dict  # Word -> int or Fraction
 
 # Default bound on the nonzero entries of one degree's relation rows in the
-# linear engine.  Each entry costs roughly 400 bytes with the pivots built from
-# it: E_5 at degree 7 holds 343,080 entries and peaks at 148 MB in 17 s; its
-# degree 8 holds 961,390 and ran past 447 MB and 400 s, so it is refused.
+# linear engine.  Each entry costs roughly 150-170 bytes with the pivots built
+# from it (2-core host, Python 3.11): E_5 at degree 7 holds 343,080 entries and
+# peaks at 73 MB in 1.3 s; its degree 8 holds 961,390 and peaks at 157 MB in
+# 5.6 s, so the default refuses it.
 FK_ENTRY_BUDGET = 500_000
 
 
@@ -227,9 +230,12 @@ def graded_dims_linear(
 
     Degree m is modeled as (A_{m-1} (x) V) / (A_{m-2} (x) relations); only the
     current and previous degrees are kept, as exact coordinates.  The relation
-    rows go through :func:`linalg.echelon` and :func:`linalg.back_substitute`,
-    so each coordinate of A_{m-1} (x) V projects onto A_m in one lookup.
-    ``entry_budget`` bounds the nonzero entries of one degree's relation rows.
+    rows go through :func:`linalg.echelon` sparsest first (fewest entries;
+    ties keep build order) and then :func:`linalg.back_substitute`, so each
+    coordinate of A_{m-1} (x) V projects onto A_m in one lookup.  The last
+    degree needs only the rank, so it skips the reduced form and projection.
+    ``entry_budget`` bounds the nonzero entries of one degree's relation rows,
+    counted as the rows are built.
     """
     _check_relations(pres)
     G = pres.num_gens
@@ -261,12 +267,21 @@ def graded_dims_linear(
                     if entries > entry_budget:
                         raise BudgetExceeded(f"degree-{m} fk relation entries", entry_budget)
                     rows.append(vec)
-        pivots = back_substitute(echelon(rows))
-        free_basis = [c for c in range(cur_dim * G) if c not in pivots]
-        new_dim = len(free_basis)
+        # Sparsest rows first: short rows become pivots early, so long rows
+        # meet sparse pivots, and the E_n relations stay in int arithmetic.
+        # The order cannot change the result: echelon takes a row's least
+        # column as its lead, so its pivot columns are those of the row
+        # space's reduced echelon form, which back_substitute returns.
+        rows.sort(key=len)
+        pivots = echelon(rows)
+        new_dim = cur_dim * G - len(pivots)
         if new_dim == 0:
             break
         dims.append(new_dim)
+        if m == max_degree:
+            break  # no later degree reads the projection
+        back_substitute(pivots)
+        free_basis = [c for c in range(cur_dim * G) if c not in pivots]
         pos = {c: k for k, c in enumerate(free_basis)}
 
         def project(coord):

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,8 +12,6 @@ from weylrack.errors import BudgetExceeded
 
 
 def test_forced_constraints_are_reported():
-    from itertools import permutations
-
     lam = {key: 1 for key in permutations(range(1, 5), 4)}
     lam[(3, 4, 1, 2)] = -1  # lambda_1234 * lambda_3412 != 1 forces a zero product
     pres = fk.presentation(4, 1, 1, -1, lam)
@@ -42,21 +41,35 @@ def test_e3_dims():
         assert sum(dims) == 12
 
 
+E4 = [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
+
+
 def test_e4_dims():
     pres = fk.fk_presentation(4)
     lin = fk.graded_dims(pres, 14, engine="linear")
     rew = fk.graded_dims(pres, 14, engine="rewrite")
-    assert lin == rew == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
+    assert lin == rew == E4
     assert sum(lin) == 576
 
 
+# Graña, "On Nichols algebras of low dimension": the E_5 series begins
+E5_PREFIX = [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796]
+
+
 def test_e5_prefix():
-    # Graña, "On Nichols algebras of low dimension": the E_5 series begins
-    # 1, 10, 55, 220, 711, 1960, 4761, 10410, 20796
     pres = fk.fk_presentation(5)
-    e5 = [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796]
-    assert fk.graded_dims(pres, 6, engine="linear") == e5[:7]
-    assert fk.graded_dims(pres, 8, engine="rewrite") == e5
+    assert fk.graded_dims(pres, 6, engine="linear") == E5_PREFIX[:7]
+    assert fk.graded_dims(pres, 8, engine="rewrite") == E5_PREFIX
+
+
+@pytest.mark.slow
+def test_linear_engine_reaches_e5_degree_8_and_e6_degree_6():
+    # both degrees exceed the default entry budget; each takes about 6 s
+    e5 = fk.graded_dims_linear(fk.fk_presentation(5), 8, entry_budget=2_000_000)
+    assert e5 == E5_PREFIX
+    e6 = fk.graded_dims(fk.fk_presentation(6), 6, "rewrite")
+    assert e6 == [1, 15, 125, 765, 3831, 16605, 64432]
+    assert fk.graded_dims_linear(fk.fk_presentation(6), 6, entry_budget=2_000_000) == e6
 
 
 def _q_integer_product(factors, max_degree):
@@ -70,7 +83,7 @@ def _q_integer_product(factors, max_degree):
 def test_e5_series_to_degree_12_on_the_rewrite_engine():
     # Hilbert series of E_5: [4]^4 [5]^2 [6]^4 (Fomin-Kirillov; Grana)
     e5 = _q_integer_product([4] * 4 + [5] * 2 + [6] * 4, 12)
-    assert e5[:9] == [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796]
+    assert e5[:9] == E5_PREFIX
     assert fk.graded_dims(fk.fk_presentation(5), 12, engine="rewrite") == e5
 
 
@@ -147,6 +160,18 @@ def test_rewrite_rule_budget():
     assert info.value.limit == 10
 
 
+def _gauge_twist(n, rng):
+    """The gauge twist of E_n by seeded signs eps_ij = eps_ji on pairs, which is
+    isomorphic to E_n: alpha(i,j,k) = eps_ki eps_ij, beta(i,j,k) = eps_ki eps_jk."""
+    eps = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        eps[(i, j)] = eps[(j, i)] = rng.choice([1, -1])
+    triples = list(permutations(range(1, n + 1), 3))
+    alpha = {(i, j, k): eps[(k, i)] * eps[(i, j)] for i, j, k in triples}
+    beta = {(i, j, k): eps[(k, i)] * eps[(j, k)] for i, j, k in triples}
+    return fk.presentation(n, alpha, beta, -1, 1)
+
+
 def _exact(value) -> bool:
     return type(value) in (int, Fraction)
 
@@ -186,6 +211,28 @@ def test_unit_relations_stay_int():
     assert all(type(c) is int for rhs in rules.values() for c in rhs.values())
 
 
+def test_linear_engine_stays_int_on_e_n(monkeypatch):
+    # sorted sparsest first, the E_n relation rows meet only +-1 pivots; in
+    # build order E_4 meets non-unit pivots at degrees 7-10 and E_5 at degree 6
+    results = []
+    echelon = fk.echelon
+
+    def recording_echelon(rows):
+        result = echelon(rows)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(fk, "echelon", recording_echelon)
+    rng = random.Random(19)
+    for n, max_degree, expected in ((4, 14, E4), (5, 6, E5_PREFIX[:7])):
+        for pres in (fk.fk_presentation(n), _gauge_twist(n, rng)):
+            results.clear()
+            assert fk.graded_dims_linear(pres, max_degree) == expected
+            assert all(
+                type(v) is int for piv in results for tail in piv.values() for v in tail.values()
+            )
+
+
 def test_integral_rule_coefficients_are_int():
     # gamma_ij = (-1)^(i+j) gives rules with non-unit leads whose quotients are
     # integral: -2 * (1/2) must come out as the int -1, not Fraction(-1, 1)
@@ -216,8 +263,6 @@ def test_ordered_form_generates_same_ideal():
 
 
 def test_engines_agree_on_random_sign_twists():
-    from itertools import combinations, permutations
-
     rng = random.Random(43)
     triples = list(permutations(range(1, 4), 3))
     for _ in range(5):
@@ -228,19 +273,10 @@ def test_engines_agree_on_random_sign_twists():
         lin = fk.graded_dims(pres, 8, engine="linear")
         rew = fk.graded_dims(pres, 8, engine="rewrite")
         assert lin == rew
-    # gauge twists of E_4 by signs eps_ij = eps_ji on pairs are isomorphic to
-    # E_4: alpha(i,j,k) = eps_ki eps_ij, beta(i,j,k) = eps_ki eps_jk
-    e4 = [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
-    triples = list(permutations(range(1, 5), 3))
     for _ in range(3):
-        eps = {}
-        for i, j in combinations(range(1, 5), 2):
-            eps[(i, j)] = eps[(j, i)] = rng.choice([1, -1])
-        alpha = {(i, j, k): eps[(k, i)] * eps[(i, j)] for i, j, k in triples}
-        beta = {(i, j, k): eps[(k, i)] * eps[(j, k)] for i, j, k in triples}
-        pres = fk.presentation(4, alpha, beta, -1, 1)
-        assert fk.graded_dims(pres, 14, engine="linear") == e4
-        assert fk.graded_dims(pres, 14, engine="rewrite") == e4
+        pres = _gauge_twist(4, rng)
+        assert fk.graded_dims(pres, 14, engine="linear") == E4
+        assert fk.graded_dims(pres, 14, engine="rewrite") == E4
 
 
 def test_finiteness_probe_statuses():

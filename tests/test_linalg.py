@@ -90,6 +90,40 @@ def test_int_rows_with_non_unit_pivots_against_dense_oracle():
     assert fractions_seen  # the non-unit fallback was exercised
 
 
+def test_reduced_form_does_not_depend_on_row_order(monkeypatch):
+    # the fk linear engine feeds echelon its rows sparsest first; that is sound
+    # because echelon leads with a row's least column, so back_substitute
+    # returns the row space's reduced echelon form in any row order
+    captured = []
+    fk_echelon = fk.echelon
+
+    def capturing_echelon(rows):
+        captured.append([dict(row) for row in rows])
+        return fk_echelon(rows)
+
+    monkeypatch.setattr(fk, "echelon", capturing_echelon)
+    fk.graded_dims_linear(fk.fk_presentation(4), 7)
+    e4_degree_7 = captured[-1]
+    rng = random.Random(53)
+    sparse = [
+        {c: rng.choice((1, -1, 2, -3)) for c in rng.sample(range(40), rng.randint(1, 6))}
+        for _ in range(60)
+    ]
+    for rows in (e4_degree_7, sparse):
+        orders = (
+            rows,
+            random.Random(59).sample(rows, len(rows)),
+            sorted(rows, key=len),
+            sorted(rows, key=len, reverse=True),
+        )
+        forms = [back_substitute(echelon(order)) for order in orders]
+        assert all(form == forms[0] for form in forms)
+    # densest first, the E_4 rows meet non-unit pivots, so the orders above
+    # reach the same form through different arithmetic
+    tails = echelon(sorted(e4_degree_7, key=len, reverse=True)).values()
+    assert any(type(v) is Fraction for tail in tails for v in tail.values())
+
+
 def test_inverse_keeps_int_units():
     assert _inv(1) == 1 and type(_inv(1)) is int
     assert _inv(-1) == -1 and type(_inv(-1)) is int
