@@ -235,7 +235,8 @@ def graded_dims_linear(
     coordinate of A_{m-1} (x) V projects onto A_m in one lookup.  The last
     degree needs only the rank, so it skips the reduced form and projection.
     ``entry_budget`` bounds the nonzero entries of one degree's relation rows,
-    counted as the rows are built.
+    counted as the rows are built; its :class:`BudgetExceeded` carries the
+    dims of the degrees before.
     """
     _check_relations(pres)
     G = pres.num_gens
@@ -265,7 +266,7 @@ def graded_dims_linear(
                 if vec:
                     entries += len(vec)
                     if entries > entry_budget:
-                        raise BudgetExceeded(f"degree-{m} fk relation entries", entry_budget)
+                        raise BudgetExceeded(f"degree-{m} fk relation entries", entry_budget, dims)
                     rows.append(vec)
         # Sparsest rows first: short rows become pivots early, so long rows
         # meet sparse pivots, and the E_n relations stay in int arithmetic.

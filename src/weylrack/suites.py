@@ -22,6 +22,7 @@ from .classes import (
 )
 from .classify import EXCEPTION, PROVEN, Classifier, exception_case
 from .cyclotomic import CyclotomicField
+from .errors import BudgetExceeded
 from .rack import (
     commuting_balance_sides,
     is_square_commutative,
@@ -374,7 +375,7 @@ def _suite_yd_braidings(params: dict, rng: random.Random) -> list[dict]:
     try:
         triv = yd.build_yd_module(cls, yd.trivial_rep(cen, F))
         triv.braided_space().check_braid_equation()
-    except Exception:
+    except (ValueError, BudgetExceeded):  # RepInconsistency is a ValueError
         ok = False
     checks.append(_check("trivial_rep_braiding", "braid-equation", ok))
     # sign rep on the same class: braid equation + graded dims
@@ -383,7 +384,7 @@ def _suite_yd_braidings(params: dict, rng: random.Random) -> list[dict]:
     ok = True
     try:
         space.check_braid_equation()
-    except Exception:
+    except (ValueError, BudgetExceeded):
         ok = False
     checks.append(_check("sign_rep_braiding", "braid-equation", ok))
     dims = yd.nichols_graded_dims(space, 6)

@@ -7,14 +7,17 @@ rack type and monomial: C(e_i (x) e_j) = q_ij e_{j'} (x) e_i with
 t_{j'} = t_i |> t_j and q_ij = chi(nu_j(t_i)), where t_i g_j = g_{j'} nu_j(t_i)
 with nu_j(t_i) in the centralizer.
 
-Graded dimensions of the associated quotient of the tensor algebra are the
-exact ranks of the quantum symmetrizers S_m, computed degree by degree on
-B^{m-1} (x) V.  The engine runs over Q whenever every braiding scalar is
-rational (every +-1 character): a rational matrix has the same rank over Q
-as over any cyclotomic field containing it.  Otherwise it runs over the
-cyclotomic field.  The full symmetrizer, always over the cyclotomic field,
-is kept as the oracle.  The module also houses the scalar screening rules
-used to rule out finite dimension for juxtaposed classes.
+A braided space stores one table, C^{-1}: every quantum symmetrizer applies
+it, and the braid equation and the intertwining of the block embedding hold
+for C exactly when they hold for C^{-1}.  Graded dimensions of the associated
+quotient of the tensor algebra are the exact ranks of the quantum
+symmetrizers S_m, computed degree by degree on B^{m-1} (x) V.  The engine
+runs over Q whenever every braiding scalar is rational (every +-1
+character): a rational matrix has the same rank over Q as over any
+cyclotomic field containing it.  Otherwise it runs over the cyclotomic
+field.  The full symmetrizer, always over the cyclotomic field, is kept as
+the oracle.  The module also houses the scalar screening rules used to rule
+out finite dimension for juxtaposed classes.
 """
 from __future__ import annotations
 
@@ -123,49 +126,40 @@ def perm_sign_rep(cen: Centralizer, scalar_field: CyclotomicField) -> Centralize
 
 
 class BraidedVectorSpace:
-    """Dimension-D space with an invertible monomial braiding.
+    """Dimension-D space with an invertible monomial braiding C, stored as C^{-1}.
 
-    ``c_map[(u, v)]`` is the one term ((u2, v2), coeff) of C(e_u (x) e_v); the
-    inverse braiding is supplied the same way and checked against C.
+    ``cinv_map[(u, v)]`` is the one term ((u2, v2), coeff) of C^{-1}(e_u (x) e_v),
+    the map every quantum symmetrizer applies.  Its keys, and separately its
+    image pairs, must each cover the D x D basis pairs exactly once.
     """
 
-    def __init__(self, scalar_field: CyclotomicField, D: int, c_map: dict, cinv_map: dict):
+    def __init__(self, scalar_field: CyclotomicField, D: int, cinv_map: dict):
+        pairs = set(product(range(D), repeat=2))
+        if set(cinv_map) != pairs:
+            raise ValueError("braiding table keys are not the basis pairs")
+        if {pair for pair, _ in cinv_map.values()} != pairs:  # D^2 values, so no repeats
+            raise ValueError("braiding table images are not a permutation of the basis pairs")
         self.scalar_field = scalar_field
         self.D = D
-        self.c_map = c_map
         self.cinv_map = cinv_map
 
-    def verify_inverse(self) -> None:
-        for u in range(self.D):
-            for v in range(self.D):
-                vec = self.apply_leg({(u, v): self.scalar_field.one}, 0, inverse=True)
-                vec = self.apply_leg(vec, 0)
-                if vec != {(u, v): self.scalar_field.one}:
-                    raise ValueError(f"C inverse fails at basis pair ({u}, {v})")
-
-    def apply_leg(self, vec: dict, leg: int, inverse: bool = False) -> dict:
-        """Apply C (or its inverse) on tensor legs (leg, leg+1) of basis tuples.
-
-        An invertible monomial braiding permutes the basis tuples, so distinct
-        tuples have distinct images and no two terms meet.
-        """
-        return _apply_leg(self.cinv_map if inverse else self.c_map, vec, leg)
-
     def check_braid_equation(self) -> None:
-        """(id(x)C)(C(x)id)(id(x)C) == (C(x)id)(id(x)C)(C(x)id) on all triples."""
+        """The braid equation on all basis triples, checked on C^{-1}: it holds
+        for C exactly when it holds for C^{-1} (invert both sides)."""
         if self.D > BRAID_CHECK_MAX_DIM:
             raise BudgetExceeded(f"braid-equation check on dimension {self.D}", BRAID_CHECK_MAX_DIM)
-        one = self.scalar_field.one
+        t, one = self.cinv_map, self.scalar_field.one
         for basis in product(range(self.D), repeat=3):
             start = {basis: one}
-            lhs = self.apply_leg(self.apply_leg(self.apply_leg(start, 1), 0), 1)
-            rhs = self.apply_leg(self.apply_leg(self.apply_leg(start, 0), 1), 0)
+            lhs = _apply_leg(t, _apply_leg(t, _apply_leg(t, start, 1), 0), 1)
+            rhs = _apply_leg(t, _apply_leg(t, _apply_leg(t, start, 0), 1), 0)
             if lhs != rhs:
                 raise ValueError(f"braid equation fails at basis triple {basis}")
 
 
 def _apply_leg(table: dict, vec: dict, leg: int) -> dict:
-    """The monomial map ``table`` on tensor legs (leg, leg+1) of basis tuples."""
+    """The monomial map ``table`` on tensor legs (leg, leg+1) of basis tuples;
+    it permutes the tuples, so no two terms meet."""
     out = {}
     for basis, coeff in vec.items():
         pair, c = table[basis[leg : leg + 2]]
@@ -174,20 +168,11 @@ def _apply_leg(table: dict, vec: dict, leg: int) -> dict:
 
 
 def diagonal_braiding(scalar_field: CyclotomicField, q_matrix) -> BraidedVectorSpace:
-    """C(e_u (x) e_v) = q[u][v] e_v (x) e_u."""
+    """C(e_u (x) e_v) = q[u][v] e_v (x) e_u, stored as C^{-1}(e_u (x) e_v) =
+    q[v][u]^{-1} e_v (x) e_u; all-ones q gives the flip."""
     D = len(q_matrix)
-    c_map, cinv_map = {}, {}
-    for u in range(D):
-        for v in range(D):
-            c_map[(u, v)] = ((v, u), q_matrix[u][v])
-            cinv_map[(u, v)] = ((v, u), q_matrix[v][u].inverse())
-    return BraidedVectorSpace(scalar_field, D, c_map, cinv_map)
-
-
-def flip_braiding(scalar_field: CyclotomicField, D: int) -> BraidedVectorSpace:
-    one = scalar_field.one
-    q = [[one] * D for _ in range(D)]
-    return diagonal_braiding(scalar_field, q)
+    table = {(u, v): ((v, u), q_matrix[v][u].inverse()) for u, v in product(range(D), repeat=2)}
+    return BraidedVectorSpace(scalar_field, D, table)
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +193,20 @@ class YDModule:
                 raise ValueError("class section inconsistent with numeration")
 
     def braided_space(self) -> BraidedVectorSpace:
-        """Materialize C and its inverse on the D x D basis pairs, one term each."""
+        """Materialize C^{-1} on the D x D basis pairs, one term each."""
         if self.D * self.D > DEFAULT_ENTRY_BUDGET:
             raise BudgetExceeded(
                 f"braiding materialization ({self.D * self.D} entries)", DEFAULT_ENTRY_BUDGET
             )
         cls = self.cls
-        c_map: dict = {}
         cinv_map: dict = {}
         for i, t_i in enumerate(cls.elements):
             for j, (t_j, g_j) in enumerate(zip(cls.elements, cls.section)):
                 # t_i g_j = g_{j'} nu_j(t_i) with t_{j'} = t_i |> t_j
                 jp = cls.index(conjugate(t_i, t_j))
                 q = self.rep.value(multiply(cls.section[jp].inverse(), multiply(t_i, g_j)))
-                c_map[(i, j)] = ((jp, i), q)
                 cinv_map[(jp, i)] = ((i, j), q.inverse())
-        space = BraidedVectorSpace(self.scalar_field, self.D, c_map, cinv_map)
-        space.verify_inverse()
-        return space
+        return BraidedVectorSpace(self.scalar_field, self.D, cinv_map)
 
     def self_braiding_scalar(self) -> CycScalar:
         """q_{s,s} = chi(s), the character's value at the class representative."""
@@ -268,7 +249,7 @@ def _apply_s1j(space: BraidedVectorSpace, vec: dict, j: int, offset: int = 0) ->
     for k in range(1, j + 1):
         cur = vec
         for leg in range(k, 0, -1):
-            cur = space.apply_leg(cur, offset + leg - 1, inverse=True)
+            cur = _apply_leg(space.cinv_map, cur, offset + leg - 1)
         _add_into(total, cur)
     return total
 
@@ -335,7 +316,8 @@ def nichols_graded_dims(
     v in 0..D-1.  The normalized echelon rows e_lead + tail of degree m-1 are
     such a basis: the candidates stream into :func:`linalg.echelon` as they
     are generated, and its pivots are the next degree's basis.
-    ``entry_budget`` bounds the nonzero entries one degree generates.
+    ``entry_budget`` bounds the nonzero entries one degree generates; its
+    :class:`BudgetExceeded` carries the dims of the degrees before.
 
     When every inverse-braiding scalar is rational (every character with
     values +-1, whatever its field), the loop runs over Q on a copy of the
@@ -353,7 +335,7 @@ def nichols_graded_dims(
     dims = [1]
     for m in range(1, max_degree + 1):
         if m > 1:
-            pivots = echelon(_candidates(cinv, space.D, one, pivots, m, entry_budget))
+            pivots = echelon(_candidates(cinv, space.D, one, pivots, dims, entry_budget))
         if not pivots:
             break
         dims.append(len(pivots))
@@ -372,16 +354,17 @@ def _rational_table(table: dict) -> Optional[dict]:
     return out
 
 
-def _candidates(cinv: dict, D: int, one, pivots: dict, m: int, entry_budget: int):
-    """L_m(c (x) e_v), one at a time, for each row c = e_lead + tail of ``pivots``."""
-    entries = 0
+def _candidates(cinv: dict, D: int, one, pivots: dict, dims: list, entry_budget: int):
+    """L_m(c (x) e_v), one at a time, for each row c = e_lead + tail of ``pivots``;
+    ``dims`` holds the dims of degrees 0..m-1, so m = len(dims)."""
+    m, entries = len(dims), 0
     for lead, tail in pivots.items():
         col = {lead: one, **tail}
         for v in range(D):
             cand = _apply_lm(cinv, _extend(col, v), m)
             entries += len(cand)
             if entries > entry_budget:
-                raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget)
+                raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget, dims)
             yield cand
 
 
@@ -409,7 +392,9 @@ def psi_embedding(
 
     Requires orthogonal blocks and a right character with trivial
     self-braiding (q = chi2(b tau) = 1); raises HypothesisError otherwise.
-    Checks injectivity and exact intertwining with the braidings.
+    Checks injectivity and exact intertwining with the braidings, as
+    C'^{-1} (psi (x) psi) = (psi (x) psi) C^{-1}: multiplying C' (psi (x) psi)
+    = (psi (x) psi) C by C'^{-1} on the left and C^{-1} on the right.
     """
     sf = left.scalar_field
     if right_rep.scalar_field != sf:
@@ -441,8 +426,8 @@ def psi_embedding(
         columns.append((idx, codomain.rep.value(nu)))
     injective = rank({idx: q} for idx, q in columns) == left.D
 
-    left_space = left.braided_space()
-    cod_space = codomain.braided_space()
+    left_cinv = left.braided_space().cinv_map
+    cod_cinv = codomain.braided_space().cinv_map
 
     def push(vec):
         # vec is one term, so its image is one term
@@ -452,7 +437,7 @@ def psi_embedding(
         }
 
     intertwines = all(
-        cod_space.apply_leg(push(start), 0) == push(left_space.apply_leg(start, 0))
+        _apply_leg(cod_cinv, push(start), 0) == push(_apply_leg(left_cinv, start, 0))
         for start in ({(u, v): sf.one} for u in range(left.D) for v in range(left.D))
     )
     return PsiEmbedding(left, codomain, columns, injective, intertwines)

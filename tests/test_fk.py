@@ -251,7 +251,7 @@ def test_linear_entry_budget_names_degree():
     pres = fk.fk_presentation(4)
     with pytest.raises(BudgetExceeded, match="degree-4 fk relation entries") as info:
         fk.graded_dims_linear(pres, 6, entry_budget=500)
-    assert info.value.limit == 500
+    assert info.value.limit == 500 and info.value.dims == [1, 6, 19, 42]
     assert fk.graded_dims_linear(pres, 3, entry_budget=500) == [1, 6, 19, 42]
 
 

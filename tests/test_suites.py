@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from weylrack import yd
 from weylrack.classes import enumerate_class
 from weylrack.signed import GroupKind, from_cycles
 from weylrack.suites import SUITES, _is_conjugation_rack, run_suite
@@ -42,6 +43,23 @@ def test_report_shape():
     for check in report["checks"]:
         assert set(check) >= {"name", "tag", "passed"}
     json.dumps(report)  # JSON-serializable throughout
+
+
+def test_yd_braidings_reads_only_check_failures_as_failed(monkeypatch):
+    def broken(self):
+        raise ValueError("braid equation fails")
+
+    monkeypatch.setattr(yd.BraidedVectorSpace, "check_braid_equation", broken)
+    report = run_suite("yd_braidings")
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"trivial_rep_braiding", "sign_rep_braiding"}
+
+    def buggy(self):
+        raise TypeError("a bug, not a failed check")
+
+    monkeypatch.setattr(yd.BraidedVectorSpace, "check_braid_equation", buggy)
+    with pytest.raises(TypeError, match="a bug"):
+        run_suite("yd_braidings")
 
 
 def test_rack_axiom_check_needs_a_closed_set():

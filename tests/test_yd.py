@@ -21,9 +21,7 @@ def sym_transposition_module(rep_factory):
 def test_braid_equation_trivial_and_sign_reps():
     for factory in (yd.trivial_rep, yd.perm_sign_rep):
         module, _ = sym_transposition_module(factory)
-        space = module.braided_space()
-        space.verify_inverse()
-        space.check_braid_equation()
+        module.braided_space().check_braid_equation()
 
 
 def test_sign_character_graded_dims():
@@ -44,9 +42,30 @@ def test_graded_dims_invariant_under_class_renumbering():
 
 def test_flip_braiding_gives_binomials():
     F = CyclotomicField(2)
-    space = yd.flip_braiding(F, 2)
+    space = yd.diagonal_braiding(F, [[F.one] * 2] * 2)
     dims = yd.nichols_graded_dims(space, 4)
     assert dims == [1, 2, 3, 4, 5]  # symmetric algebra on two variables
+
+
+def test_braid_equation_check_catches_a_bad_table():
+    # C^{-1} swaps (0,0) and (0,1) and fixes (1,0), (1,1): a permutation of
+    # the basis pairs, but not a braiding
+    F = CyclotomicField(2)
+    images = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0), (1, 1): (1, 1)}
+    space = yd.BraidedVectorSpace(F, 2, {k: (v, F.one) for k, v in images.items()})
+    with pytest.raises(ValueError, match=r"basis triple \(0, 0, 0\)"):
+        space.check_braid_equation()
+
+
+def test_braided_space_refuses_a_table_that_is_not_a_permutation():
+    F = CyclotomicField(2)
+    good = yd.diagonal_braiding(F, [[F.one] * 2] * 2).cinv_map
+    repeated = {**good, (0, 0): ((0, 0), F.one), (0, 1): ((0, 0), F.one)}
+    with pytest.raises(ValueError, match="images"):
+        yd.BraidedVectorSpace(F, 2, repeated)
+    missing = {k: v for k, v in good.items() if k != (1, 1)}
+    with pytest.raises(ValueError, match="keys"):
+        yd.BraidedVectorSpace(F, 2, missing)
 
 
 def test_sign_diagonal_braiding_is_exterior():
@@ -99,7 +118,8 @@ CROSS_ENGINE = {
         lambda: _class_space(GroupKind.S, 3, [(1, 2)], yd.trivial_rep), 5),
     "S3-transpositions-sign": (
         lambda: _class_space(GroupKind.S, 3, [(1, 2)], yd.perm_sign_rep), 5),
-    "flip-2": (lambda: yd.flip_braiding(CyclotomicField(2), 2), 5),
+    "flip-2": (
+        lambda: yd.diagonal_braiding(CyclotomicField(2), [[CyclotomicField(2).one] * 2] * 2), 5),
     "sign-diagonal": (
         lambda: yd.diagonal_braiding(CyclotomicField(2), [[CyclotomicField(2).minus_one()]]), 4),
     "B3-(1 2)-trivial": (lambda: _class_space(GroupKind.B, 3, [(1, 2)], yd.trivial_rep), 4),
@@ -172,7 +192,7 @@ def test_nichols_entry_budget_names_degree():
     space = _class_space(GroupKind.S, 3, [(1, 2)], yd.perm_sign_rep)
     with pytest.raises(BudgetExceeded, match="degree-2") as exc:
         yd.nichols_graded_dims(space, 4, entry_budget=5)
-    assert exc.value.limit == 5
+    assert exc.value.limit == 5 and exc.value.dims == [1, 3]
     assert yd.nichols_graded_dims(space, 4, entry_budget=100) == [1, 3, 4, 3, 1]
 
 
@@ -235,6 +255,25 @@ def test_psi_embedding_with_sign_character_on_the_left():
     assert emb.injective and emb.intertwines
     assert len(emb.columns) == left.D == 2
     assert emb.codomain.D == 160
+
+
+def test_psi_embedding_detects_a_twisted_codomain(monkeypatch):
+    # twist the codomain's character by the permutation sign of its
+    # centralizer: the codomain braiding changes and psi stops intertwining
+    build = yd.build_yd_module
+
+    def twisted(cls, rep):
+        if cls.size == 160:
+            sign = yd.perm_sign_rep(rep.cen, rep.scalar_field).images
+            rep = yd.CentralizerRep(
+                rep.cen, rep.scalar_field, {k: v * sign[k] for k, v in rep.images.items()}
+            )
+        return build(cls, rep)
+
+    monkeypatch.setattr(yd, "build_yd_module", twisted)
+    _, emb = _psi_b2_next_to_b3(yd.perm_sign_rep)
+    assert emb.codomain.D == 160
+    assert emb.injective and not emb.intertwines
 
 
 def test_psi_embedding_rejects_nontrivial_right_scalar():
