@@ -16,7 +16,7 @@ from .signed import (
     SignedPermutation,
     _act,
     _compose,
-    _invert_perm,
+    _trusted,
     conjugate,
     format_element,
     parse_element,
@@ -39,34 +39,47 @@ def is_square_commutative(x: SignedPermutation, y: SignedPermutation) -> bool:
     return sq(x, y) == y
 
 
+def _common_rank(x: SignedPermutation, y: SignedPermutation) -> int:
+    """The common rank of x and y, refused as multiply and conjugate refuse it."""
+    if x.n != y.n:
+        raise ValueError(f"rank mismatch: {x.n} != {y.n}")
+    return x.n
+
+
+def _conj_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # p |> q = p q p^-1 as permutations, in one pass: it sends p(i) to p(q(i))
+    img = [0] * len(p)
+    for i, j in zip(p, q):
+        img[i] = p[j]
+    return tuple(img)
+
+
 def sq_formula_general(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:
     """Closed formula for sq on sign parts, no commutativity assumed.
 
     Independent of sq(): works from the expanded sign-vector expression and
     permutation conjugations only.
     """
-    n = x.n
+    n = _common_rank(x, y)
     a, tau = x.bits, x.perm
     b, mu = y.bits, y.perm
 
-    def pconj(p, q):  # p |> q as permutations
-        return _compose(p, _compose(q, _invert_perm(p)))
-
-    tm = pconj(tau, mu)          # tau |> mu
-    mtm = pconj(mu, tm)          # mu |> (tau |> mu)
-    lam = pconj(tau, mtm)        # sq of the permutation parts
+    tm = _conj_perm(tau, mu)     # tau |> mu
+    mtm = _conj_perm(mu, tm)     # mu |> (tau |> mu)
+    lam = _conj_perm(tau, mtm)   # sq of the permutation parts
     inner = b ^ _act(mu, a ^ _act(tau, b) ^ _act(tm, a)) ^ _act(mtm, b)
     c = a ^ _act(tau, inner) ^ _act(lam, a)
-    return SignedPermutation(n, c, lam)
+    return _trusted(n, c, lam)
 
 
 def sq_formula_commuting(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:
     """sq for commuting permutation parts: the seven-term sign sum."""
+    n = _common_rank(x, y)
     tau, mu = x.perm, y.perm
-    if _compose(tau, mu) != _compose(mu, tau):
+    tm = _compose(tau, mu)
+    if tm != _compose(mu, tau):
         raise RackError("permutation parts do not commute; use the general formula")
     a, b = x.bits, y.bits
-    tm = _compose(tau, mu)
     c = (
         a
         ^ _act(tm, a)
@@ -76,7 +89,7 @@ def sq_formula_commuting(x: SignedPermutation, y: SignedPermutation) -> SignedPe
         ^ _act(_compose(tau, tm), b)
         ^ _act(tm, b)
     )
-    return SignedPermutation(x.n, c, mu)
+    return _trusted(n, c, mu)
 
 
 def commuting_balance_sides(x: SignedPermutation, y: SignedPermutation) -> tuple[int, int]:
@@ -84,11 +97,12 @@ def commuting_balance_sides(x: SignedPermutation, y: SignedPermutation) -> tuple
 
     sq(x, y) == y iff the sides are equal.
     """
+    _common_rank(x, y)
     tau, mu = x.perm, y.perm
-    if _compose(tau, mu) != _compose(mu, tau):
+    tm = _compose(tau, mu)
+    if tm != _compose(mu, tau):
         raise RackError("permutation parts do not commute")
     a, b = x.bits, y.bits
-    tm = _compose(tau, mu)
     lhs = a ^ _act(tm, a) ^ _act(_compose(tm, mu), a) ^ _act(mu, a)
     rhs = b ^ _act(tau, b) ^ _act(_compose(tau, tm), b) ^ _act(tm, b)
     return lhs, rhs

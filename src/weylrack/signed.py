@@ -61,18 +61,24 @@ def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+# the set-bit positions of each byte value, lowest first
+_SET_BITS = tuple(tuple(i for i in range(8) if v >> i & 1) for v in range(256))
+
+
 def _act(p: tuple[int, ...], bits: int) -> int:
     # (p . a)_{p(i)} = a_i, i.e. position i of the result carries a_{p^-1(i)};
-    # only the set bits move, lowest first
+    # only the set bits move, read a byte at a time through _SET_BITS
     out = 0
+    base = 0
     while bits:
-        low = bits & -bits
-        out |= 1 << p[low.bit_length() - 1]
-        bits ^= low
+        for i in _SET_BITS[bits & 255]:
+            out |= 1 << p[base + i]
+        bits >>= 8
+        base += 8
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """An element (a, pi) of Z_2^n |x S_n; immutable, usable as a dict key."""
 
@@ -185,17 +191,19 @@ def cycle_structure(perm: tuple[int, ...]) -> CycleStructure:
 
 
 _new = object.__new__
-_setattr = object.__setattr__
+# the slot descriptors set fields past the frozen __setattr__, as
+# object.__setattr__ would, without its attribute lookup
+_set_n = SignedPermutation.n.__set__
+_set_bits = SignedPermutation.bits.__set__
+_set_perm = SignedPermutation.perm.__set__
 
 
 def _trusted(n: int, bits: int, perm: tuple[int, ...]) -> SignedPermutation:
     """Build an element whose fields are valid by construction, unchecked."""
-    # the frozen dataclass's own __init__ sets fields this way too; writing
-    # to x.__dict__ instead would cost each element a full-size dict
     x = _new(SignedPermutation)
-    _setattr(x, "n", n)
-    _setattr(x, "bits", bits)
-    _setattr(x, "perm", perm)
+    _set_n(x, n)
+    _set_bits(x, bits)
+    _set_perm(x, perm)
     return x
 
 
@@ -207,7 +215,8 @@ def multiply(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:
     """(a, pi)(b, tau) = (a + pi.b, pi tau)."""
     if x.n != y.n:
         raise ValueError(f"rank mismatch: {x.n} != {y.n}")
-    return _trusted(x.n, x.bits ^ _act(x.perm, y.bits), _compose(x.perm, y.perm))
+    p = x.perm
+    return _trusted(x.n, x.bits ^ _act(p, y.bits), tuple([p[j] for j in y.perm]))
 
 
 def inverse(x: SignedPermutation) -> SignedPermutation:
@@ -310,7 +319,7 @@ def contains(kind: GroupKind, x: SignedPermutation) -> bool:
     if kind is GroupKind.B:
         return True
     if kind is GroupKind.D:
-        return bin(x.bits).count("1") % 2 == 0
+        return x.bits.bit_count() % 2 == 0
     return x.bits == 0
 
 
@@ -355,7 +364,7 @@ def random_element(rng, n: int, kind: GroupKind = GroupKind.B) -> SignedPermutat
             j = getrandbits(k)
         perm[i], perm[j] = perm[j], perm[i]
     bits = getrandbits(n)
-    if kind is GroupKind.D and bin(bits).count("1") % 2:
+    if kind is GroupKind.D and bits.bit_count() % 2:
         bits ^= 1
     elif kind is GroupKind.S:
         bits = 0

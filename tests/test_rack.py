@@ -41,8 +41,10 @@ def test_sq_is_triple_conjugation():
 
 def test_general_formula_matches_sq():
     rng = random.Random(5)
+    # and ranks around the byte boundaries of the sign action, up to the largest
+    ranks = list(range(2, 9)) + [9, 15, 16, 17, 63, 64]
     for _ in range(2000):
-        n = rng.randint(2, 8)
+        n = rng.choice(ranks)
         x, y = random_element(rng, n), random_element(rng, n)
         assert sq_formula_general(x, y) == sq(x, y)
 
@@ -64,6 +66,17 @@ def test_commuting_formula_rejects_noncommuting_perms():
     y = from_cycles(3, 0, [(2, 3)])
     with pytest.raises(RackError):
         sq_formula_commuting(x, y)
+
+
+@pytest.mark.parametrize(
+    "formula", [sq, sq_formula_general, sq_formula_commuting, commuting_balance_sides]
+)
+def test_sq_formulas_refuse_a_rank_mismatch(formula):
+    x, y = parse_element("101:(1 2)"), parse_element("0110:(1 2 3 4)")
+    for args in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match=r"^rank mismatch: \d != \d$") as err:
+            formula(*args)
+        assert type(err.value) is ValueError
 
 
 def test_two_two_parity_criterion_exact_iff():

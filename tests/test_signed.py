@@ -1,4 +1,5 @@
 """Signed-permutation arithmetic against an independent monomial-matrix model."""
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from weylrack.signed import (
     GroupKind,
     SignedPermutation,
+    _act,
+    _trusted,
     conjugate,
     contains,
     elements,
@@ -20,6 +23,10 @@ from weylrack.signed import (
     random_element,
     signed_cycle_type,
 )
+
+
+# the small ranks, then ranks around the byte boundaries of _act, up to the largest
+RANKS = list(range(1, 9)) + [9, 15, 16, 17, 63, 64]
 
 
 def apply_point(x, j, s):
@@ -40,17 +47,56 @@ def test_identity_and_inverse():
 def test_multiply_matches_monomial_action():
     rng = random.Random(11)
     for _ in range(500):
-        n = rng.randint(1, 8)
+        n = rng.choice(RANKS)
         x, y = random_element(rng, n), random_element(rng, n)
-        xy = multiply(x, y)
+        xy, x_inv = multiply(x, y), inverse(x)
         for j in range(n):
             assert apply_point(x, *apply_point(y, j, 1)) == apply_point(xy, j, 1)
+            assert apply_point(x_inv, *apply_point(x, j, 1)) == (j, 1)
+
+
+def _act_lowest_bit_first(p, bits):
+    # the reference: one set bit at a time, lowest first
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << p[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def test_act_matches_a_bit_at_a_time_walk():
+    rng = random.Random(47)
+    p = tuple(rng.sample(range(9), 9))
+    for bits in range(1 << 9):
+        assert _act(p, bits) == _act_lowest_bit_first(p, bits)
+    for _ in range(500):
+        p = tuple(rng.sample(range(64), 64))
+        bits = rng.getrandbits(64)
+        assert _act(p, bits) == _act_lowest_bit_first(p, bits)
+
+
+def test_elements_are_slotted_and_frozen():
+    x = from_cycles(3, 0b101, [(1, 2)])
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.bits = 0
+    y = _trusted(3, 0b101, (1, 0, 2))
+    assert y == x == SignedPermutation(3, 0b101, (1, 0, 2))
+    assert hash(y) == hash(x)
+    with pytest.raises(ValueError):
+        SignedPermutation(3, 0b1000, (0, 1, 2))  # a sign past the rank
+    with pytest.raises(ValueError):
+        SignedPermutation(3, 0, (0, 0, 2))  # not a permutation
+    for n in (0, 65):
+        with pytest.raises(ValueError):
+            SignedPermutation(n, 0, tuple(range(n)))
 
 
 def test_conjugate_is_triple_product():
     rng = random.Random(13)
     for _ in range(300):
-        n = rng.randint(1, 7)
+        n = rng.choice(RANKS)
         x, y = random_element(rng, n), random_element(rng, n)
         assert conjugate(x, y) == multiply(multiply(x, y), inverse(x))
 
