@@ -409,7 +409,8 @@ _COMMANDS = {
 
 def main(argv: Optional[list] = None) -> int:
     """Run one subcommand; exit code 2 is a usage error, 3 an exhausted
-    budget, 141 a reader that closed the output pipe early."""
+    budget (with a JSON error object on stdout under ``--json``), 141 a
+    reader that closed the output pipe early."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "group", None) is GroupKind.D and args.n < 2:
@@ -430,6 +431,8 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(str(exc))
     except BudgetExceeded as exc:
         print(f"weylrack: {exc}", file=sys.stderr)
+        payload = {"error": "budget", "budget": exc.budget, "limit": exc.limit, "dims": exc.dims}
+        _emit(args, payload, [])
         return 3
     except BrokenPipeError:
         # the reader closed the pipe (e.g. `| head`): send what is still

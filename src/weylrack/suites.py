@@ -392,13 +392,17 @@ def _suite_yd_braidings(params: dict, rng: random.Random) -> list[dict]:
         _check("transposition_sign_graded_dims", "nichols-dims",
                dims == [1, 3, 4, 3, 1], dims=dims, total=sum(dims))
     )
-    # the engine's recursion S_m = L_m (S_{m-1} (x) id) against the full S_m
+    # the engine's recursion S_m = L_m (S_{m-1} (x) id), on integer-coded
+    # words and decoded, against the full S_m
     ok = True
+    b, table, _ = yd._coded_tables(space)
     for m in range(2, 5):
         for basis in product(range(space.D), repeat=m):
             lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
-            lifted = yd._apply_lm(space.cinv_map, yd._extend(lower, basis[-1]), m)
-            ok = ok and lifted == yd._apply_sm(space, {basis: F.one}, m)
+            coded = {fk._encode(w + basis[-1:], b): c for w, c in lower.items()}
+            lifted = yd._apply_lm(table, coded, m, b)
+            decoded = {fk._decode(w, m, b): c for w, c in lifted.items()}
+            ok = ok and decoded == yd._apply_sm(space, {basis: F.one}, m)
     checks.append(_check("symmetrizer_factorization", "symmetrizer", ok))
     # scalar screens
     one, m1 = F.one, F.minus_one()

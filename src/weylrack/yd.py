@@ -12,12 +12,15 @@ it, and the braid equation and the intertwining of the block embedding hold
 for C exactly when they hold for C^{-1}.  Graded dimensions of the associated
 quotient of the tensor algebra are the exact ranks of the quantum
 symmetrizers S_m, computed degree by degree on B^{m-1} (x) V.  The engine
-runs over Q whenever every braiding scalar is rational (every +-1
-character): a rational matrix has the same rank over Q as over any
-cyclotomic field containing it.  Otherwise it runs over the cyclotomic
-field.  The full symmetrizer, always over the cyclotomic field, is kept as
-the oracle.  The module also houses the scalar screening rules used to rule
-out finite dimension for juxtaposed classes.
+codes each basis word as an ``int``, b = max(1, (D-1).bit_length()) bits per
+letter with the first letter most significant (the coding of the fk rewrite
+engine), and reads C^{-1} from one table on pair codes.  It runs over Q
+whenever every braiding scalar is rational (every +-1 character): a rational
+matrix has the same rank over Q as over any cyclotomic field containing it.
+Otherwise it runs over the cyclotomic field.  The full symmetrizer, on tuple
+words and always over the cyclotomic field, is kept as the oracle.  The
+module also houses the scalar screening rules used to rule out finite
+dimension for juxtaposed classes.
 """
 from __future__ import annotations
 
@@ -43,9 +46,9 @@ from .signed import SignedPermutation, conjugate, identity, multiply
 DEFAULT_ENTRY_BUDGET = 5_000_000
 BRAID_CHECK_MAX_DIM = 24
 # candidate entries one Nichols degree generates; memory follows the echelon rows
-# held, about 160 bytes each over Q: S_4 transpositions with the sign character
-# generate 466,122 at degree 7, hold 106,462 and peak at 37 MB (ru_maxrss, 21 MB
-# at start)
+# held, about 80 bytes each over Q: S_4 transpositions with the sign character
+# generate 466,122 at degree 7, hold 106,462 and peak at 29.5 MB (ru_maxrss,
+# 21 MB at start)
 NICHOLS_ENTRY_BUDGET = 1_000_000
 
 
@@ -262,23 +265,26 @@ def _apply_sm(space: BraidedVectorSpace, vec: dict, m: int, offset: int = 0) -> 
     return _apply_sm(space, vec, m - 1, offset + 1)
 
 
-def _apply_lm(cinv: dict, vec: dict, m: int) -> dict:
-    """L_m = sum_{k=0}^{m-1} T_{m-k}...T_{m-1} on m legs, T_{m-1} applied first.
+def _apply_lm(table: dict, vec: dict, m: int, b: int) -> dict:
+    """L_m = sum_{k=0}^{m-1} T_{m-k}...T_{m-1} on words of m letters, T_{m-1} first.
 
-    T_i is C^{-1} on legs (i, i+1), read from the inverse-braiding table
-    ``cinv``.  With S_m = L_m (S_{m-1} (x) id), one running partial product
-    gives every term in m-1 leg applications.
+    Words are integer codes of ``b`` bits per letter, first letter most
+    significant, and ``table`` is C^{-1} on pair codes (see
+    :func:`_coded_tables`).  T_i is C^{-1} on legs (i, i+1): the pair sits at
+    shift s = (m-1-i)*b, is read as ``(w >> s) & mask`` and rewritten by adding
+    ``delta << s``.  With S_m = L_m (S_{m-1} (x) id), one running partial
+    product gives every term in m-1 leg applications.
     """
+    mask = (1 << 2 * b) - 1
     total = dict(vec)
-    for leg in range(m - 2, -1, -1):
-        vec = _apply_leg(cinv, vec, leg)
+    for s in range(0, (m - 1) * b, b):
+        out = {}
+        for w, coeff in vec.items():
+            delta, c = table[(w >> s) & mask]
+            out[w + (delta << s)] = coeff * c
+        vec = out
         _add_into(total, vec)
     return total
-
-
-def _extend(vec: dict, v: int) -> dict:
-    """vec (x) e_v."""
-    return {basis + (v,): coeff for basis, coeff in vec.items()}
 
 
 def symmetrizer(space: BraidedVectorSpace, m: int) -> dict:
@@ -319,6 +325,13 @@ def nichols_graded_dims(
     ``entry_budget`` bounds the nonzero entries one degree generates; its
     :class:`BudgetExceeded` carries the dims of the degrees before.
 
+    Words are ``int`` codes, b = max(1, (D-1).bit_length()) bits per letter
+    with the first letter most significant (the coding of :func:`fk._encode`),
+    and e_v extends a word w as ``w << b | v``.  On words of one length
+    integer order is lex order, and the echelon lead of a row is its least
+    column, so ranks, pivots (decoded), candidate entry counts and the degree
+    the budget refuses are those of tuple words.
+
     When every inverse-braiding scalar is rational (every character with
     values +-1, whatever its field), the loop runs over Q on a copy of the
     table holding ``int`` and ``Fraction`` values.  Its candidates are then
@@ -328,40 +341,51 @@ def nichols_graded_dims(
     the ``CycScalar`` table.  The oracle :func:`symmetrizer_rank` always
     stays cyclotomic.
     """
-    cinv, one = _rational_table(space.cinv_map), 1
-    if cinv is None:
-        cinv, one = space.cinv_map, space.scalar_field.one
-    pivots = {(v,): {} for v in range(space.D)}  # degree 1: the rows e_v
+    b, table, rational = _coded_tables(space)
+    one = space.scalar_field.one
+    if rational is not None:
+        table, one = rational, 1
+    pivots = {v: {} for v in range(space.D)}  # degree 1: the rows e_v
     dims = [1]
     for m in range(1, max_degree + 1):
         if m > 1:
-            pivots = echelon(_candidates(cinv, space.D, one, pivots, dims, entry_budget))
+            pivots = echelon(_candidates(table, b, space.D, one, pivots, dims, entry_budget))
         if not pivots:
             break
         dims.append(len(pivots))
     return dims
 
 
-def _rational_table(table: dict) -> Optional[dict]:
-    """``table`` with each scalar replaced by its rational value (``int`` or
-    ``Fraction``), or None if some scalar has a coordinate past the first."""
-    out = {}
-    for key, (pair, q) in table.items():
-        c0, *rest = q.coeffs
-        if any(rest):
-            return None
-        out[key] = (pair, c0)
-    return out
+def _coded_tables(space: BraidedVectorSpace) -> tuple[int, dict, Optional[dict]]:
+    """The letter width b = max(1, (D-1).bit_length()) and C^{-1} on pair codes,
+    ``{u << b | v: (code of the image pair - (u << b | v), scalar)}``, once with
+    the ``CycScalar`` values and once with their rational values (``int`` or
+    ``Fraction``), the latter None if some scalar has a coordinate past the
+    first."""
+    b = max(1, (space.D - 1).bit_length())
+    coded, rational = {}, {}
+    for (u, v), ((u2, v2), q) in space.cinv_map.items():
+        code = u << b | v
+        delta = (u2 << b | v2) - code
+        coded[code] = (delta, q)
+        if rational is not None:
+            c0, *rest = q.coeffs
+            if any(rest):
+                rational = None
+            else:
+                rational[code] = (delta, c0)
+    return b, coded, rational
 
 
-def _candidates(cinv: dict, D: int, one, pivots: dict, dims: list, entry_budget: int):
-    """L_m(c (x) e_v), one at a time, for each row c = e_lead + tail of ``pivots``;
+def _candidates(table: dict, b: int, D: int, one, pivots: dict, dims: list, entry_budget: int):
+    """L_m(c (x) e_v), one at a time, for each row c = e_lead + tail of ``pivots``
+    (words coded as in :func:`_apply_lm`, so c (x) e_v is ``{w << b | v}``);
     ``dims`` holds the dims of degrees 0..m-1, so m = len(dims)."""
     m, entries = len(dims), 0
     for lead, tail in pivots.items():
-        col = {lead: one, **tail}
+        col = {lead << b: one, **{w << b: c for w, c in tail.items()}}
         for v in range(D):
-            cand = _apply_lm(cinv, _extend(col, v), m)
+            cand = _apply_lm(table, {w | v: c for w, c in col.items()}, m, b)
             entries += len(cand)
             if entries > entry_budget:
                 raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget, dims)

@@ -168,6 +168,24 @@ def test_nichols_budget_exit_code(capsys):
     ]
 
 
+def test_nichols_budget_exit_code_with_json(capsys):
+    argv = ["--json", "nichols", "--n", "3", "--rep", "000:(1 2)", "--char", "sign",
+            "--budget", "10"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "error": "budget",
+        "budget": "degree-2 Nichols candidate entries",
+        "limit": 10,
+        "dims": [1, 6],
+    }
+    assert captured.out == json.dumps(json.loads(captured.out), sort_keys=True, indent=2) + "\n"
+    assert captured.err.splitlines() == [
+        "weylrack: degree-2 Nichols candidate entries exceeds its budget of 10 after dims [1, 6]"
+    ]
+
+
 def test_classes_budget_exit_code(capsys):
     # B_40 has 9,035,539 classes; the reps are counted, not listed
     t0 = time.monotonic()

@@ -83,12 +83,20 @@ def test_symmetrizer_factorization():
         v = yd._apply_s1j(space, {basis: F.one}, 2, 0)
         v = yd._apply_s1j(space, v, 1, 1)
         assert whole == v
-    # the degree recursion S_m = L_m (S_{m-1} (x) id) on every basis tuple
-    for m in range(2, 5):
-        for basis in product(range(space.D), repeat=m):
-            lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
-            lifted = yd._apply_lm(space.cinv_map, yd._extend(lower, basis[-1]), m)
-            assert lifted == yd._apply_sm(space, {basis: F.one}, m), basis
+    # the degree recursion S_m = L_m (S_{m-1} (x) id) on every basis tuple:
+    # the engine's L_m on integer-coded words against the oracle's tuple S_m,
+    # also over Q(zeta_3), where the coded table keeps its CycScalars
+    zeta3 = CyclotomicField(3)
+    spaces = [(space, F), (_class_space(GroupKind.S, 3, [(1, 2, 3)], _zeta3_rep, zeta3), zeta3)]
+    for space, F in spaces:
+        b, table, _ = yd._coded_tables(space)
+        for m in range(2, 5):
+            for basis in product(range(space.D), repeat=m):
+                lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
+                coded = {fk._encode(w + basis[-1:], b): c for w, c in lower.items()}
+                lifted = yd._apply_lm(table, coded, m, b)
+                decoded = {fk._decode(w, m, b): c for w, c in lifted.items()}
+                assert decoded == yd._apply_sm(space, {basis: F.one}, m), basis
 
 
 def _class_space(kind, n, cycles, rep_factory, F=CyclotomicField(2)):
@@ -126,6 +134,9 @@ CROSS_ENGINE = {
     "B3-(1 2)-sign": (lambda: _class_space(GroupKind.B, 3, [(1, 2)], yd.perm_sign_rep), 4),
     "S4-transpositions-sign": (
         lambda: _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep), 4),
+    # D = 8 = 2^3: every 3-bit letter code is a letter
+    "S4-3-cycles-trivial": (
+        lambda: _class_space(GroupKind.S, 4, [(1, 2, 3)], yd.trivial_rep), 3),
     "zeta3-diagonal": (
         lambda: yd.diagonal_braiding(CyclotomicField(3), [[CyclotomicField(3).zeta(1)]]), 4),
     "S3-3-cycles-zeta3": (
@@ -186,6 +197,16 @@ def test_s4_transpositions_sign_through_degree_eight():
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
     dims = yd.nichols_graded_dims(space, 8, entry_budget=2_000_000)
     assert dims == [1, 6, 19, 42, 71, 96, 106, 96, 71]
+
+
+def test_nichols_candidate_entries_are_pinned():
+    # degree 5 of S_4 transpositions with the sign character generates 20,478
+    # candidate entries: the budget refuses it one entry short and not at the count
+    space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
+    with pytest.raises(BudgetExceeded, match="degree-5") as exc:
+        yd.nichols_graded_dims(space, 5, entry_budget=20_477)
+    assert exc.value.dims == [1, 6, 19, 42, 71]
+    assert yd.nichols_graded_dims(space, 5, entry_budget=20_478) == [1, 6, 19, 42, 71, 96]
 
 
 def test_nichols_entry_budget_names_degree():
