@@ -33,14 +33,17 @@ CLASS_BUDGET = 2_000_000
 REP_BUDGET = 200_000
 
 
-def orbit(seed: SignedPermutation, gens: Sequence[SignedPermutation], act, cap: int) -> dict:
+def orbit(
+    seed: SignedPermutation, gens: Sequence[SignedPermutation], act, cap: int, stop=None
+) -> dict:
     """Breadth-first orbit of ``seed`` under ``act(g, x)`` for g in ``gens``.
 
     Returns a Schreier tree as an insertion-ordered dict
     ``key -> (element, parent_key, generator)`` with ``element == act(generator,
     parent)``; the seed maps to ``(seed, None, None)`` and every parent comes
     before its children.  Raises :class:`BudgetExceeded` once the orbit has
-    more than ``cap`` points.
+    more than ``cap`` points.  The walk ends early, with the part of the tree
+    built so far, when it inserts the key ``stop``.
     """
     tree = {seed.key(): (seed, None, None)}
     frontier = [seed]
@@ -53,6 +56,8 @@ def orbit(seed: SignedPermutation, gens: Sequence[SignedPermutation], act, cap: 
                 if len(tree) >= cap:
                     raise BudgetExceeded(f"orbit of {seed}", cap)
                 tree[yk] = (y, xk, g)
+                if yk == stop:
+                    return tree
                 frontier.append(y)
     return tree
 

@@ -11,6 +11,8 @@ a witness that re-validates from scratch.
 """
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +26,8 @@ from .signed import (
     cycle_structure,
     perm_from_cycles,
 )
+
+SYM_MEMO = 256  # S_n cycle types whose symmetric-subgroup witness is kept
 
 PROVEN = "ProvenTypeD"
 EXCEPTION = "InExceptionList"
@@ -187,6 +191,39 @@ def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(h)
 
 
+# the witnesses sym_class_witness has validated, by id, so that
+# lift_from_sym does not check them again
+_validated_sym: "weakref.WeakValueDictionary[int, TypeDWitness]" = weakref.WeakValueDictionary()
+
+
+def _check_sym(w: TypeDWitness) -> None:
+    ok = w.validate(member=lambda z: z.bits == 0)
+    if not ok:
+        raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
+
+
+@functools.lru_cache(maxsize=SYM_MEMO)
+def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
+    """The type-D witness of the S_n class of ``cycle_type`` (descending
+    lengths, 1s included, so it fixes n) from :func:`rack.brute_force_type_d`,
+    or None; memoised per cycle type, so each process lists and scans a class
+    and validates its witness once.
+
+    The scan sorts the class, so the witness does not depend on the
+    representative listed here, which takes the cycles on consecutive points.
+    """
+    n, cycles, start = sum(cycle_type), [], 1
+    for k in cycle_type:
+        cycles.append(tuple(range(start, start + k)))
+        start += k
+    cls = enumerate_class(GroupKind.S, SignedPermutation(n, 0, perm_from_cycles(n, cycles)))
+    w = brute_force_type_d(cls.elements)
+    if w is not None:
+        _check_sym(w)
+        _validated_sym[id(w)] = w
+    return w
+
+
 def lift_from_sym(
     x: SignedPermutation, sym_witness: TypeDWitness, member
 ) -> Optional[TypeDWitness]:
@@ -197,10 +234,11 @@ def lift_from_sym(
     onto those of the symmetric witness's a and b.  The symmetric parts are
     closed under conjugation by <a.perm, b.perm>, so the orbits of a and b
     under <a, b> lie over disjoint sets of permutations; the permutation part
-    of sq(a, b) is sq of the permutation parts, so sq(a, b) != b."""
-    ok = sym_witness.validate(member=lambda z: z.bits == 0)
-    if not ok:
-        raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
+    of sq(a, b) is sq of the permutation parts, so sq(a, b) != b.  A witness
+    not from :func:`sym_class_witness` is validated first (ValueError if it
+    fails)."""
+    if _validated_sym.get(id(sym_witness)) is not sym_witness:
+        _check_sym(sym_witness)
     a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm)), x)
             for z in (sym_witness.a, sym_witness.b))
     return pair_witness([(a, b)], "sym_lift", member)
@@ -249,20 +287,13 @@ class Classifier:
     of S_n.  A class no rule decides is ``Undetermined``.  Every
     ``ProvenTypeD`` witness has passed the exhaustive check of
     :meth:`rack.TypeDWitness.validate` against that membership test.
-    Symmetric-subgroup witnesses are cached across calls."""
+    Symmetric-subgroup witnesses come from :func:`sym_class_witness`, shared
+    by every classifier of the process and validated once per cycle type."""
 
     def __init__(self, kind: GroupKind, n: int):
         self.kind = kind
         self.n = n
         self.membership = ClassMembership(kind, n)
-        self._sym_witnesses: dict[tuple, Optional[TypeDWitness]] = {}
-
-    def _sym_witness(self, perm: tuple[int, ...]) -> Optional[TypeDWitness]:
-        key = SignedPermutation(self.n, 0, perm).cycle_type()
-        if key not in self._sym_witnesses:
-            cls = enumerate_class(GroupKind.S, SignedPermutation(self.n, 0, perm))
-            self._sym_witnesses[key] = brute_force_type_d(cls.elements)
-        return self._sym_witnesses[key]
 
     def classify(self, x: SignedPermutation) -> TypeDVerdict:
         n = self.n
@@ -283,12 +314,14 @@ class Classifier:
         case = exception_case(x)
         if case is not None:
             return TypeDVerdict(EXCEPTION, exception_case=case, rule_tag="exception_list")
-        sym = self._sym_witness(x.perm)
+        sym = sym_class_witness(x.cycle_type())
         if sym is not None and (v := proven(lift_from_sym(x, sym, member))):
             return v
         return TypeDVerdict(UNDETERMINED, reason="no rule decides the class")
 
 
 def classify(kind: GroupKind, x: SignedPermutation) -> TypeDVerdict:
-    """The verdict of :class:`Classifier` on x."""
+    """The verdict of :class:`Classifier` on x.  The classifier is built
+    afresh for each call; the S_n witnesses of :func:`sym_class_witness`
+    carry over between calls."""
     return Classifier(kind, x.n).classify(x)

@@ -254,12 +254,14 @@ def pair_witness(
     R and S are the orbits of a and b under <a, b>
     (Andruskiewitsch-Fantino-Garcia-Vendramin 2011): each is closed under
     conjugation by the group, which holds R u S, and two orbits are equal or
-    disjoint.  An orbit beyond ``cap`` elements raises BudgetExceeded.
+    disjoint.  The walk of a's orbit stops once it meets b, which rejects the
+    candidate.  An orbit walked beyond ``cap`` elements raises BudgetExceeded.
     """
     for a, b in candidates:
         if (member is None or member(a) and member(b)) and sq(a, b) != b:
-            orb_a = orbit(a, (a, b), conjugate, cap)
-            if b.key() not in orb_a:
+            bk = b.key()
+            orb_a = orbit(a, (a, b), conjugate, cap, stop=bk)
+            if bk not in orb_a:
                 R, S = ([z for z, _, _ in orb.values()]
                         for orb in (orb_a, orbit(b, (a, b), conjugate, cap)))
                 return TypeDWitness(R, S, a, b, tag=tag)

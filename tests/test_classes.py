@@ -32,6 +32,7 @@ from weylrack.signed import (
     group_order,
     identity,
     multiply,
+    parse_element,
     random_element,
 )
 
@@ -146,6 +147,21 @@ def test_orbit_caps_raise_budget_exceeded():
     assert len(cen.elements(cap=cen.order)) == cen.order
     with pytest.raises(BudgetExceeded):
         cen.elements(cap=cen.order - 1)
+
+
+def test_orbit_stops_at_the_stop_key():
+    # b = (1 2 3 4 6 5) lies in the 120-point orbit of a = (1 2 3 4 5 6) under
+    # conjugation by <a, b>; the walk ends when b is inserted, and the cap
+    # still counts every point inserted before it
+    a, b = parse_element("000000:(1 2 3 4 5 6)"), parse_element("000000:(1 2 3 4 6 5)")
+    full = orbit(a, (a, b), conjugate, 120)
+    assert len(full) == 120 and b.key() in full
+    part = orbit(a, (a, b), conjugate, 120, stop=b.key())
+    assert list(part) == list(full)[: len(part)] and list(part)[-1] == b.key()
+    assert len(part) == 11
+    assert orbit(a, (a, b), conjugate, 11, stop=b.key()) == part
+    with pytest.raises(BudgetExceeded):
+        orbit(a, (a, b), conjugate, 10, stop=b.key())
 
 
 def test_class_membership_agrees_with_enumeration():

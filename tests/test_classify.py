@@ -1,6 +1,7 @@
 """Type-D decision procedure: witness constructions, exception list, dispatch."""
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from weylrack.classify import (
     classify,
     exception_case,
     lift_from_sym,
+    sym_class_witness,
     witness_fixed_points,
     witness_odd_cycle,
     witness_pairs_triple,
@@ -116,13 +118,90 @@ def test_sym_lift():
     assert w is not None and w.validate(member=member)
 
 
+def test_lift_from_sym_refuses_an_invalid_witness():
+    # the memo's S_5 witness with one element of S other than b moved into R
+    x = from_cycles(5, 0b00101, [(1, 2, 3, 4, 5)])
+    sym = sym_class_witness(x.cycle_type())
+    moved = next(z for z in sym.S if z != sym.b)
+    broken = TypeDWitness(sym.R + [moved], [z for z in sym.S if z != moved], sym.a, sym.b)
+    assert all(z.bits == 0 for z in broken.R + broken.S)
+    with pytest.raises(ValueError, match="^invalid symmetric-subgroup witness: "):
+        lift_from_sym(x, broken, member_for(GroupKind.B, x))
+
+
+def _rank_six_inputs(kind):
+    """Every rep of rank 6 with a nontrivial permutation, and one seeded
+    conjugate of each."""
+    rng = random.Random(f"sym-memo:{kind.value}")
+    return [
+        x
+        for rep in class_reps(kind, 6)
+        if rep.perm != tuple(range(6))
+        for x in (rep, conjugate(random_element(rng, 6, kind), rep))
+    ]
+
+
+def test_sym_memo_cold_and_warm_verdicts_agree():
+    for kind in (GroupKind.B, GroupKind.D):
+        for x in _rank_six_inputs(kind):
+            sym_class_witness.cache_clear()
+            cold = Classifier(kind, 6).classify(x).to_json()
+            assert Classifier(kind, 6).classify(x).to_json() == cold, str(x)
+
+
+def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
+    # each S_n class is listed, scanned and its witness validated once per
+    # process, whichever classifier asks; lift_from_sym does not check the
+    # memo's witnesses again
+    module = importlib.import_module("weylrack.classify")
+    scanned, listed, validated, lifted = Counter(), [], [], []
+    scan, enumerate_s, lift = module.brute_force_type_d, module.enumerate_class, module.lift_from_sym
+    validate = TypeDWitness.validate
+
+    def spy_scan(elements):
+        scanned[elements[0].cycle_type()] += 1
+        return scan(elements)
+
+    def spy_enumerate(k, x, *args, **kwargs):
+        listed.append(k)
+        return enumerate_s(k, x, *args, **kwargs)
+
+    def spy_validate(w, member=None):
+        validated.append(w)  # held, so no two of them share an id
+        return validate(w, member)
+
+    def spy_lift(x, sym, member):
+        lifted.append((x, sym))
+        return lift(x, sym, member)
+
+    monkeypatch.setattr(module, "brute_force_type_d", spy_scan)
+    monkeypatch.setattr(module, "enumerate_class", spy_enumerate)
+    monkeypatch.setattr(module, "lift_from_sym", spy_lift)
+    monkeypatch.setattr(TypeDWitness, "validate", spy_validate)
+    sym_class_witness.cache_clear()
+    b6 = _rank_six_inputs(GroupKind.B)
+    for x in b6 + b6:
+        Classifier(GroupKind.B, 6).classify(x)
+    assert listed and set(listed) == {GroupKind.S}
+    listed.clear()
+    d_lifts = len(lifted)
+    for x in _rank_six_inputs(GroupKind.D):
+        classify(GroupKind.D, x)
+    assert not listed and len(lifted) > d_lifts
+    assert set(scanned.values()) == {1}
+    assert set(scanned) == {x.cycle_type() for x, _ in lifted}
+    assert {sum(w is sym for w in validated) for _, sym in lifted} == {1}
+
+
 @pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
 def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     # every rep of rank 5-7 and one seeded conjugate each: the procedure
     # lists only S_n classes, a lifted witness keeps the permutation parts of
     # its S_n witness's pair, and every witness's R and S are the orbits of a
-    # and b under conjugation by <a, b>
+    # and b under conjugation by <a, b>; the S_n memo starts cold, so the
+    # listing is seen
     module = importlib.import_module("weylrack.classify")
+    module.sym_class_witness.cache_clear()
     listed, lifts = set(), []
     enumerate_s, lift = module.enumerate_class, module.lift_from_sym
 

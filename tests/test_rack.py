@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from weylrack.classes import ClassMembership, all_classes, enumerate_class
+from weylrack.classes import CLASS_BUDGET, ClassMembership, all_classes, enumerate_class, orbit
 from weylrack.classify import PROVEN, classify
 from weylrack import rack as rack_module
 from weylrack.rack import (
@@ -145,6 +145,24 @@ def test_brute_force_respects_orbit_cap_and_max_pairs(monkeypatch):
         assert brute_force_type_d(cls.elements) is None
     monkeypatch.setattr(rack_module, "MAX_PAIRS", 0)
     assert brute_force_type_d(cls.elements) is None
+
+
+def test_rejected_pair_walks_a_orbit_only_up_to_b(monkeypatch):
+    # b lies in the 120-point orbit of a under conjugation by <a, b>, so the
+    # pair is rejected; the walk of a's orbit ends when it meets b
+    a, b = parse_element("000000:(1 2 3 4 5 6)"), parse_element("000000:(1 2 3 4 6 5)")
+    assert len(orbit(a, (a, b), conjugate, CLASS_BUDGET)) == 120
+    calls = []
+
+    def counting(g, x):
+        calls.append(x)
+        return conjugate(g, x)
+
+    monkeypatch.setattr(rack_module, "conjugate", counting)
+    assert rack_module.pair_witness([(a, b)], "") is None
+    # 3 conjugations for sq(a, b) != b and 11 for the walk, where the whole
+    # orbit takes 2 * 120
+    assert len(calls) == 14
 
 
 def test_brute_force_undetermined_on_singleton():
