@@ -48,4 +48,4 @@ from .linalg import rank
 from .cache import ResultCache, ResultRecord
 from .suites import SUITES, run_suite
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

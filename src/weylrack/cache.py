@@ -1,8 +1,9 @@
 """Append-only JSONL result cache with per-line checksums.
 
 One record per line; keys are sorted so identical inputs at the same library
-version produce byte-identical lines.  Corrupt lines (checksum mismatch) are
-skipped with a warning rather than aborting.
+version produce byte-identical lines.  Corrupt lines (not JSON, not an object
+holding a record object, or a checksum mismatch) are skipped with a warning
+rather than aborting.
 """
 from __future__ import annotations
 
@@ -48,11 +49,13 @@ class ResultRecord:
     @classmethod
     def from_line(cls, line: str) -> "ResultRecord":
         outer = json.loads(line)
-        body = json.dumps(outer["record"], sort_keys=True, separators=(",", ":"))
+        rec = outer.get("record") if isinstance(outer, dict) else None
+        if not isinstance(rec, dict):
+            raise ValueError("not a cache record")
+        body = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         if digest != outer.get("sha256"):
             raise ValueError("checksum mismatch")
-        rec = outer["record"]
         return cls(
             command=rec["command"],
             inputs=rec["inputs"],
@@ -85,7 +88,7 @@ class ResultCache:
                 continue
             try:
                 rec = ResultRecord.from_line(line)
-            except (ValueError, KeyError, json.JSONDecodeError):
+            except (ValueError, KeyError):
                 warnings.warn(f"{self.path}:{lineno}: corrupt cache line skipped")
                 continue
             rec.stale = rec.library_version != self.library_version

@@ -12,7 +12,6 @@ a witness that re-validates from scratch.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -191,23 +190,13 @@ def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(h)
 
 
-# the witnesses sym_class_witness has validated, by id, so that
-# lift_from_sym does not check them again
-_validated_sym: "weakref.WeakValueDictionary[int, TypeDWitness]" = weakref.WeakValueDictionary()
-
-
-def _check_sym(w: TypeDWitness) -> None:
-    ok = w.validate(member=lambda z: z.bits == 0)
-    if not ok:
-        raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
-
-
 @functools.lru_cache(maxsize=SYM_MEMO)
 def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
     """The type-D witness of the S_n class of ``cycle_type`` (descending
     lengths, 1s included, so it fixes n) from :func:`rack.brute_force_type_d`,
     or None; memoised per cycle type, so each process lists and scans a class
-    and validates its witness once.
+    and validates its witness once, with the zero-sign member test (ValueError
+    if it fails).
 
     The scan sorts the class, so the witness does not depend on the
     representative listed here, which takes the cycles on consecutive points.
@@ -219,28 +208,26 @@ def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
     cls = enumerate_class(GroupKind.S, SignedPermutation(n, 0, perm_from_cycles(n, cycles)))
     w = brute_force_type_d(cls.elements)
     if w is not None:
-        _check_sym(w)
-        _validated_sym[id(w)] = w
+        ok = w.validate(member=lambda z: z.bits == 0)
+        if not ok:
+            raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
     return w
 
 
-def lift_from_sym(
-    x: SignedPermutation, sym_witness: TypeDWitness, member
-) -> Optional[TypeDWitness]:
-    """Lift a zero-sign (symmetric-subgroup) witness for the class of the
-    permutation part to the signed class of x.
+def lift_from_sym(x: SignedPermutation, member) -> Optional[TypeDWitness]:
+    """Lift the symmetric-subgroup witness of the class of the permutation
+    part, from :func:`sym_class_witness`, to the signed class of x; None when
+    that S_n class has no witness.
 
     a and b are the conjugates of x by (0, h) with h carrying x's permutation
     onto those of the symmetric witness's a and b.  The symmetric parts are
     closed under conjugation by <a.perm, b.perm>, so the orbits of a and b
     under <a, b> lie over disjoint sets of permutations; the permutation part
-    of sq(a, b) is sq of the permutation parts, so sq(a, b) != b.  A witness
-    not from :func:`sym_class_witness` is validated first (ValueError if it
-    fails)."""
-    if _validated_sym.get(id(sym_witness)) is not sym_witness:
-        _check_sym(sym_witness)
-    a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm)), x)
-            for z in (sym_witness.a, sym_witness.b))
+    of sq(a, b) is sq of the permutation parts, so sq(a, b) != b."""
+    sym = sym_class_witness(x.cycle_type())
+    if sym is None:
+        return None
+    a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm)), x) for z in (sym.a, sym.b))
     return pair_witness([(a, b)], "sym_lift", member)
 
 
@@ -314,8 +301,7 @@ class Classifier:
         case = exception_case(x)
         if case is not None:
             return TypeDVerdict(EXCEPTION, exception_case=case, rule_tag="exception_list")
-        sym = sym_class_witness(x.cycle_type())
-        if sym is not None and (v := proven(lift_from_sym(x, sym, member))):
+        if v := proven(lift_from_sym(x, member)):
             return v
         return TypeDVerdict(UNDETERMINED, reason="no rule decides the class")
 

@@ -186,7 +186,12 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _cached(args, command: str, inputs: dict, compute):
-    cache = ResultCache(args.cache_dir, __version__) if args.cache_dir else None
+    cache = None
+    if args.cache_dir:
+        try:
+            cache = ResultCache(args.cache_dir, __version__)
+        except OSError as exc:
+            raise _UsageError(f"--cache-dir {args.cache_dir}: {exc.strerror}") from None
     if cache is not None:
         hit = cache.get(command, inputs)
         if hit is not None and not hit.stale:
@@ -357,14 +362,12 @@ def _cmd_fk(args) -> int:
         budget = fk.FK_ENTRY_BUDGET if args.budget is None else args.budget
         dims_by = {e: fk.graded_dims(pres, args.max_degree, e, budget) for e in engines}
         dims = dims_by[engines[0]]
-        probe = fk.FinitenessProbe.from_dims(dims, args.max_degree)
         return {
             "label": pres.label,
             "graded_dims": dims,
             "total": sum(dims),
             "engines_agree": len(set(map(tuple, dims_by.values()))) == 1,
-            "probe": probe.to_json(),
-            "forced_constraints": pres.forced_constraints,
+            "probe": fk.probe(dims, args.max_degree),
         }
 
     payload, cached = _cached(args, "fk", inputs, compute)

@@ -1,9 +1,10 @@
-"""Quadratic algebras on generators x_ij: the square-free braided family.
+"""Quadratic algebras: the square-free braided family and two dimension engines.
 
-Two presentations are supported: the classical one on generators x_ij with
-i<j, and the sign-twisted family A(alpha, beta, gamma, lambda) on all x_ij,
-i != j, where x_ij = gamma_ij x_ji identifies opposite pairs.  The classical
-algebra is the instance (alpha, beta, gamma, lambda) = (1, 1, -1, 1).
+A :class:`QuadraticPresentation` is quadratic relations on generators
+0..num_gens-1, which is all the engines read.  :func:`presentation` builds the
+sign-twisted family A(alpha, beta, gamma, lambda) on generators x_ij, i<j,
+where x_ji = gamma_ij x_ij, and :func:`fk_presentation` its classical instance
+E_n = (1, 1, -1, 1); :func:`ordered_form_relations` is E_n's i<j form.
 
 Graded dimensions are computed by two independent engines: an iterative
 linear-algebra quotient (degree by degree, on the echelon kernel of
@@ -31,7 +32,7 @@ integer (``linalg._normal``), so later reductions through it stay in ``int``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count, permutations, product
 from typing import Optional
@@ -69,31 +70,35 @@ def _sign_lookup(value, key, default_desc):
 
 @dataclass
 class QuadraticPresentation:
-    """Quadratic relations over the canonical generators x_ij, i<j."""
+    """Quadratic relations on the generators 0..num_gens-1.
 
-    n: int
-    gens: list  # list of (i, j) with i < j, 1-based
-    relations: list  # list of Poly over canonical generator indices
+    Every relation word must be a pair of generator indices, which is checked
+    here, so both engines read the relations without checking them again.
+    """
+
+    num_gens: int
+    relations: list  # list of Poly over pairs of generator indices
     label: str = ""
-    forced_constraints: list = field(default_factory=list)
 
-    @property
-    def num_gens(self) -> int:
-        return len(self.gens)
-
-
-def _check_relations(pres: QuadraticPresentation) -> None:
-    """Both engines read a relation word as a pair of generator indices."""
-    for rel in pres.relations:
-        for w in rel:
-            if len(w) != 2 or not all(type(g) is int and 0 <= g < pres.num_gens for g in w):
-                raise ValueError(
-                    f"relation word {w!r} is not a pair of generator indices "
-                    f"0..{pres.num_gens - 1}"
-                )
+    def __post_init__(self):
+        G = self.num_gens
+        for rel in self.relations:
+            for w in rel:
+                if len(w) != 2 or not all(type(g) is int and 0 <= g < G for g in w):
+                    raise ValueError(
+                        f"relation word {w!r} is not a pair of generator indices 0..{G - 1}"
+                    )
 
 
-def _build(n, alpha, beta, gamma, lam, label) -> QuadraticPresentation:
+def presentation(n, alpha=1, beta=1, gamma=-1, lam=1, label="") -> QuadraticPresentation:
+    """The sign-twisted family A(alpha, beta, gamma, lambda) on x_ij, i<j, in
+    lex order.  Each sign argument is a constant +-1 or a dict keyed by 1-based
+    index tuples: (i,j,k) for alpha/beta, (i,j) with i<j for gamma, and
+    (i,j,k,l) for lambda.  When lambda_ijkl lambda_klij != 1, the two
+    commutation relations of x_ij and x_kl put x_ij x_kl in the ideal.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
     gens = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {p: k for k, p in enumerate(gens)}
     gamma_map = {p: _sign_lookup(gamma, p, "gamma") for p in gens}
@@ -132,45 +137,20 @@ def _build(n, alpha, beta, gamma, lam, label) -> QuadraticPresentation:
             poly[w] = poly.get(w, 0) + c
         add(poly)
     # (iii) commutation on disjoint pairs
-    forced = []
-    lam_seen = {}
     for i, j, k, l in permutations(range(1, n + 1), 4):
         lv = _sign_lookup(lam, (i, j, k, l), "lambda")
-        lam_seen[(i, j, k, l)] = lv
         g1, s1 = x(i, j)
         g2, s2 = x(k, l)
         poly = {}
         for w, c in (((g1, g2), s1 * s2), ((g2, g1), -lv * s1 * s2)):
             poly[w] = poly.get(w, 0) + c
         add(poly)
-    for key, lv in lam_seen.items():
-        i, j, k, l = key
-        other = lam_seen.get((k, l, i, j))
-        if other is not None and lv * other != 1 and key < (k, l, i, j):
-            forced.append(
-                f"lambda[{key}] * lambda[{(k, l, i, j)}] != 1 forces "
-                f"x_{i}{j} x_{k}{l} = 0"
-            )
-    return QuadraticPresentation(n, gens, relations, label, forced)
-
-
-def presentation(n, alpha=1, beta=1, gamma=-1, lam=1, label="") -> QuadraticPresentation:
-    """The sign-twisted family A(alpha, beta, gamma, lambda).
-
-    Each sign argument is either a constant +-1 or a dict keyed by 1-based
-    index tuples: (i,j,k) for alpha/beta, (i,j) with i<j for gamma, and
-    (i,j,k,l) for lambda.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return _build(n, alpha, beta, gamma, lam, label or f"A(n={n})")
+    return QuadraticPresentation(len(gens), relations, label or f"A(n={n})")
 
 
 def fk_presentation(n) -> QuadraticPresentation:
-    """The classical square-free algebra: the (1, 1, -1, 1) instance."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return _build(n, 1, 1, -1, 1, f"E_{n}")
+    """The classical square-free algebra E_n: the (1, 1, -1, 1) instance."""
+    return presentation(n, label=f"E_{n}")
 
 
 def ordered_form_relations(n) -> list:
@@ -178,20 +158,19 @@ def ordered_form_relations(n) -> list:
     gens = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {p: k for k, p in enumerate(gens)}
     rels: list[Poly] = []
-    one = 1
     for k in range(len(gens)):
-        rels.append({(k, k): one})
+        rels.append({(k, k): 1})
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 ij, jk, ik = index[(i, j)], index[(j, k)], index[(i, k)]
-                rels.append({(ij, jk): one, (jk, ik): -one, (ik, ij): -one})
-                rels.append({(jk, ij): one, (ik, jk): -one, (ij, ik): -one})
+                rels.append({(ij, jk): 1, (jk, ik): -1, (ik, ij): -1})
+                rels.append({(jk, ij): 1, (ik, jk): -1, (ij, ik): -1})
     for (i, j) in gens:
         for (k, l) in gens:
             if len({i, j, k, l}) == 4 and (i, j) < (k, l):
                 a, b = index[(i, j)], index[(k, l)]
-                rels.append({(a, b): one, (b, a): -one})
+                rels.append({(a, b): 1, (b, a): -1})
     return rels
 
 
@@ -238,7 +217,6 @@ def graded_dims_linear(
     counted as the rows are built; its :class:`BudgetExceeded` carries the
     dims of the degrees before.
     """
-    _check_relations(pres)
     G = pres.num_gens
     dims = [1, G]
     if max_degree == 0:
@@ -441,7 +419,6 @@ def complete_to_degree(
     are queued by old-rule insertion index, (lead, old) before (old, lead),
     positions ascending, then the lead's self-overlaps.
     """
-    _check_relations(pres)
     b = max(1, (pres.num_gens - 1).bit_length())
     lhs: list = []  # rule lhs codes, in insertion order
     lens: list = []  # their lengths
@@ -538,23 +515,15 @@ def graded_dims(
     raise ValueError(f"unknown engine {engine!r}")
 
 
-@dataclass
-class FinitenessProbe:
-    status: str  # "VanishesAtDegree" or "StillGrowing"
-    degree: Optional[int]
-    dims: list
+def probe(dims: list, max_degree: int) -> dict:
+    """The finiteness verdict of graded dims computed up to ``max_degree``:
+    ``{"status", "degree", "dims"}``, with status "VanishesAtDegree" and the
+    first zero degree, or "StillGrowing" and degree None.
 
-    @classmethod
-    def from_dims(cls, dims: list, max_degree: int) -> "FinitenessProbe":
-        """The verdict of graded dims computed up to ``max_degree``.
-
-        A zero at degree m settles all higher degrees: for the linear engine
-        the next space is a quotient of A_m (x) V = 0; for the rewrite engine
-        every subword of an irreducible word is irreducible.
-        """
-        if len(dims) <= max_degree:
-            return cls("VanishesAtDegree", len(dims), dims)
-        return cls("StillGrowing", None, dims)
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "degree": self.degree, "dims": self.dims}
+    A zero at degree m settles all higher degrees: for the linear engine the
+    next space is a quotient of A_m (x) V = 0; for the rewrite engine every
+    subword of an irreducible word is irreducible.
+    """
+    if len(dims) <= max_degree:
+        return {"status": "VanishesAtDegree", "degree": len(dims), "dims": dims}
+    return {"status": "StillGrowing", "degree": None, "dims": dims}

@@ -1,4 +1,5 @@
 """JSONL result cache: roundtrips, checksums, staleness."""
+import hashlib
 import json
 
 import pytest
@@ -39,9 +40,15 @@ def test_corrupt_line_is_skipped_with_warning(tmp_path):
     cache.put("classes", {"n": 4}, {"count": 20})
     lines = cache.path.read_text("utf-8").splitlines()
     lines[0] = lines[0].replace('"count":10', '"count":99')  # checksum now wrong
+    # valid JSON that is not a record object, and a record that is not an object
+    five = hashlib.sha256(b"5").hexdigest()
+    lines += ["[]", '"x"', "5", json.dumps({"record": 5, "sha256": five})]
     cache.path.write_text("\n".join(lines) + "\n", "utf-8")
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         reloaded = ResultCache(tmp_path, "1.0")
+    assert [str(w.message).rsplit(":", 1)[1] for w in caught] == [
+        " corrupt cache line skipped"
+    ] * 5
     assert reloaded.get("classes", {"n": 3}) is None
     assert reloaded.get("classes", {"n": 4}).payload == {"count": 20}
 

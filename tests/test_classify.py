@@ -114,19 +114,28 @@ def test_sym_lift():
     )
     assert isinstance(sym, TypeDWitness)
     member = member_for(GroupKind.B, x)
-    w = lift_from_sym(x, sym, member)
+    w = lift_from_sym(x, member)
     assert w is not None and w.validate(member=member)
+    # the memo's witness, listed from another representative, is the same
+    assert (w.a.perm, w.b.perm) == (sym.a.perm, sym.b.perm)
 
 
-def test_lift_from_sym_refuses_an_invalid_witness():
-    # the memo's S_5 witness with one element of S other than b moved into R
-    x = from_cycles(5, 0b00101, [(1, 2, 3, 4, 5)])
-    sym = sym_class_witness(x.cycle_type())
-    moved = next(z for z in sym.S if z != sym.b)
-    broken = TypeDWitness(sym.R + [moved], [z for z in sym.S if z != moved], sym.a, sym.b)
-    assert all(z.bits == 0 for z in broken.R + broken.S)
-    with pytest.raises(ValueError, match="^invalid symmetric-subgroup witness: "):
-        lift_from_sym(x, broken, member_for(GroupKind.B, x))
+def test_sym_class_witness_refuses_an_invalid_witness(monkeypatch):
+    # the S_5 witness with one element of S other than b moved into R
+    module = importlib.import_module("weylrack.classify")
+    cycle_type = from_cycles(5, 0, [(1, 2, 3, 4, 5)]).cycle_type()
+    sym_class_witness.cache_clear()
+    try:
+        sym = sym_class_witness(cycle_type)
+        moved = next(z for z in sym.S if z != sym.b)
+        broken = TypeDWitness(sym.R + [moved], [z for z in sym.S if z != moved], sym.a, sym.b)
+        assert all(z.bits == 0 for z in broken.R + broken.S)
+        monkeypatch.setattr(module, "brute_force_type_d", lambda elements: broken)
+        sym_class_witness.cache_clear()
+        with pytest.raises(ValueError, match="^invalid symmetric-subgroup witness: "):
+            sym_class_witness(cycle_type)
+    finally:
+        sym_class_witness.cache_clear()
 
 
 def _rank_six_inputs(kind):
@@ -151,8 +160,8 @@ def test_sym_memo_cold_and_warm_verdicts_agree():
 
 def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
     # each S_n class is listed, scanned and its witness validated once per
-    # process, whichever classifier asks; lift_from_sym does not check the
-    # memo's witnesses again
+    # process, whichever classifier asks; lift_from_sym reads the memo and
+    # does not check its witnesses again
     module = importlib.import_module("weylrack.classify")
     scanned, listed, validated, lifted = Counter(), [], [], []
     scan, enumerate_s, lift = module.brute_force_type_d, module.enumerate_class, module.lift_from_sym
@@ -170,9 +179,9 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
         validated.append(w)  # held, so no two of them share an id
         return validate(w, member)
 
-    def spy_lift(x, sym, member):
-        lifted.append((x, sym))
-        return lift(x, sym, member)
+    def spy_lift(x, member):
+        lifted.append(x)
+        return lift(x, member)
 
     monkeypatch.setattr(module, "brute_force_type_d", spy_scan)
     monkeypatch.setattr(module, "enumerate_class", spy_enumerate)
@@ -189,8 +198,10 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
         classify(GroupKind.D, x)
     assert not listed and len(lifted) > d_lifts
     assert set(scanned.values()) == {1}
-    assert set(scanned) == {x.cycle_type() for x, _ in lifted}
-    assert {sum(w is sym for w in validated) for _, sym in lifted} == {1}
+    assert set(scanned) == {x.cycle_type() for x in lifted}
+    syms = [sym_class_witness(x.cycle_type()) for x in lifted]
+    assert None not in syms and set(scanned.values()) == {1}
+    assert {sum(w is sym for w in validated) for sym in syms} == {1}
 
 
 @pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
@@ -209,9 +220,9 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
         listed.add(k)
         return enumerate_s(k, x, *args, **kwargs)
 
-    def spy_lift(x, sym, member):
-        w = lift(x, sym, member)
-        lifts.append((sym, w))
+    def spy_lift(x, member):
+        w = lift(x, member)
+        lifts.append((module.sym_class_witness(x.cycle_type()), w))
         return w
 
     monkeypatch.setattr(module, "enumerate_class", spy_enumerate)

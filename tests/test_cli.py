@@ -107,6 +107,24 @@ def test_fk_command(capsys):
     assert data["probe"]["status"] == "VanishesAtDegree"
 
 
+def test_fk_json_payload(capsys):
+    code, data = run_json(capsys, "fk", "--n", "3")
+    assert code == 0
+    assert sorted(data) == ["cached", "engines_agree", "graded_dims", "label", "probe", "total"]
+    assert data["label"] == "E_3"
+
+
+@pytest.mark.parametrize(
+    "max_degree, status, degree", [("4", "StillGrowing", None), ("5", "VanishesAtDegree", 5)]
+)
+def test_fk_probe_boundary(capsys, max_degree, status, degree):
+    # E_3 has dims [1, 3, 4, 3, 1]: the zero at degree 5 is seen only when
+    # degree 5 is computed
+    code, data = run_json(capsys, "fk", "--n", "3", "--max-degree", max_degree)
+    assert code == 0
+    assert data["probe"] == {"status": status, "degree": degree, "dims": [1, 3, 4, 3, 1]}
+
+
 def test_fk_signs_file(capsys, tmp_path):
     signs = tmp_path / "signs.json"
     signs.write_text(json.dumps({"alpha": 1, "beta": 1, "gamma": -1, "lambda": 1}))
@@ -307,6 +325,25 @@ def test_bad_signs_files_are_usage_errors(capsys, tmp_path, content, message):
     lines = [line for line in err.splitlines() if _is_usage_error(line)]
     assert "Traceback" not in err and len(lines) == 1
     assert f"--signs {signs}: " in lines[0] and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["typed", "--n", "5", "--rep", "00000:(1 2 3 4 5)"],
+        ["fk", "--n", "3"],
+    ],
+)
+def test_cache_dir_naming_a_file_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(path), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = [line for line in captured.err.splitlines() if _is_usage_error(line)]
+    assert len(lines) == 1 and lines[0].startswith(f"weylrack: error: --cache-dir {path}: ")
 
 
 def test_char_value_count_is_usage_error(capsys):

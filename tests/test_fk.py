@@ -11,12 +11,16 @@ from weylrack import fk
 from weylrack.errors import BudgetExceeded
 
 
-def test_forced_constraints_are_reported():
+def test_lambda_pair_off_one_puts_the_product_in_the_ideal():
+    # lambda_1234 * lambda_3412 = -1: the two commutation relations of x_12 and
+    # x_34 (generators 0 and 5) give x_12 x_34 = x_34 x_12 = 0
     lam = {key: 1 for key in permutations(range(1, 5), 4)}
-    lam[(3, 4, 1, 2)] = -1  # lambda_1234 * lambda_3412 != 1 forces a zero product
+    lam[(3, 4, 1, 2)] = -1
     pres = fk.presentation(4, 1, 1, -1, lam)
-    assert pres.forced_constraints
-    assert fk.presentation(4).forced_constraints == []
+    rules = fk.complete_to_degree(pres, 2).rules
+    assert rules[(0, 5)] == {} and rules[(5, 0)] == {(0, 5): 1}
+    for engine in ("linear", "rewrite"):
+        assert fk.graded_dims(pres, 8, engine) == [1, 6, 18, 34, 35, 12]  # E_4: 19 in degree 2
 
 
 def test_presentations_need_rank_two():
@@ -147,11 +151,8 @@ def test_completion_rules_are_pinned(n, max_degree, digest):
 
 @pytest.mark.parametrize("word", [(0,), (0, 1, 1), (0, 2), (-1, 0)])
 def test_relation_words_must_be_generator_pairs(word):
-    pres = fk.QuadraticPresentation(3, [(1, 2), (1, 3)], [{(0, 0): 1}, {word: 1, (1, 0): 1}])
-    with pytest.raises(ValueError, match=re.escape(f"relation word {word!r}")):
-        fk.complete_to_degree(pres, 4)
-    with pytest.raises(ValueError, match=re.escape(f"relation word {word!r}")):
-        fk.graded_dims_linear(pres, 4)
+    with pytest.raises(ValueError, match=re.escape(f"relation word {word!r} is not a pair")):
+        fk.QuadraticPresentation(2, [{(0, 0): 1}, {word: 1, (1, 0): 1}])
 
 
 def test_rewrite_rule_budget():
@@ -179,9 +180,7 @@ def _exact(value) -> bool:
 def test_non_unit_leads_fall_back_to_fraction(monkeypatch):
     # x0^2 = x1^2 = 0 and 2 x0x1 = 3 x1x0: the lead is 2 x0x1 under the linear
     # pivot order (least column) and -3 x1x0 under the rewrite order
-    pres = fk.QuadraticPresentation(
-        3, [(1, 2), (1, 3)], [{(0, 0): 1}, {(1, 1): 1}, {(0, 1): 2, (1, 0): -3}]
-    )
+    pres = fk.QuadraticPresentation(2, [{(0, 0): 1}, {(1, 1): 1}, {(0, 1): 2, (1, 0): -3}])
     pivots = []
     echelon = fk.echelon
 
@@ -259,7 +258,7 @@ def test_ordered_form_generates_same_ideal():
     for n in (3, 4):
         pres = fk.fk_presentation(n)
         ordered = fk.ordered_form_relations(n)
-        assert fk.ideal_slices_equal(pres.relations, ordered, len(pres.gens), 4)
+        assert fk.ideal_slices_equal(pres.relations, ordered, pres.num_gens, 4)
 
 
 def test_engines_agree_on_random_sign_twists():
@@ -280,20 +279,11 @@ def test_engines_agree_on_random_sign_twists():
 
 
 def test_finiteness_probe_statuses():
-    finite = fk.FinitenessProbe.from_dims(fk.graded_dims(fk.fk_presentation(3), 10), 10)
-    assert finite.status == "VanishesAtDegree"
-    assert finite.degree == 5
-    assert sum(finite.dims) == 12
+    finite = fk.probe(fk.graded_dims(fk.fk_presentation(3), 10), 10)
+    assert finite == {"status": "VanishesAtDegree", "degree": 5, "dims": [1, 3, 4, 3, 1]}
     # truncating before the dimensions vanish leaves the question open
-    open_probe = fk.FinitenessProbe.from_dims(fk.graded_dims(fk.fk_presentation(3), 3), 3)
-    assert open_probe.status == "StillGrowing"
-
-
-def test_probe_json_roundtrip():
-    probe = fk.FinitenessProbe.from_dims(fk.graded_dims(fk.fk_presentation(3), 10), 10)
-    data = probe.to_json()
-    assert data["status"] == "VanishesAtDegree"
-    assert data["dims"] == [1, 3, 4, 3, 1]
+    open_probe = fk.probe(fk.graded_dims(fk.fk_presentation(3), 3), 3)
+    assert open_probe == {"status": "StillGrowing", "degree": None, "dims": [1, 3, 4, 3]}
 
 
 def test_rewrite_system_normal_forms_count():

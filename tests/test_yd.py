@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from weylrack import fk, yd
-from weylrack.classes import centralizer, enumerate_class, is_orthogonal
+from weylrack.classes import ConjugacyClass, centralizer, enumerate_class, is_orthogonal
 from weylrack.cyclotomic import CyclotomicField, CycScalar
 from weylrack.errors import BudgetExceeded
 from weylrack.signed import GroupKind, from_cycles
@@ -38,6 +38,16 @@ def test_graded_dims_invariant_under_class_renumbering():
     cen = centralizer(GroupKind.S, cls2.rep, cls2)
     module2 = yd.build_yd_module(cls2, yd.perm_sign_rep(cen, F))
     assert yd.nichols_graded_dims(module2.braided_space(), 8) == [1, 3, 4, 3, 1]
+
+
+def test_section_inconsistent_with_numeration_is_refused():
+    module, _ = sym_transposition_module(yd.perm_sign_rep)
+    cls = module.cls
+    section = list(cls.section)
+    section[0], section[1] = section[1], section[0]
+    swapped = ConjugacyClass(cls.kind, cls.rep, list(cls.elements), section)
+    with pytest.raises(ValueError, match="^class section inconsistent with numeration$"):
+        yd.build_yd_module(swapped, module.rep)
 
 
 def test_flip_braiding_gives_binomials():
