@@ -1,5 +1,6 @@
 """Quadratic algebras: presentations, two dimension engines, finiteness probe."""
 import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -284,6 +285,13 @@ def test_finiteness_probe_statuses():
     # truncating before the dimensions vanish leaves the question open
     open_probe = fk.probe(fk.graded_dims(fk.fk_presentation(3), 3), 3)
     assert open_probe == {"status": "StillGrowing", "degree": None, "dims": [1, 3, 4, 3]}
+
+
+def test_probe_json_roundtrip():
+    data = fk.probe(fk.graded_dims(fk.fk_presentation(3), 10), 10)
+    assert json.loads(json.dumps(data)) == data
+    assert data["status"] == "VanishesAtDegree"
+    assert data["dims"] == [1, 3, 4, 3, 1]
 
 
 def test_rewrite_system_normal_forms_count():
