@@ -1,16 +1,16 @@
 """Append-only JSONL result cache with per-line checksums.
 
 One record per line; keys are sorted so identical inputs at the same library
-version produce byte-identical lines.  Corrupt lines (not JSON, not an object
-holding a record object, or a checksum mismatch) are skipped with a warning
-rather than aborting.
+version produce byte-identical lines.  Corrupt lines (not JSON, not a record
+object with a payload object, or a checksum mismatch) are skipped with a
+warning; records of another library version are never served.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +25,6 @@ class ResultRecord:
     wall_time_ms: int = 0
     library_version: str = ""
     schema_version: int = SCHEMA_VERSION
-    stale: bool = field(default=False, compare=False)
 
     def body(self) -> dict:
         return {
@@ -50,7 +49,7 @@ class ResultRecord:
     def from_line(cls, line: str) -> "ResultRecord":
         outer = json.loads(line)
         rec = outer.get("record") if isinstance(outer, dict) else None
-        if not isinstance(rec, dict):
+        if not isinstance(rec, dict) or not isinstance(rec.get("payload"), dict):
             raise ValueError("not a cache record")
         body = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -91,11 +90,11 @@ class ResultCache:
             except (ValueError, KeyError):
                 warnings.warn(f"{self.path}:{lineno}: corrupt cache line skipped")
                 continue
-            rec.stale = rec.library_version != self.library_version
-            self._records[_key(rec.command, rec.inputs)] = rec
+            if rec.library_version == self.library_version:
+                self._records[_key(rec.command, rec.inputs)] = rec
 
     def get(self, command: str, inputs: dict) -> Optional[ResultRecord]:
-        """A cached record, if any; records from other versions come back stale."""
+        """The cached record of this library version, if any."""
         return self._records.get(_key(command, inputs))
 
     def put(self, command: str, inputs: dict, payload: dict, wall_time_ms: int = 0) -> ResultRecord:

@@ -10,14 +10,17 @@ number against the formula.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded
 from .signed import (
     GroupKind,
     SignedPermutation,
+    _trusted,
     conjugate,
     contains,
     cycle_structure,
@@ -103,6 +106,12 @@ class ConjugacyClass:
             self._index.update({t.key(): i for i, t in enumerate(self.elements)})
         return self._index[x.key()]
 
+    def check_budget(self, budget: int = CLASS_BUDGET) -> None:
+        """Raise :class:`BudgetExceeded` if the class has more than ``budget``
+        elements."""
+        if self.size > budget:
+            raise BudgetExceeded(f"orbit of {self.rep}", budget)
+
     def _list(self, budget: int) -> None:
         """Orbit of the rep under conjugation by the fixed generator list.
 
@@ -111,8 +120,7 @@ class ConjugacyClass:
         the Schreier tree: each is a generator times its parent's conjugator.
         """
         rep, n = self.rep, self.n
-        if self.size > budget:
-            raise BudgetExceeded(f"orbit of {rep}", budget)
+        self.check_budget(budget)
         tree = orbit(rep, generators(self.kind, n), conjugate, budget)
         if len(tree) != self.size:
             raise RuntimeError(f"orbit of {rep} has {len(tree)} elements, the formula {self.size}")
@@ -134,6 +142,66 @@ def enumerate_class(
     cls = ConjugacyClass(kind, rep)
     cls._list(budget)
     return cls
+
+
+def sym_class(cycle_type: tuple[int, ...]) -> Iterator[SignedPermutation]:
+    """The S_n class of ``cycle_type`` (descending lengths, 1s included),
+    read lazily in key order: the images of 0, 1, ... are chosen lowest first.
+    A class of more than ``CLASS_BUDGET`` elements raises BudgetExceeded now.
+
+    The walk keeps the open paths of the images chosen so far and extends a
+    prefix only while those paths still join into the cycles left to close
+    (:func:`_packs`), so each branch it enters ends in a class element and its
+    work grows with the part of the class read, not with n!.
+    """
+    n, cycles, start = sum(cycle_type), [], 1
+    for k in cycle_type:
+        cycles.append(tuple(range(start, start + k)))
+        start += k
+    ConjugacyClass(GroupKind.S, SignedPermutation(n, 0, perm_from_cycles(n, cycles))).check_budget()
+    img, used = [0] * n, [False] * n  # j is used once it is some point's image
+    head, tail, size = list(range(n)), list(range(n)), [1] * n  # of the open paths
+    need = Counter(cycle_type)  # lengths of the cycles left to close
+
+    def walk(i: int) -> Iterator[SignedPermutation]:
+        if i == n:
+            yield _trusted(n, 0, tuple(img))
+            return
+        h = head[i]  # i is unmapped, so it ends the open path that h starts
+        for j in range(n):  # an unused j starts an open path
+            if used[j] or j == h and not need[size[h]]:
+                continue
+            used[j], img[i], t, a = True, j, tail[j], size[h]
+            if j == h:  # closes a cycle of a points
+                need[a] -= 1
+            else:  # joins j's path on to i's
+                tail[h], head[t], size[h] = t, h, a + size[j]
+            chains = sorted((size[k] for k in range(n) if not used[k] and size[k] > 1), reverse=True)
+            if _packs(tuple(chains), tuple(sorted(need.elements(), reverse=True))):
+                yield from walk(i + 1)
+            if j == h:
+                need[a] += 1
+            else:
+                tail[h], head[t], size[h] = i, j, a
+            used[j] = False
+
+    return walk(0)
+
+
+@functools.lru_cache(maxsize=4096)
+def _packs(chains: tuple[int, ...], bins: tuple[int, ...]) -> bool:
+    """Whether open paths of ``chains`` points (descending) and single points
+    join into cycles of the ``bins`` lengths, as many points as the bins hold:
+    each path goes whole into one cycle, and a cycle may take several."""
+    if not chains:
+        return True
+    for k in set(bins):
+        if k >= chains[0]:
+            rest = list(bins)
+            rest[rest.index(k)] = k - chains[0]
+            if _packs(chains[1:], tuple(sorted(rest, reverse=True))):
+                return True
+    return False
 
 
 def centralizer_order(kind: GroupKind, x: SignedPermutation) -> int:

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .classes import ClassMembership, enumerate_class
+from .classes import ClassMembership, sym_class
 from .rack import TypeDWitness, brute_force_type_d, pair_witness
 from .signed import (
     GroupKind,
@@ -194,21 +194,15 @@ def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
 def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
     """The type-D witness of the S_n class of ``cycle_type`` (descending
     lengths, 1s included, so it fixes n) from :func:`rack.brute_force_type_d`,
-    or None; memoised per cycle type, so each process lists and scans a class
-    and validates its witness once, with the zero-sign member test (ValueError
-    if it fails).
+    or None; memoised per cycle type, so each process scans a class and
+    validates its witness against it once (ValueError if that fails).
 
-    The scan sorts the class, so the witness does not depend on the
-    representative listed here, which takes the cycles on consecutive points.
-    """
-    n, cycles, start = sum(cycle_type), [], 1
-    for k in cycle_type:
-        cycles.append(tuple(range(start, start + k)))
-        start += k
-    cls = enumerate_class(GroupKind.S, SignedPermutation(n, 0, perm_from_cycles(n, cycles)))
-    w = brute_force_type_d(cls.elements)
+    The scan reads the class lazily, in key order, from
+    :func:`classes.sym_class`, which refuses a class of more than
+    ``CLASS_BUDGET`` elements with BudgetExceeded before the walk."""
+    w = brute_force_type_d(sym_class(cycle_type))
     if w is not None:
-        ok = w.validate(member=lambda z: z.bits == 0)
+        ok = w.validate(member=lambda z: z.bits == 0 and z.cycle_type() == cycle_type)
         if not ok:
             raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
     return w
@@ -266,16 +260,14 @@ class Classifier:
     """The decision procedure for one group and rank.
 
     The witness rules of ``WITNESS_RULES`` are tried in order, then the
-    exception list, and last the lift of a symmetric-subgroup witness.  Each
-    rule builds its own pair (a, b) and hands it to :func:`rack.pair_witness`
-    with a :func:`classes.class_key` membership test; only the
-    symmetric-subgroup witness, found by :func:`rack.brute_force_type_d`'s scan
-    from the first element of the class, lists a class, and that is a class
-    of S_n.  A class no rule decides is ``Undetermined``.  Every
-    ``ProvenTypeD`` witness has passed the exhaustive check of
-    :meth:`rack.TypeDWitness.validate` against that membership test.
-    Symmetric-subgroup witnesses come from :func:`sym_class_witness`, shared
-    by every classifier of the process and validated once per cycle type."""
+    exception list, and last the lift of the symmetric-subgroup witness from
+    :func:`sym_class_witness`, shared by every classifier of the process.
+    Each rule builds its own pair (a, b) and hands it to
+    :func:`rack.pair_witness` with a :func:`classes.class_key` membership
+    test; no class is listed, not even the S_n class that
+    :func:`rack.brute_force_type_d` scans.  A class no rule decides is
+    ``Undetermined``; every ``ProvenTypeD`` witness has passed the exhaustive
+    check of :meth:`rack.TypeDWitness.validate` against that membership test."""
 
     def __init__(self, kind: GroupKind, n: int):
         self.kind = kind

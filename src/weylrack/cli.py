@@ -185,22 +185,34 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _cached(args, command: str, inputs: dict, compute):
+def _cached(args, command: str, inputs: dict, compute, show) -> int:
+    """Print the payload of ``command`` with ``show(payload) -> (text lines,
+    exit code)`` and return that code; the payload comes from the cache when
+    it has one that ``show`` can read, else from ``compute`` and then into
+    the cache.  A hit with a key missing or of the wrong type is a miss."""
     cache = None
     if args.cache_dir:
         try:
             cache = ResultCache(args.cache_dir, __version__)
         except OSError as exc:
             raise _UsageError(f"--cache-dir {args.cache_dir}: {exc.strerror}") from None
-    if cache is not None:
         hit = cache.get(command, inputs)
-        if hit is not None and not hit.stale:
-            return dict(hit.payload), True
+        if hit is not None:
+            try:
+                return _show(args, {**hit.payload, "cached": True}, show)
+            except (KeyError, TypeError):
+                pass
     t0 = time.monotonic()
     payload = compute()
     if cache is not None:
         cache.put(command, inputs, payload, int((time.monotonic() - t0) * 1000))
-    return payload, False
+    return _show(args, {**payload, "cached": False}, show)
+
+
+def _show(args, payload: dict, show) -> int:
+    lines, code = show(payload)  # read in full before anything is printed
+    _emit(args, payload, lines)
+    return code
 
 
 def _cmd_classes(args) -> int:
@@ -233,18 +245,14 @@ def _cmd_classes(args) -> int:
 def _cmd_typed(args) -> int:
     x = args.rep
     inputs = {"group": args.group.value, "n": args.n, "rep": format_element(x)}
-    payload, cached = _cached(args, "typed", inputs, lambda: classify(args.group, x).to_json())
-    payload = {**payload, "cached": cached}
-    _emit(
-        args,
-        payload,
+    return _cached(args, "typed", inputs, lambda: classify(args.group, x).to_json(), lambda p: (
         [
-            f"{format_element(x)} in {args.group.value}_{args.n}: {payload['status']}"
-            + (f" [{payload['exception_case']}]" if payload.get("exception_case") else "")
-            + (" (cached)" if cached else "")
+            f"{format_element(x)} in {args.group.value}_{args.n}: {p['status']}"
+            + (f" [{p['exception_case']}]" if p["exception_case"] else "")
+            + (" (cached)" if p["cached"] else "")
         ],
-    )
-    return 0
+        0,
+    ))
 
 
 def _cmd_sq(args) -> int:
@@ -312,17 +320,13 @@ def _cmd_nichols(args) -> int:
             "terminated": len(dims) <= args.max_degree,
         }
 
-    payload, cached = _cached(args, "nichols", inputs, compute)
-    payload = {**payload, "cached": cached}
-    _emit(
-        args,
-        payload,
+    return _cached(args, "nichols", inputs, compute, lambda p: (
         [
-            f"graded dims: {payload['graded_dims']} (total {payload['total']}, "
-            f"{'terminated' if payload['terminated'] else 'truncated'})"
+            f"graded dims: {p['graded_dims']} (total {p['total']}, "
+            f"{'terminated' if p['terminated'] else 'truncated'})"
         ],
-    )
-    return 0
+        0,
+    ))
 
 
 def _fk_presentation(n: int, signs: Optional[str]):
@@ -370,17 +374,13 @@ def _cmd_fk(args) -> int:
             "probe": fk.probe(dims, args.max_degree),
         }
 
-    payload, cached = _cached(args, "fk", inputs, compute)
-    payload = {**payload, "cached": cached}
-    _emit(
-        args,
-        payload,
+    return _cached(args, "fk", inputs, compute, lambda p: (
         [
-            f"{payload['label']}: dims {payload['graded_dims']} total {payload['total']} "
-            f"probe {payload['probe']['status']}"
+            f"{p['label']}: dims {p['graded_dims']} total {p['total']} "
+            f"probe {p['probe']['status']}"
         ],
-    )
-    return 0 if payload["engines_agree"] else 1
+        0 if p["engines_agree"] else 1,
+    ))
 
 
 def _cmd_verify(args) -> int:

@@ -3,7 +3,8 @@ decompositions and type-D witnesses.
 
 Conjugacy classes give racks via x |> y = x y x^-1; a type-D witness is a
 decomposition of a subrack into R, S plus a pair with sq(a, b) != b, built
-by :func:`pair_witness` from the pair's <a, b>-conjugation orbits.
+by :func:`pair_witness` from the pair's <a, b>-conjugation orbits, for which
+:func:`brute_force_type_d` scans a whole class, read lazily and uncapped.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classes import CLASS_BUDGET, orbit
-from .errors import BudgetExceeded
 from .signed import (
     SignedPermutation,
     _act,
@@ -21,9 +21,6 @@ from .signed import (
     format_element,
     parse_element,
 )
-
-MAX_PAIRS = 400  # pairs (first element, b) the class scan tries
-ORBIT_CAP = 4000  # largest <a, b>-orbit the class scan builds
 
 
 class RackError(ValueError):
@@ -245,7 +242,6 @@ def pair_witness(
     candidates: Iterable[tuple[SignedPermutation, SignedPermutation]],
     tag: str,
     member: Optional[Callable[[SignedPermutation], bool]] = None,
-    cap: int = CLASS_BUDGET,
 ) -> Optional[TypeDWitness]:
     """The witness on the first candidate pair (a, b) with a and b passing
     ``member``, sq(a, b) != b and b outside the orbit of a under conjugation
@@ -255,35 +251,28 @@ def pair_witness(
     (Andruskiewitsch-Fantino-Garcia-Vendramin 2011): each is closed under
     conjugation by the group, which holds R u S, and two orbits are equal or
     disjoint.  The walk of a's orbit stops once it meets b, which rejects the
-    candidate.  An orbit walked beyond ``cap`` elements raises BudgetExceeded.
+    candidate.  An orbit beyond ``CLASS_BUDGET`` elements raises BudgetExceeded.
     """
     for a, b in candidates:
         if (member is None or member(a) and member(b)) and sq(a, b) != b:
             bk = b.key()
-            orb_a = orbit(a, (a, b), conjugate, cap, stop=bk)
+            orb_a = orbit(a, (a, b), conjugate, CLASS_BUDGET, stop=bk)
             if bk not in orb_a:
                 R, S = ([z for z, _, _ in orb.values()]
-                        for orb in (orb_a, orbit(b, (a, b), conjugate, cap)))
+                        for orb in (orb_a, orbit(b, (a, b), conjugate, CLASS_BUDGET)))
                 return TypeDWitness(R, S, a, b, tag=tag)
     return None
 
 
-def brute_force_type_d(elements: Sequence[SignedPermutation]) -> Optional[TypeDWitness]:
+def brute_force_type_d(elements: Iterable[SignedPermutation]) -> Optional[TypeDWitness]:
     """A type-D witness for the class ``elements``, or None.
 
     A rack is of type D iff some pair (r, s) has sq(r, s) != s and lies in two
     orbits of <r, s>.  In a class r can be conjugated to any element, so the
-    scan fixes a as the first element in key order and runs b over the next
-    ``MAX_PAIRS`` elements; a pair with an orbit beyond ``ORBIT_CAP`` is
-    skipped.  For a class of at most ``MAX_PAIRS`` + 1 elements, None proves
-    that the class is not of type D.
+    scan takes a as the first element it reads and runs b over the rest in
+    the order given, up to its first witness.  Nothing caps the scan, so None
+    proves that the class is not of type D.
     """
-    elts = sorted(elements, key=lambda x: x.key())
-    for b in elts[1 : MAX_PAIRS + 1]:
-        try:
-            w = pair_witness([(elts[0], b)], "orbit_pair", cap=ORBIT_CAP)
-        except BudgetExceeded:
-            continue
-        if w is not None:
-            return w
-    return None
+    it = iter(elements)
+    a = next(it, None)
+    return None if a is None else pair_witness(((a, b) for b in it), "orbit_pair")

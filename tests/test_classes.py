@@ -1,5 +1,6 @@
 """Conjugacy classes, centralizers, and the juxtaposition calculus."""
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from weylrack.classes import (
     juxtapose,
     orbit,
     split,
+    sym_class,
     verify_juxtaposition_identities,
 )
 from weylrack.signed import (
@@ -111,6 +113,28 @@ def test_enumerate_class_is_orbit():
     for _ in range(100):
         g = random_element(rng, 3)
         assert conjugate(g, x).key() in keys
+
+
+def test_sym_class_reads_the_class_in_key_order():
+    # every S_n class of rank <= 7, against the orbit BFS
+    for n in range(1, 8):
+        for rep in class_reps(GroupKind.S, n):
+            listed = sorted(x.key() for x in enumerate_class(GroupKind.S, rep).elements)
+            assert [x.key() for x in sym_class(rep.cycle_type())] == listed
+    with pytest.raises(BudgetExceeded):
+        sym_class((6, 6))  # 6,652,800 elements, refused before the walk
+
+
+def test_sym_class_walk_grows_with_the_part_read():
+    # the (2^7) class of S_14 holds 135,135 elements and none maps 0 to 0:
+    # a filter of the 14! permutations in lex order would step over 13! of
+    # them before the first
+    t0 = time.monotonic()
+    walk = sym_class((2,) * 7)
+    first = [next(walk) for _ in range(1000)]
+    assert time.monotonic() - t0 < 2.0
+    assert first[0].perm == (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12)
+    assert all(x.cycle_type() == (2,) * 7 for x in first)
 
 
 def test_centralizer_orbit_stabilizer():

@@ -1,5 +1,6 @@
 """Type-D decision procedure: witness constructions, exception list, dispatch."""
 import importlib
+import itertools
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from weylrack.classes import (
     CLASS_BUDGET,
     ClassMembership,
+    ConjugacyClass,
     all_classes,
     class_reps,
     enumerate_class,
@@ -27,12 +29,14 @@ from weylrack.classify import (
     witness_pairs_triple,
     witness_two_triples,
 )
+from weylrack.errors import BudgetExceeded
 from weylrack.rack import TypeDWitness, brute_force_type_d, pair_witness
 from weylrack.signed import (
     GroupKind,
     SignedPermutation,
     conjugate,
     from_cycles,
+    identity,
     parse_element,
     random_element,
 )
@@ -138,6 +142,48 @@ def test_sym_class_witness_refuses_an_invalid_witness(monkeypatch):
         sym_class_witness.cache_clear()
 
 
+def test_sym_class_witness_checks_class_membership(monkeypatch):
+    # the S_5 5-cycle witness with the identity added to R keeps every closure
+    # rule and every sign bit 0, but the identity lies outside the class
+    module = importlib.import_module("weylrack.classify")
+    cycle_type = (5,)
+    sym_class_witness.cache_clear()
+    try:
+        sym = sym_class_witness(cycle_type)
+        broken = TypeDWitness(sym.R + [identity(5)], sym.S, sym.a, sym.b)
+        monkeypatch.setattr(module, "brute_force_type_d", lambda elements: broken)
+        sym_class_witness.cache_clear()
+        with pytest.raises(ValueError, match="^invalid symmetric-subgroup witness: "
+                           "element outside the class"):
+            sym_class_witness(cycle_type)
+    finally:
+        sym_class_witness.cache_clear()
+
+
+def test_sym_class_witness_walks_an_s10_class():
+    # the (8, 2) class of S_10 holds 226,800 elements; the lazy scan reads
+    # only as far as its witness
+    rep = from_cycles(10, 0, [(1, 2, 3, 4, 5, 6, 7, 8), (9, 10)])
+    sym_class_witness.cache_clear()
+    w = sym_class_witness(rep.cycle_type())
+    assert w is not None
+    assert w.validate(member=ClassMembership(GroupKind.S, 10).member_test(rep))
+
+
+def test_sym_class_witness_refuses_a_class_over_budget(monkeypatch):
+    # the 12-cycles of S_12 are 11! > CLASS_BUDGET: refused before any walk
+    module = importlib.import_module("weylrack.classify")
+    scans = []
+    monkeypatch.setattr(module, "brute_force_type_d", scans.append)
+    sym_class_witness.cache_clear()
+    try:
+        with pytest.raises(BudgetExceeded):
+            sym_class_witness((12,))
+    finally:
+        sym_class_witness.cache_clear()
+    assert not scans
+
+
 def _rank_six_inputs(kind):
     """Every rep of rank 6 with a nontrivial permutation, and one seeded
     conjugate of each."""
@@ -159,21 +205,23 @@ def test_sym_memo_cold_and_warm_verdicts_agree():
 
 
 def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
-    # each S_n class is listed, scanned and its witness validated once per
-    # process, whichever classifier asks; lift_from_sym reads the memo and
-    # does not check its witnesses again
+    # each S_n class is scanned and its witness validated once per process,
+    # whichever classifier asks, and no class is listed; lift_from_sym reads
+    # the memo and does not check its witnesses again
     module = importlib.import_module("weylrack.classify")
     scanned, listed, validated, lifted = Counter(), [], [], []
-    scan, enumerate_s, lift = module.brute_force_type_d, module.enumerate_class, module.lift_from_sym
+    scan, list_class, lift = module.brute_force_type_d, ConjugacyClass._list, module.lift_from_sym
     validate = TypeDWitness.validate
 
     def spy_scan(elements):
-        scanned[elements[0].cycle_type()] += 1
-        return scan(elements)
+        it = iter(elements)  # lazy: read the first element, then hand it back
+        first = next(it)
+        scanned[first.cycle_type()] += 1
+        return scan(itertools.chain([first], it))
 
-    def spy_enumerate(k, x, *args, **kwargs):
-        listed.append(k)
-        return enumerate_s(k, x, *args, **kwargs)
+    def spy_list(cls, budget):
+        listed.append(cls.rep)
+        return list_class(cls, budget)
 
     def spy_validate(w, member=None):
         validated.append(w)  # held, so no two of them share an id
@@ -184,15 +232,13 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
         return lift(x, member)
 
     monkeypatch.setattr(module, "brute_force_type_d", spy_scan)
-    monkeypatch.setattr(module, "enumerate_class", spy_enumerate)
+    monkeypatch.setattr(ConjugacyClass, "_list", spy_list)
     monkeypatch.setattr(module, "lift_from_sym", spy_lift)
     monkeypatch.setattr(TypeDWitness, "validate", spy_validate)
     sym_class_witness.cache_clear()
     b6 = _rank_six_inputs(GroupKind.B)
     for x in b6 + b6:
         Classifier(GroupKind.B, 6).classify(x)
-    assert listed and set(listed) == {GroupKind.S}
-    listed.clear()
     d_lifts = len(lifted)
     for x in _rank_six_inputs(GroupKind.D):
         classify(GroupKind.D, x)
@@ -207,25 +253,25 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
 @pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
 def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     # every rep of rank 5-7 and one seeded conjugate each: the procedure
-    # lists only S_n classes, a lifted witness keeps the permutation parts of
-    # its S_n witness's pair, and every witness's R and S are the orbits of a
-    # and b under conjugation by <a, b>; the S_n memo starts cold, so the
-    # listing is seen
+    # lists no class, a lifted witness keeps the permutation parts of its
+    # S_n witness's pair, and every witness's R and S are the orbits of a
+    # and b under conjugation by <a, b>; the S_n memo starts cold, so its
+    # scans run here
     module = importlib.import_module("weylrack.classify")
     module.sym_class_witness.cache_clear()
-    listed, lifts = set(), []
-    enumerate_s, lift = module.enumerate_class, module.lift_from_sym
+    listed, lifts = [], []
+    list_class, lift = ConjugacyClass._list, module.lift_from_sym
 
-    def spy_enumerate(k, x, *args, **kwargs):
-        listed.add(k)
-        return enumerate_s(k, x, *args, **kwargs)
+    def spy_list(cls, budget):
+        listed.append(cls.rep)
+        return list_class(cls, budget)
 
     def spy_lift(x, member):
         w = lift(x, member)
         lifts.append((module.sym_class_witness(x.cycle_type()), w))
         return w
 
-    monkeypatch.setattr(module, "enumerate_class", spy_enumerate)
+    monkeypatch.setattr(ConjugacyClass, "_list", spy_list)
     monkeypatch.setattr(module, "lift_from_sym", spy_lift)
     rng = random.Random(f"constructed-pairs:{kind.value}")
     witnesses = []
@@ -239,7 +285,7 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
                 assert v.status in (PROVEN, EXCEPTION), str(x)
                 if v.status == PROVEN:
                     witnesses.append(v.witness)
-    assert listed == {GroupKind.S}
+    assert not listed
     assert {w.tag for w in witnesses} == {
         "odd_cycle_fibers",
         "two_triples_fibers",

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import weylrack
+from weylrack.cache import ResultRecord
 from weylrack.cli import build_parser, main
 
 
@@ -62,6 +64,30 @@ def test_typed_uses_cache(capsys, tmp_path):
     assert code == 0 and data["cached"] is False
     code, data = run_json(capsys, *argv)
     assert code == 0 and data["cached"] is True
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: 5,
+    lambda payload: {"graded_dims": [1]},
+    lambda payload: {**payload, "probe": 5},
+])
+def test_unprintable_cache_hit_is_recomputed(capsys, tmp_path, edit):
+    # a checksummed line whose payload is not an object is skipped as
+    # corrupt; one with a key missing or of the wrong type is a miss,
+    # recomputed and appended
+    argv = ["--cache-dir", str(tmp_path), "fk", "--n", "3"]
+    code, fresh = run_json(capsys, *argv)
+    path = tmp_path / "results.jsonl"
+    rec = ResultRecord.from_line(path.read_text("utf-8"))
+    rec.payload = edit(rec.payload)
+    path.write_text(rec.to_line() + "\n", "utf-8")
+    for cached in (False, True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, data = run_json(capsys, *argv)
+        assert code == 0 and data == {**fresh, "cached": cached}
+        assert len(caught) == (not isinstance(rec.payload, dict))
+    assert len(path.read_text("utf-8").splitlines()) == 2
 
 
 def test_global_flags_after_subcommand(capsys, tmp_path):
@@ -202,6 +228,30 @@ def test_nichols_budget_exit_code_with_json(capsys):
     assert captured.err.splitlines() == [
         "weylrack: degree-2 Nichols candidate entries exceeds its budget of 10 after dims [1, 6]"
     ]
+
+
+def test_typed_budget_exit_code(capsys):
+    # the lift needs the (6, 6) class of S_12, 6,652,800 > CLASS_BUDGET
+    # elements, which is refused before any walk
+    t0 = time.monotonic()
+    code = main(["typed", "--n", "12", "--rep", "000000000000:(1 2 3 4 5 6)(7 8 9 10 11 12)"])
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "weylrack: orbit of 000000000000:(1 2 3 4 5 6)(7 8 9 10 11 12) "
+        "exceeds its budget of 2000000"
+    ]
+
+
+def test_typed_lifts_a_fixed_point_free_involution_class(capsys):
+    # the lift scans the (2^7) class of S_14, 135,135 elements, only as far
+    # as its witness
+    t0 = time.monotonic()
+    code, data = run_json(capsys, "typed", "--n", "14", "--rep",
+                          "00000000000000:(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)")
+    assert time.monotonic() - t0 < 5.0
+    assert code == 0 and data["status"] == "ProvenTypeD" and data["rule_tag"] == "sym_lift"
 
 
 def test_classes_budget_exit_code(capsys):

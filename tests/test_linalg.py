@@ -204,6 +204,17 @@ def test_nichols_layer_does_not_import_the_certificate_layer():
     assert not [m for _, m, _ in _imports(tree) if m.split(".")[-1] == "classify"]
 
 
+def test_certificate_layer_lists_no_class():
+    # type-D certificates come from constructed pairs and a lazy class scan;
+    # nothing in that layer may reach for a class listing
+    for name in ("classify", "rack"):
+        path = Path(signed.__file__).with_name(f"{name}.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= {bound for bound, _, _ in _imports(tree)}
+        assert not used & {"enumerate_class", "all_classes"}, name
+
+
 def test_rank_handles_fill_in_on_new_pivot_columns():
     # elimination introduces a leading entry in a column that already has a
     # pivot; a single substitution pass would miscount
