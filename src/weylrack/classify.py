@@ -195,7 +195,8 @@ def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
     """The type-D witness of the S_n class of ``cycle_type`` (descending
     lengths, 1s included, so it fixes n) from :func:`rack.brute_force_type_d`,
     or None; memoised per cycle type, so each process scans a class and
-    validates its witness against it once (ValueError if that fails).
+    validates its witness against it once, as an orbit certificate
+    (ValueError if that fails).
 
     The scan reads the class lazily, in key order, from
     :func:`classes.sym_class`, which refuses a class of more than
@@ -266,8 +267,10 @@ class Classifier:
     :func:`rack.pair_witness` with a :func:`classes.class_key` membership
     test; no class is listed, not even the S_n class that
     :func:`rack.brute_force_type_d` scans.  A class no rule decides is
-    ``Undetermined``; every ``ProvenTypeD`` witness has passed the exhaustive
-    check of :meth:`rack.TypeDWitness.validate` against that membership test."""
+    ``Undetermined``; every ``ProvenTypeD`` witness has passed
+    :meth:`rack.TypeDWitness.validate` against that membership test: an
+    orbit certificate, exhaustive and linear in the witness's size, which
+    recomputes both orbits and tests every element."""
 
     def __init__(self, kind: GroupKind, n: int):
         self.kind = kind

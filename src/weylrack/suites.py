@@ -313,9 +313,9 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_classification(params: dict, rng: random.Random) -> list[dict]:
-    # B9/D9 are the largest ranks the slow tests decide; a B10 rep runs for
-    # more than ten minutes
-    ns = _param(params, "ranks", [5], lambda v: _ints_in(v, 5, 9), "a list of integers in 5..9")
+    # B10/D10 are the largest ranks the slow tests decide; B10's lifted
+    # 10-cycle witness alone holds 737,280 elements
+    ns = _param(params, "ranks", [5], lambda v: _ints_in(v, 5, 10), "a list of integers in 5..10")
     groups = _param(
         params,
         "groups",

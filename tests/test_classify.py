@@ -407,12 +407,25 @@ def test_witness_rule_returns_none_without_its_shape(rule, text):
     assert rule(x, member_for(GroupKind.B, x)) is None
 
 
-@pytest.mark.slow
+def _classification_detail(n, kind):
+    (check,) = run_suite("classification", {"ranks": [n], "groups": [kind]})["checks"]
+    assert check["passed"]
+    return check["detail"]
+
+
 @pytest.mark.parametrize("kind, proven, exceptions", [("B", 163, 13), ("D", 87, 8)])
 def test_classification_rank_eight(kind, proven, exceptions):
-    (check,) = run_suite("classification", {"ranks": [8], "groups": [kind]})["checks"]
-    assert check["passed"]
-    assert check["detail"] == {
+    assert _classification_detail(8, kind) == {
+        "exceptions": exceptions,
+        "mismatched": [],
+        "proven": proven,
+        "undetermined": [],
+    }
+
+
+@pytest.mark.parametrize("kind, proven, exceptions", [("B", 282, 8), ("D", 141, 4)])
+def test_classification_rank_nine(kind, proven, exceptions):
+    assert _classification_detail(9, kind) == {
         "exceptions": exceptions,
         "mismatched": [],
         "proven": proven,
@@ -421,13 +434,23 @@ def test_classification_rank_eight(kind, proven, exceptions):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kind, proven, exceptions", [("B", 282, 8), ("D", 141, 4)])
-def test_classification_rank_nine(kind, proven, exceptions):
-    (check,) = run_suite("classification", {"ranks": [9], "groups": [kind]})["checks"]
-    assert check["passed"]
-    assert check["detail"] == {
+@pytest.mark.parametrize("kind, proven, exceptions", [("B", 462, 8), ("D", 241, 4)])
+def test_classification_rank_ten(kind, proven, exceptions):
+    assert _classification_detail(10, kind) == {
         "exceptions": exceptions,
         "mismatched": [],
         "proven": proven,
         "undetermined": [],
     }
+
+
+@pytest.mark.parametrize(
+    "bits, size",
+    [("0000000000", 1_440), pytest.param("1000000000", 368_640, marks=pytest.mark.slow)],
+)
+def test_b10_ten_cycles_lift(bits, size):
+    # the lifted witnesses of the two B10 10-cycle classes; the larger holds
+    # 737,280 elements and is certified in linear time
+    v = classify(GroupKind.B, parse_element(f"{bits}:(1 2 3 4 5 6 7 8 9 10)"))
+    assert (v.status, v.rule_tag) == (PROVEN, "sym_lift")
+    assert (len(v.witness.R), len(v.witness.S)) == (size, size)

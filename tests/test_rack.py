@@ -6,8 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from weylrack.classes import CLASS_BUDGET, ClassMembership, all_classes, enumerate_class, orbit
-from weylrack.classify import PROVEN, classify
+from weylrack.classes import (
+    CLASS_BUDGET,
+    ClassMembership,
+    all_classes,
+    class_reps,
+    enumerate_class,
+    orbit,
+)
+from weylrack.classify import PROVEN, Classifier, classify
 from weylrack import rack as rack_module
 from weylrack.rack import (
     RackError,
@@ -321,13 +328,49 @@ def test_b8_fixed_point_witness_checked_exhaustively():
     mem = ClassMembership(GroupKind.B, 8)
     report = w.validate(member=lambda t: mem.same_class(t, x))
     assert report.ok and report.reason == ""
-    # one element of S other than b moved into R breaks a named rule
+    # one element of S other than b moved into R: the parts are no longer
+    # the orbits of a and b, and the pairwise check names a broken rule
     moved = next(y for y in w.S if y != w.b)
     R = w.R + [moved]
     S = [y for y in w.S if y != moved]
-    report = TypeDWitness(R, S, w.a, w.b).validate()
+    assert not TypeDWitness(R, S, w.a, w.b).validate()
+    report = check_decomposition(R, S)
     assert not report.ok and report.reason in _RULES
     _assert_violation_breaks_rule(R, S, report)
+
+
+def _damaged_copies(w):
+    """Three broken copies (R, S) of a witness: an element of S other than b
+    dropped, one moved into R, and the first sign bit flipped on an element
+    of R other than a."""
+    s = next(y for y in w.S if y != w.b)
+    r = next(x for x in w.R if x != w.a)
+    S = [y for y in w.S if y != s]
+    flipped = SignedPermutation(r.n, r.bits ^ 1, r.perm)
+    return [(w.R, S), (w.R + [s], S), ([flipped if x == r else x for x in w.R], w.S)]
+
+
+def test_orbit_certificate_agrees_with_pairwise_check():
+    # every ProvenTypeD witness of B5-B7/D5-D7 passes both the orbit
+    # certificate and the pairwise closure check, under its class test; both
+    # reject every damaged copy, with and without that test
+    witnesses = damaged = 0
+    for kind in (GroupKind.B, GroupKind.D):
+        for n in (5, 6, 7):
+            clf = Classifier(kind, n)
+            for x in class_reps(kind, n):
+                v = clf.classify(x)
+                if v.status != PROVEN:
+                    continue
+                w, member = v.witness, clf.membership.member_test(x)
+                assert w.validate(member) and check_decomposition(w.R, w.S, member), str(x)
+                witnesses += 1
+                for R, S in _damaged_copies(w):
+                    for test in (member, None):
+                        assert not TypeDWitness(R, S, w.a, w.b).validate(test), str(x)
+                        assert not check_decomposition(R, S, test), str(x)
+                    damaged += 1
+    assert (witnesses, damaged) == (214, 642)
 
 
 def _random_imports(module):
