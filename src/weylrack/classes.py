@@ -34,6 +34,9 @@ from .signed import (
 CLASS_BUDGET = 2_000_000
 # class representatives one call may list: every class of B_24 (94,235) fits
 REP_BUDGET = 200_000
+CENTRALIZER_BUDGET = 200_000  # elements of one centralizer closure
+# larger centralizers keep every Schreier generator, the order ``--char`` reads
+REDUCE_GENERATORS_UP_TO = 20_000
 
 
 def orbit(
@@ -92,13 +95,13 @@ class ConjugacyClass:
     @property
     def elements(self) -> list[SignedPermutation]:
         if self._elements is None:
-            self._list(CLASS_BUDGET)
+            self._list()
         return self._elements
 
     @property
     def section(self) -> list[SignedPermutation]:
         if self._section is None:
-            self._list(CLASS_BUDGET)
+            self._list()
         return self._section
 
     def index(self, x: SignedPermutation) -> int:
@@ -106,13 +109,13 @@ class ConjugacyClass:
             self._index.update({t.key(): i for i, t in enumerate(self.elements)})
         return self._index[x.key()]
 
-    def check_budget(self, budget: int = CLASS_BUDGET) -> None:
-        """Raise :class:`BudgetExceeded` if the class has more than ``budget``
-        elements."""
-        if self.size > budget:
-            raise BudgetExceeded(f"orbit of {self.rep}", budget)
+    def check_budget(self) -> None:
+        """Raise :class:`BudgetExceeded` if the class has more than
+        ``CLASS_BUDGET`` elements."""
+        if self.size > CLASS_BUDGET:
+            raise BudgetExceeded(f"orbit of {self.rep}", CLASS_BUDGET)
 
-    def _list(self, budget: int) -> None:
+    def _list(self) -> None:
         """Orbit of the rep under conjugation by the fixed generator list.
 
         The final numeration is canonical: rep first, the rest sorted, so
@@ -120,8 +123,8 @@ class ConjugacyClass:
         the Schreier tree: each is a generator times its parent's conjugator.
         """
         rep, n = self.rep, self.n
-        self.check_budget(budget)
-        tree = orbit(rep, generators(self.kind, n), conjugate, budget)
+        self.check_budget()
+        tree = orbit(rep, generators(self.kind, n), conjugate, CLASS_BUDGET)
         if len(tree) != self.size:
             raise RuntimeError(f"orbit of {rep} has {len(tree)} elements, the formula {self.size}")
         conj: dict = {}
@@ -132,15 +135,11 @@ class ConjugacyClass:
         self._section = [conj[x.key()] for x in self._elements]
 
 
-def enumerate_class(
-    kind: GroupKind,
-    rep: SignedPermutation,
-    budget: int = CLASS_BUDGET,
-) -> ConjugacyClass:
-    """The class of ``rep`` with its elements and section listed now;
-    raises :class:`BudgetExceeded` if it has more than ``budget`` elements."""
+def enumerate_class(kind: GroupKind, rep: SignedPermutation) -> ConjugacyClass:
+    """The class of ``rep`` with its elements and section listed now; raises
+    :class:`BudgetExceeded` if it has more than ``CLASS_BUDGET`` elements."""
     cls = ConjugacyClass(kind, rep)
-    cls._list(budget)
+    cls._list()
     return cls
 
 
@@ -154,11 +153,9 @@ def sym_class(cycle_type: tuple[int, ...]) -> Iterator[SignedPermutation]:
     (:func:`_packs`), so each branch it enters ends in a class element and its
     work grows with the part of the class read, not with n!.
     """
-    n, cycles, start = sum(cycle_type), [], 1
-    for k in cycle_type:
-        cycles.append(tuple(range(start, start + k)))
-        start += k
-    ConjugacyClass(GroupKind.S, SignedPermutation(n, 0, perm_from_cycles(n, cycles))).check_budget()
+    n = sum(cycle_type)
+    perm = perm_from_cycles(n, _consecutive_cycles(cycle_type))
+    ConjugacyClass(GroupKind.S, SignedPermutation(n, 0, perm)).check_budget()
     img, used = [0] * n, [False] * n  # j is used once it is some point's image
     head, tail, size = list(range(n)), list(range(n)), [1] * n  # of the open paths
     need = Counter(cycle_type)  # lengths of the cycles left to close
@@ -186,6 +183,12 @@ def sym_class(cycle_type: tuple[int, ...]) -> Iterator[SignedPermutation]:
             used[j] = False
 
     return walk(0)
+
+
+def _consecutive_cycles(lengths: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycles of the given lengths on consecutive points, from point 1."""
+    ends = list(itertools.accumulate(lengths, initial=0))
+    return [tuple(range(start + 1, end + 1)) for start, end in zip(ends, ends[1:])]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -244,19 +247,19 @@ class Centralizer:
     generators: list[SignedPermutation]
     order: int
 
-    def closure_tree(self, act, cap: int) -> dict:
+    def closure_tree(self, act) -> dict:
         """Schreier tree of the generators' closure from the identity under
-        ``act``; verifies the orbit-stabilizer order."""
-        tree = orbit(identity(self.rep.n), self.generators, act, cap)
+        ``act``, at most ``CENTRALIZER_BUDGET``; verifies the order."""
+        tree = orbit(identity(self.rep.n), self.generators, act, CENTRALIZER_BUDGET)
         if len(tree) != self.order:
             raise RuntimeError(
                 f"closure misses centralizer elements: order {len(tree)}, expected {self.order}"
             )
         return tree
 
-    def elements(self, cap: int = 200_000) -> list[SignedPermutation]:
+    def elements(self) -> list[SignedPermutation]:
         """Closure of the generators, sorted by key; verifies the order."""
-        tree = self.closure_tree(multiply, cap)
+        tree = self.closure_tree(multiply)
         return sorted((x for x, _, _ in tree.values()), key=lambda x: x.key())
 
 
@@ -281,9 +284,9 @@ def centralizer(kind: GroupKind, rep: SignedPermutation, cls: Optional[Conjugacy
     return Centralizer(kind, rep, _reduce_generators(gen_list, order), order)
 
 
-def _reduce_generators(gens: list[SignedPermutation], order: int, cap: int = 20_000) -> list[SignedPermutation]:
-    """Greedy small generating set; falls back to the full list above the cap."""
-    if order > cap or not gens:
+def _reduce_generators(gens: list[SignedPermutation], order: int) -> list[SignedPermutation]:
+    """Greedy small generating set; the full list above ``REDUCE_GENERATORS_UP_TO``."""
+    if order > REDUCE_GENERATORS_UP_TO or not gens:
         return gens
     n = gens[0].n
     chosen: list[SignedPermutation] = []
@@ -393,10 +396,7 @@ def class_reps(kind: GroupKind, n: int) -> list[SignedPermutation]:
             for neg in _partitions(n - k, n - k):
                 if (kind is GroupKind.S and neg) or (kind is GroupKind.D and len(neg) % 2):
                     continue
-                cycles, start = [], 1
-                for length in pos + neg:
-                    cycles.append(tuple(range(start, start + length)))
-                    start += length
+                cycles = _consecutive_cycles(pos + neg)
                 bits = sum(1 << (cyc[0] - 1) for cyc in cycles[len(pos):])
                 rep = SignedPermutation(n, bits, perm_from_cycles(n, cycles))
                 reps.append(rep)

@@ -30,6 +30,8 @@ from operator import add, neg, sub
 
 from .linalg import _normal
 
+ORDER_BOUND = 1000  # the largest order CycScalar.multiplicative_order looks for
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
@@ -208,10 +210,10 @@ class CycScalar:
             k >>= 1
         return out
 
-    def multiplicative_order(self, bound: int = 1000):
-        """Smallest k with self**k == 1, or None if none up to ``bound``."""
+    def multiplicative_order(self):
+        """Smallest k with self**k == 1, or None if none up to ``ORDER_BOUND``."""
         acc = self.field.one
-        for k in range(1, bound + 1):
+        for k in range(1, ORDER_BOUND + 1):
             acc = acc * self
             if acc == self.field.one:
                 return k

@@ -49,6 +49,7 @@ Poly = dict  # Word -> int or Fraction
 # peaks at 73 MB in 1.3 s; its degree 8 holds 961,390 and peaks at 157 MB in
 # 5.6 s, so the default refuses it.
 FK_ENTRY_BUDGET = 500_000
+RULE_BUDGET = 20_000  # rules of one rewrite-engine completion
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +395,7 @@ class RewriteSystem:
         return counts
 
 
-def complete_to_degree(
-    pres: QuadraticPresentation,
-    max_degree: int,
-    rule_budget: int = 20_000,
-) -> RewriteSystem:
+def complete_to_degree(pres: QuadraticPresentation, max_degree: int) -> RewriteSystem:
     """Resolve all overlap ambiguities of total degree <= max_degree.
 
     A critical-pair completion (Bergman's diamond lemma, run as Buchberger's
@@ -445,8 +442,8 @@ def complete_to_degree(
             return
         lead = next(iter(poly))
         inv = _inv(poly.pop(lead))
-        if len(lhs) >= rule_budget:
-            raise BudgetExceeded("rewrite rules", rule_budget)
+        if len(lhs) >= RULE_BUDGET:
+            raise BudgetExceeded("rewrite rules", RULE_BUDGET)
         new = len(lhs)
         lhs.append(lead)
         lens.append(length)

@@ -6,8 +6,9 @@ decomposition of a subrack into R, S plus a pair with sq(a, b) != b, built
 by :func:`pair_witness` from the pair's <a, b>-conjugation orbits, for which
 :func:`brute_force_type_d` scans a whole class, read lazily and uncapped.
 :meth:`TypeDWitness.validate` checks a witness as an orbit certificate, in
-time linear in its size; :func:`check_decomposition`, the pairwise check of
-the closure rules, is its independent oracle.
+time linear in its size; :func:`check_decomposition`, a plain loop that
+conjugates every ordered pair against the four closure rules, is its
+independent oracle.
 """
 from __future__ import annotations
 
@@ -75,23 +76,13 @@ def sq_formula_general(x: SignedPermutation, y: SignedPermutation) -> SignedPerm
 
 
 def sq_formula_commuting(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:
-    """sq for commuting permutation parts: the seven-term sign sum."""
-    n = _common_rank(x, y)
-    tau, mu = x.perm, y.perm
-    tm = _compose(tau, mu)
-    if tm != _compose(mu, tau):
-        raise RackError("permutation parts do not commute; use the general formula")
-    a, b = x.bits, y.bits
-    c = (
-        a
-        ^ _act(tm, a)
-        ^ _act(_compose(tm, mu), a)
-        ^ _act(mu, a)
-        ^ _act(tau, b)
-        ^ _act(_compose(tau, tm), b)
-        ^ _act(tm, b)
-    )
-    return _trusted(n, c, mu)
+    """sq for commuting permutation parts: the seven-term sign sum, read off
+    the two sides of :func:`commuting_balance_sides` as lhs ^ rhs ^ y's bits."""
+    try:
+        lhs, rhs = commuting_balance_sides(x, y)
+    except RackError as exc:
+        raise RackError(f"{exc}; use the general formula") from None
+    return _trusted(x.n, lhs ^ rhs ^ y.bits, y.perm)
 
 
 def commuting_balance_sides(x: SignedPermutation, y: SignedPermutation) -> tuple[int, int]:
@@ -130,8 +121,9 @@ def check_decomposition(
 ) -> DecompositionReport:
     """Verify the subrack-decomposition rules on X = R u S, rule by rule.
 
-    Every ordered pair is covered, one pair of fibers (elements sharing a
-    permutation part) at a time.  Empty parts are rejected (a witness needs
+    Each rule conjugates every ordered pair (x, y) of its two parts and
+    needs x |> y in its target part; the first pair that lands outside is
+    the report's violation.  Empty parts are rejected (a witness needs
     elements on both sides).  If ``member`` is given, every element of X must
     satisfy it (class membership).
     """
@@ -149,52 +141,16 @@ def check_decomposition(
                 return DecompositionReport(False, "element outside the class", (x,))
     if len({x.n for x in R} | {y.n for y in S}) != 1:
         raise ValueError("rank mismatch among the decomposition's elements")
-    rfib, sfib = _fibers(R), _fibers(S)
     for reason, acting, acted, target in (
-        ("R not closed", rfib, rfib, rfib),
-        ("S not closed", sfib, sfib, sfib),
-        ("cross rule x|>y in S fails", rfib, sfib, sfib),
-        ("cross rule y|>x in R fails", sfib, rfib, rfib),
+        ("R not closed", R, R, rset),
+        ("S not closed", S, S, sset),
+        ("cross rule x|>y in S fails", R, S, sset),
+        ("cross rule y|>x in R fails", S, R, rset),
     ):
-        pair = _first_escape(acting, acted, target)
-        if pair is not None:
-            return DecompositionReport(False, reason, pair)
+        for x, y in itertools.product(acting, acted):
+            if conjugate(x, y).key() not in target:
+                return DecompositionReport(False, reason, (x, y))
     return DecompositionReport(True)
-
-
-def _fibers(part: Sequence[SignedPermutation]) -> dict:
-    """perm -> {sign bits: element} over one part."""
-    fibers: dict = {}
-    for x in part:
-        fibers.setdefault(x.perm, {})[x.bits] = x
-    return fibers
-
-
-def _first_escape(acting: dict, acted: dict, target: dict) -> Optional[tuple]:
-    """Some (x, y) from the fibers ``acting`` x ``acted`` with x |> y outside
-    the fibers ``target``, or None when every pair lands inside.
-
-    For x = (a, tau) and y = (b, pi), x |> y = (a ^ tau.b ^ sigma.a, sigma)
-    with sigma = tau pi tau^-1.  So a fiber pair needs sigma once, the
-    distinct offsets a ^ sigma.a and the moved bits tau.b; every offset ^
-    moved value must lie in the sigma-fiber of ``target``.
-    """
-    for tau, xs in acting.items():
-        for pi, ys in acted.items():
-            img = [0] * len(tau)
-            for i, j in zip(tau, pi):
-                img[i] = tau[j]
-            sigma = tuple(img)
-            inside = target.get(sigma, {})
-            offsets = {a ^ _act(sigma, a) for a in xs}
-            moved = {_act(tau, b) for b in ys}
-            for off in offsets:
-                for m in moved:
-                    if off ^ m not in inside:
-                        x = next(xs[a] for a in xs if a ^ _act(sigma, a) == off)
-                        y = next(ys[b] for b in ys if _act(tau, b) == m)
-                        return x, y
-    return None
 
 
 @dataclass

@@ -118,10 +118,6 @@ class SignedPermutation:
         ip = _invert_perm(self.perm)
         return _trusted(self.n, _act(ip, self.bits), ip)
 
-    def conjugate(self, x: "SignedPermutation") -> "SignedPermutation":
-        """self |> x = self * x * self^-1."""
-        return conjugate(self, x)
-
     def order(self) -> int:
         k, y = 1, self
         e = identity(self.n)

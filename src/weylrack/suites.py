@@ -69,7 +69,7 @@ def run_suite(name: str, params: Optional[dict] = None, seed: int = 0) -> dict:
         "seed": seed,
         "params": {k: params[k] for k in sorted(params)},
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "passed": bool(checks) and all(c["passed"] for c in checks),
     }
 
 
@@ -92,7 +92,7 @@ def _int_in(v, low: int, high: int = MAX_RANK) -> bool:
 
 
 def _ints_in(v, low: int, high: int = MAX_RANK) -> bool:
-    return isinstance(v, list) and all(_int_in(t, low, high) for t in v)
+    return isinstance(v, list) and bool(v) and all(_int_in(t, low, high) for t in v)
 
 
 def _check(name: str, tag: str, passed: bool, **detail) -> dict:
@@ -254,7 +254,7 @@ def _suite_juxtaposition(params: dict, rng: random.Random) -> list[dict]:
 
 def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
     cycle_signs = _param(
-        params, "cycle_signs", None, lambda v: _ints_in(v, 0, 31), "a list of integers in 0..31"
+        params, "cycle_signs", None, lambda v: _ints_in(v, 0, 31), "a nonempty list of integers in 0..31"
     )
     checks = []
     # odd cycles of length 5 and 7, a handful of sign vectors each
@@ -315,13 +315,13 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
 def _suite_classification(params: dict, rng: random.Random) -> list[dict]:
     # B10/D10 are the largest ranks the slow tests decide; B10's lifted
     # 10-cycle witness alone holds 737,280 elements
-    ns = _param(params, "ranks", [5], lambda v: _ints_in(v, 5, 10), "a list of integers in 5..10")
+    ns = _param(params, "ranks", [5], lambda v: _ints_in(v, 5, 10), "a nonempty list of integers in 5..10")
     groups = _param(
         params,
         "groups",
         ["B", "D"],
-        lambda v: isinstance(v, list) and all(g in ("B", "D") for g in v),
-        "a list of B or D",
+        lambda v: isinstance(v, list) and bool(v) and all(g in ("B", "D") for g in v),
+        "a nonempty list of B or D",
     )
     kinds = [GroupKind(k) for k in groups]
     checks = []

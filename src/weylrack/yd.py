@@ -73,7 +73,7 @@ class CentralizerRep:
     images: dict  # generator key -> scalar
     _closure: Optional[dict] = field(default=None, repr=False)
 
-    def closure(self, cap: int = 200_000) -> dict:
+    def closure(self) -> dict:
         """Map every centralizer element key to its value.
 
         Values are multiplied along every edge x -> g x of the generators'
@@ -90,7 +90,7 @@ class CentralizerRep:
             edges.append((g, x, y))
             return y
 
-        self.cen.closure_tree(act, cap)
+        self.cen.closure_tree(act)
         seen = {identity(self.cen.rep.n).key(): self.scalar_field.one}
         for g, x, y in edges:
             my = self.images[g.key()] * seen[x.key()]

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from weylrack import classes as classes_module
 from weylrack.classes import (
     BudgetExceeded,
     ClassMembership,
@@ -161,16 +162,21 @@ def test_class_sections(kind):
             assert conjugate(g, cls.rep) == t
 
 
-def test_orbit_caps_raise_budget_exceeded():
+def test_orbit_caps_raise_budget_exceeded(monkeypatch):
+    # the limits are module constants, read at call time
     rep = from_cycles(4, 0, [(1, 2)])
     cls = enumerate_class(GroupKind.B, rep)
-    assert enumerate_class(GroupKind.B, rep, budget=cls.size).elements == cls.elements
-    with pytest.raises(BudgetExceeded):
-        enumerate_class(GroupKind.B, rep, budget=cls.size - 1)
     cen = centralizer(GroupKind.B, rep, cls)
-    assert len(cen.elements(cap=cen.order)) == cen.order
+    monkeypatch.setattr(classes_module, "CLASS_BUDGET", cls.size)
+    assert enumerate_class(GroupKind.B, rep).elements == cls.elements
+    monkeypatch.setattr(classes_module, "CLASS_BUDGET", cls.size - 1)
     with pytest.raises(BudgetExceeded):
-        cen.elements(cap=cen.order - 1)
+        enumerate_class(GroupKind.B, rep)
+    monkeypatch.setattr(classes_module, "CENTRALIZER_BUDGET", cen.order)
+    assert len(cen.elements()) == cen.order
+    monkeypatch.setattr(classes_module, "CENTRALIZER_BUDGET", cen.order - 1)
+    with pytest.raises(BudgetExceeded):
+        cen.elements()
 
 
 def test_orbit_stops_at_the_stop_key():

@@ -219,9 +219,9 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
         scanned[first.cycle_type()] += 1
         return scan(itertools.chain([first], it))
 
-    def spy_list(cls, budget):
+    def spy_list(cls):
         listed.append(cls.rep)
-        return list_class(cls, budget)
+        return list_class(cls)
 
     def spy_validate(w, member=None):
         validated.append(w)  # held, so no two of them share an id
@@ -262,9 +262,9 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     listed, lifts = [], []
     list_class, lift = ConjugacyClass._list, module.lift_from_sym
 
-    def spy_list(cls, budget):
+    def spy_list(cls):
         listed.append(cls.rep)
-        return list_class(cls, budget)
+        return list_class(cls)
 
     def spy_lift(x, member):
         w = lift(x, member)

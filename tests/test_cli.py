@@ -339,6 +339,10 @@ def _is_usage_error(line):
             ("classification", '{"ranks": [4]}', "ranks"),
             # above the largest rank the suite decides
             ("classification", '{"ranks": [11]}', "ranks"),
+            # an empty list leaves the suite nothing to check
+            ("classification", '{"ranks": []}', "ranks"),
+            ("classification", '{"groups": []}', "groups"),
+            ("type_d_witnesses", '{"cycle_signs": []}', "cycle_signs"),
         ]
     ],
 )

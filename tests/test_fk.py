@@ -156,9 +156,10 @@ def test_relation_words_must_be_generator_pairs(word):
         fk.QuadraticPresentation(2, [{(0, 0): 1}, {word: 1, (1, 0): 1}])
 
 
-def test_rewrite_rule_budget():
+def test_rewrite_rule_budget(monkeypatch):
+    monkeypatch.setattr(fk, "RULE_BUDGET", 10)
     with pytest.raises(BudgetExceeded, match="rewrite rules") as info:
-        fk.complete_to_degree(fk.fk_presentation(4), 14, rule_budget=10)
+        fk.complete_to_degree(fk.fk_presentation(4), 14)
     assert info.value.limit == 10
 
 

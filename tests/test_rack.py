@@ -261,7 +261,11 @@ def _pairwise_oracle(R, S):
     return ""
 
 
-def _assert_violation_breaks_rule(R, S, report):
+def _assert_violation_breaks_rule(R, S, report, member=None):
+    if report.reason == "element outside the class":
+        (x,) = report.violation
+        assert (x in R or x in S) and not member(x)
+        return
     acting, acted, target = _RULES[report.reason]
     parts = {"R": R, "S": S}
     x, y = report.violation
@@ -368,9 +372,27 @@ def test_orbit_certificate_agrees_with_pairwise_check():
                 for R, S in _damaged_copies(w):
                     for test in (member, None):
                         assert not TypeDWitness(R, S, w.a, w.b).validate(test), str(x)
-                        assert not check_decomposition(R, S, test), str(x)
+                        report = check_decomposition(R, S, test)
+                        assert not report, str(x)
+                        _assert_violation_breaks_rule(R, S, report, test)
                     damaged += 1
     assert (witnesses, damaged) == (214, 642)
+
+
+def test_validate_is_stricter_than_the_pairwise_check():
+    # z lies in the class of the B8 witness below and moves or signs no point
+    # that R u S touches, so it commutes with all of R u S: R + [z], S is still
+    # a closed decomposition, but R is no longer the orbit of a
+    x, z = parse_element("00000001:(1 2)"), parse_element("00000010:(5 6)")
+    verdict = classify(GroupKind.B, x)
+    assert verdict.status == PROVEN
+    w, member = verdict.witness, ClassMembership(GroupKind.B, 8).member_test(x)
+    assert member(z) and z not in w.R + w.S
+    assert all(multiply(z, t) == multiply(t, z) for t in w.R + w.S)
+    R = w.R + [z]
+    assert check_decomposition(R, w.S, member)
+    report = TypeDWitness(R, w.S, w.a, w.b).validate(member)
+    assert not report and report.reason == "R is not the orbit of a"
 
 
 def _random_imports(module):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from weylrack import classes as classes_module
 from weylrack import fk, yd
 from weylrack.classes import ConjugacyClass, centralizer, enumerate_class, is_orthogonal
 from weylrack.cyclotomic import CyclotomicField, CycScalar
@@ -249,13 +250,15 @@ def test_rep_closure_consistency_guard():
     assert len(vals) == cen.order
 
 
-def test_rep_closure_cap():
+def test_rep_closure_cap(monkeypatch):
     module, F = sym_transposition_module(yd.trivial_rep)
     cen = module.rep.cen
     rep = yd.trivial_rep(cen, F)
+    monkeypatch.setattr(classes_module, "CENTRALIZER_BUDGET", cen.order - 1)
     with pytest.raises(BudgetExceeded):
-        rep.closure(cap=cen.order - 1)
-    assert len(rep.closure(cap=cen.order)) == cen.order
+        rep.closure()
+    monkeypatch.setattr(classes_module, "CENTRALIZER_BUDGET", cen.order)
+    assert len(rep.closure()) == cen.order
 
 
 def _psi_b2_next_to_b3(left_factory):
