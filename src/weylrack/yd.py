@@ -11,14 +11,10 @@ A braided space stores one table, C^{-1}: every quantum symmetrizer applies
 it, and the braid equation and the intertwining of the block embedding hold
 for C exactly when they hold for C^{-1}.  Graded dimensions of the associated
 quotient of the tensor algebra are the exact ranks of the quantum
-symmetrizers S_m, computed degree by degree on B^{m-1} (x) V.  The engine
-codes each basis word as an ``int``, b = max(1, (D-1).bit_length()) bits per
-letter with the first letter most significant (the coding of the fk rewrite
-engine), and reads C^{-1} from one table on pair codes.  It runs over Q
-whenever every braiding scalar is rational (every +-1 character): a rational
-matrix has the same rank over Q as over any cyclotomic field containing it.
-Otherwise it runs over the cyclotomic field.  The full symmetrizer, on tuple
-words and always over the cyclotomic field, is kept as the oracle.  The
+symmetrizers S_m.  The engine that computes them degree by degree, one block
+per class of Inn-degrees, lives in :mod:`weylrack.nichols` and reads only the
+braided space; its names stay bound here.  The full symmetrizer, on tuple
+words and always over the cyclotomic field, is kept here as its oracle.  The
 module also houses the scalar screening rules used to rule out finite
 dimension for juxtaposed classes.
 """
@@ -29,6 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
+from . import nichols
 from .classes import (
     Centralizer,
     ConjugacyClass,
@@ -40,16 +37,18 @@ from .classes import (
 )
 from .cyclotomic import CycScalar, CyclotomicField
 from .errors import BudgetExceeded
-from .linalg import echelon, rank
+from .linalg import rank
+from .nichols import _add_into
 from .signed import SignedPermutation, conjugate, identity, multiply
 
 DEFAULT_ENTRY_BUDGET = 5_000_000
 BRAID_CHECK_MAX_DIM = 24
-# candidate entries one Nichols degree generates; memory follows the echelon rows
-# held, about 80 bytes each over Q: S_4 transpositions with the sign character
-# generate 466,122 at degree 7, hold 106,462 and peak at 29.5 MB (ru_maxrss,
-# 21 MB at start)
-NICHOLS_ENTRY_BUDGET = 1_000_000
+
+# the Nichols engine, bound here for the callers of yd
+NICHOLS_ENTRY_BUDGET = nichols.NICHOLS_ENTRY_BUDGET
+nichols_graded_dims = nichols.nichols_graded_dims
+_coded_tables = nichols._coded_tables
+_apply_lm = nichols._apply_lm
 
 
 class RepInconsistency(ValueError):
@@ -226,6 +225,9 @@ def build_yd_module(cls: ConjugacyClass, rep: CentralizerRep) -> YDModule:
 
 def renumber_class(cls: ConjugacyClass, order) -> ConjugacyClass:
     """Same class under a shuffled numeration (for invariance checks)."""
+    order = list(order)
+    if sorted(order) != list(range(cls.size)):
+        raise ValueError(f"order {order} is not a permutation of range({cls.size})")
     elements = [cls.elements[i] for i in order]
     section = [cls.section[i] for i in order]
     return ConjugacyClass(cls.kind, cls.rep, elements, section)
@@ -233,17 +235,6 @@ def renumber_class(cls: ConjugacyClass, order) -> ConjugacyClass:
 
 # ---------------------------------------------------------------------------
 # quantum symmetrizers and graded dimensions
-
-
-def _add_into(total: dict, vec: dict) -> None:
-    """total += vec, dropping entries that cancel."""
-    for key, coeff in vec.items():
-        prev = total.get(key)
-        nv = coeff if prev is None else prev + coeff
-        if nv:
-            total[key] = nv
-        elif prev is not None:
-            del total[key]
 
 
 def _apply_s1j(space: BraidedVectorSpace, vec: dict, j: int, offset: int = 0) -> dict:
@@ -263,28 +254,6 @@ def _apply_sm(space: BraidedVectorSpace, vec: dict, m: int, offset: int = 0) -> 
         return vec
     vec = _apply_s1j(space, vec, m - 1, offset)
     return _apply_sm(space, vec, m - 1, offset + 1)
-
-
-def _apply_lm(table: dict, vec: dict, m: int, b: int) -> dict:
-    """L_m = sum_{k=0}^{m-1} T_{m-k}...T_{m-1} on words of m letters, T_{m-1} first.
-
-    Words are integer codes of ``b`` bits per letter, first letter most
-    significant, and ``table`` is C^{-1} on pair codes (see
-    :func:`_coded_tables`).  T_i is C^{-1} on legs (i, i+1): the pair sits at
-    shift s = (m-1-i)*b, is read as ``(w >> s) & mask`` and rewritten by adding
-    ``delta << s``.  With S_m = L_m (S_{m-1} (x) id), one running partial
-    product gives every term in m-1 leg applications.
-    """
-    mask = (1 << 2 * b) - 1
-    total = dict(vec)
-    for s in range(0, (m - 1) * b, b):
-        out = {}
-        for w, coeff in vec.items():
-            delta, c = table[(w >> s) & mask]
-            out[w + (delta << s)] = coeff * c
-        vec = out
-        _add_into(total, vec)
-    return total
 
 
 def symmetrizer(space: BraidedVectorSpace, m: int) -> dict:
@@ -308,88 +277,6 @@ def symmetrizer_rank(space: BraidedVectorSpace, m: int) -> int:
     if m == 1:
         return space.D
     return rank(symmetrizer(space, m).values())
-
-
-def nichols_graded_dims(
-    space: BraidedVectorSpace,
-    max_degree: int,
-    entry_budget: int = NICHOLS_ENTRY_BUDGET,
-) -> list[int]:
-    """[rank S_0, rank S_1, ...] stopping early when a rank hits zero.
-
-    Degree by degree: S_m = L_m (S_{m-1} (x) id) (see :func:`_apply_lm`), so
-    im S_m is spanned by L_m(c (x) e_v) for c in any basis of im S_{m-1} and
-    v in 0..D-1.  The normalized echelon rows e_lead + tail of degree m-1 are
-    such a basis: the candidates stream into :func:`linalg.echelon` as they
-    are generated, and its pivots are the next degree's basis.
-    ``entry_budget`` bounds the nonzero entries one degree generates; its
-    :class:`BudgetExceeded` carries the dims of the degrees before.
-
-    Words are ``int`` codes, b = max(1, (D-1).bit_length()) bits per letter
-    with the first letter most significant (the coding of :func:`fk._encode`),
-    and e_v extends a word w as ``w << b | v``.  On words of one length
-    integer order is lex order, and the echelon lead of a row is its least
-    column, so ranks, pivots (decoded), candidate entry counts and the degree
-    the budget refuses are those of tuple words.
-
-    When every inverse-braiding scalar is rational (every character with
-    values +-1, whatever its field), the loop runs over Q on a copy of the
-    table holding ``int`` and ``Fraction`` values.  Its candidates are then
-    rational rows, elimination commutes with the embedding Q -> Q(zeta_m),
-    and so ranks, pivots and candidate entry counts (hence the budget's
-    refusals) are those of the cyclotomic run.  Otherwise the loop runs on
-    the ``CycScalar`` table.  The oracle :func:`symmetrizer_rank` always
-    stays cyclotomic.
-    """
-    b, table, rational = _coded_tables(space)
-    one = space.scalar_field.one
-    if rational is not None:
-        table, one = rational, 1
-    pivots = {v: {} for v in range(space.D)}  # degree 1: the rows e_v
-    dims = [1]
-    for m in range(1, max_degree + 1):
-        if m > 1:
-            pivots = echelon(_candidates(table, b, space.D, one, pivots, dims, entry_budget))
-        if not pivots:
-            break
-        dims.append(len(pivots))
-    return dims
-
-
-def _coded_tables(space: BraidedVectorSpace) -> tuple[int, dict, Optional[dict]]:
-    """The letter width b = max(1, (D-1).bit_length()) and C^{-1} on pair codes,
-    ``{u << b | v: (code of the image pair - (u << b | v), scalar)}``, once with
-    the ``CycScalar`` values and once with their rational values (``int`` or
-    ``Fraction``), the latter None if some scalar has a coordinate past the
-    first."""
-    b = max(1, (space.D - 1).bit_length())
-    coded, rational = {}, {}
-    for (u, v), ((u2, v2), q) in space.cinv_map.items():
-        code = u << b | v
-        delta = (u2 << b | v2) - code
-        coded[code] = (delta, q)
-        if rational is not None:
-            c0, *rest = q.coeffs
-            if any(rest):
-                rational = None
-            else:
-                rational[code] = (delta, c0)
-    return b, coded, rational
-
-
-def _candidates(table: dict, b: int, D: int, one, pivots: dict, dims: list, entry_budget: int):
-    """L_m(c (x) e_v), one at a time, for each row c = e_lead + tail of ``pivots``
-    (words coded as in :func:`_apply_lm`, so c (x) e_v is ``{w << b | v}``);
-    ``dims`` holds the dims of degrees 0..m-1, so m = len(dims)."""
-    m, entries = len(dims), 0
-    for lead, tail in pivots.items():
-        col = {lead << b: one, **{w << b: c for w, c in tail.items()}}
-        for v in range(D):
-            cand = _apply_lm(table, {w | v: c for w, c in col.items()}, m, b)
-            entries += len(cand)
-            if entries > entry_budget:
-                raise BudgetExceeded(f"degree-{m} Nichols candidate entries", entry_budget, dims)
-            yield cand
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,14 @@ def test_certificate_layer_lists_no_class():
         assert not used & {"enumerate_class", "all_classes"}, name
 
 
+def test_nichols_engine_reads_only_the_braided_space():
+    # the engine's symmetry comes from C^{-1}, never from the group: it may
+    # not import the element, class or module layers
+    tree = ast.parse(Path(signed.__file__).with_name("nichols.py").read_text(encoding="utf-8"))
+    imported = {name for bound, m, _ in _imports(tree) for name in (bound, m.split(".")[-1])}
+    assert not imported & {"classes", "signed", "yd"}
+
+
 def test_rank_handles_fill_in_on_new_pivot_columns():
     # elimination introduces a leading entry in a column that already has a
     # pivot; a single substitution pass would miscount

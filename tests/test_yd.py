@@ -1,10 +1,12 @@
 """Braidings of group type, quantum symmetrizers, and scalar screens."""
+import random
+import re
 from itertools import product
 
 import pytest
 
 from weylrack import classes as classes_module
-from weylrack import fk, yd
+from weylrack import fk, nichols, yd
 from weylrack.classes import ConjugacyClass, centralizer, enumerate_class, is_orthogonal
 from weylrack.cyclotomic import CyclotomicField, CycScalar
 from weylrack.errors import BudgetExceeded
@@ -39,6 +41,14 @@ def test_graded_dims_invariant_under_class_renumbering():
     cen = centralizer(GroupKind.S, cls2.rep, cls2)
     module2 = yd.build_yd_module(cls2, yd.perm_sign_rep(cen, F))
     assert yd.nichols_graded_dims(module2.braided_space(), 8) == [1, 3, 4, 3, 1]
+
+
+def test_renumber_class_refuses_an_order_that_is_not_a_permutation():
+    x = from_cycles(4, 0, [(1, 2)])
+    cls = enumerate_class(GroupKind.S, x)
+    for order in ([0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 6]):
+        with pytest.raises(ValueError, match=r"not a permutation of range\(6\)"):
+            yd.renumber_class(cls, order)
 
 
 def test_section_inconsistent_with_numeration_is_refused():
@@ -204,20 +214,93 @@ def test_s4_transpositions_sign_match_fomin_kirillov_e4():
 
 @pytest.mark.slow
 def test_s4_transpositions_sign_through_degree_eight():
-    # degree 8 generates 1,701,282 candidate entries, above the default budget
+    # degree 9 generates 905,768 candidate entries, within the default budget
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
-    dims = yd.nichols_graded_dims(space, 8, entry_budget=2_000_000)
-    assert dims == [1, 6, 19, 42, 71, 96, 106, 96, 71]
+    dims = yd.nichols_graded_dims(space, 9)
+    assert dims[:9] == [1, 6, 19, 42, 71, 96, 106, 96, 71]
+    assert dims == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42]
 
 
 def test_nichols_candidate_entries_are_pinned():
-    # degree 5 of S_4 transpositions with the sign character generates 20,478
-    # candidate entries: the budget refuses it one entry short and not at the count
+    # degree 5 of S_4 transpositions with the sign character generates 3,348
+    # candidate entries over its class representatives' blocks: the budget
+    # refuses it one entry short and not at the count
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
     with pytest.raises(BudgetExceeded, match="degree-5") as exc:
-        yd.nichols_graded_dims(space, 5, entry_budget=20_477)
+        yd.nichols_graded_dims(space, 5, entry_budget=3_347)
     assert exc.value.dims == [1, 6, 19, 42, 71]
-    assert yd.nichols_graded_dims(space, 5, entry_budget=20_478) == [1, 6, 19, 42, 71, 96]
+    assert yd.nichols_graded_dims(space, 5, entry_budget=3_348) == [1, 6, 19, 42, 71, 96]
+
+
+def test_b5_transpositions_sign_through_degree_five():
+    # D = 20; the quadratic cover gives the same dims through degree 5
+    space = _class_space(GroupKind.B, 5, [(1, 2)], yd.perm_sign_rep)
+    assert yd.nichols_graded_dims(space, 5) == [1, 20, 230, 2000, 14601, 94420]
+
+
+def _symmetry_of(space):
+    b, table, _ = yd._coded_tables(space)
+    return nichols._symmetry(table, b, space.D)
+
+
+def _s4_renumbered(seed):
+    x = from_cycles(4, 0, [(1, 2)])
+    cls = enumerate_class(GroupKind.S, x)
+    order = list(range(cls.size))
+    random.Random(seed).shuffle(order)
+    cls = yd.renumber_class(cls, order)
+    cen = centralizer(GroupKind.S, cls.rep, cls)
+    return yd.build_yd_module(cls, yd.perm_sign_rep(cen, CyclotomicField(2))).braided_space()
+
+
+TRIVIAL_GROUP_CASES = {
+    **CROSS_ENGINE,
+    **{f"S4-renumbered-{seed}": (lambda seed=seed: _s4_renumbered(seed), 6) for seed in (1, 2, 3)},
+    "B5-(1 2)-sign": (lambda: _class_space(GroupKind.B, 5, [(1, 2)], yd.perm_sign_rep), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIVIAL_GROUP_CASES))
+def test_class_blocks_match_the_trivial_group(monkeypatch, name):
+    # the one-block engine, with no symmetry, is the oracle for the class blocks
+    build, max_degree = TRIVIAL_GROUP_CASES[name]
+    space = build()
+    assert _symmetry_of(space) is not None
+    dims = yd.nichols_graded_dims(space, max_degree)
+    monkeypatch.setattr(nichols, "_symmetry", lambda *args: None)
+    assert yd.nichols_graded_dims(space, max_degree) == dims
+
+
+def _swap_table():
+    # C^{-1}(e_u (x) e_v) = e_{s(v)} (x) e_{s(u)}, s swapping 0 and 1: a
+    # braiding, but the image of a pair does not start with its second letter
+    F = CyclotomicField(2)
+    table = {(u, v): ((1 - v, 1 - u), F.one) for u, v in product(range(2), repeat=2)}
+    return yd.BraidedVectorSpace(F, 2, table)
+
+
+def _s3_one_scalar_negated():
+    space = _class_space(GroupKind.S, 3, [(1, 2)], yd.perm_sign_rep)
+    table = dict(space.cinv_map)
+    pair, q = table[(0, 0)]
+    table[(0, 0)] = (pair, -q)
+    return yd.BraidedVectorSpace(space.scalar_field, 3, table)
+
+
+@pytest.mark.parametrize("build, failing_triple, dims", [
+    (_swap_table, None, [1, 2, 3, 4, 5, 6]),
+    (_s3_one_scalar_negated, "(0, 0, 1)", [1, 3, 5, 10, 23]),
+])
+def test_tables_without_the_symmetry_take_one_block(build, failing_triple, dims):
+    space = build()
+    if failing_triple is None:
+        space.check_braid_equation()
+    else:
+        with pytest.raises(ValueError, match=re.escape(failing_triple)):
+            space.check_braid_equation()
+    assert _symmetry_of(space) is None
+    max_degree = len(dims) - 1
+    assert yd.nichols_graded_dims(space, max_degree) == dims == _oracle_dims(space, max_degree)
 
 
 def test_nichols_entry_budget_names_degree():
