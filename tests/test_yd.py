@@ -214,11 +214,10 @@ def test_s4_transpositions_sign_match_fomin_kirillov_e4():
 
 @pytest.mark.slow
 def test_s4_transpositions_sign_through_degree_eight():
-    # degree 9 generates 905,768 candidate entries, within the default budget
+    # degree 9 generates 905,768 candidate entries, within the default budget;
+    # the one-block engine needed 1,701,282 for degree 8
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
-    dims = yd.nichols_graded_dims(space, 9)
-    assert dims[:9] == [1, 6, 19, 42, 71, 96, 106, 96, 71]
-    assert dims == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42]
+    assert yd.nichols_graded_dims(space, 9) == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42]
 
 
 def test_nichols_candidate_entries_are_pinned():
