@@ -4,10 +4,10 @@ classes of the signed Weyl groups (rank > 4, nontrivial permutation part).
 Every witness is built inside the input's own class from one pair (a, b):
 each rule squares or re-pairs cycles in place, or moves a sign to a fixed
 point, so no global normal-form conjugation is needed.  The rule hands its
-candidate pairs to :func:`rack.pair_witness`, which takes R and S as the
-conjugation orbits of a and b under <a, b> (Andruskiewitsch-Fantino-Garcia-
-Vendramin 2011); the rule's pair keeps them disjoint.  Every verdict carries
-a witness that re-validates from scratch.
+candidate pairs to :func:`rack.pair_witness`, which keeps the first pair
+that passes :meth:`rack.TypeDWitness.validate`: R and S are the conjugation
+orbits of a and b under <a, b> (Andruskiewitsch-Fantino-Garcia-Vendramin
+2011), and the rule's pair keeps them disjoint.
 """
 from __future__ import annotations
 
@@ -194,19 +194,15 @@ def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
 def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
     """The type-D witness of the S_n class of ``cycle_type`` (descending
     lengths, 1s included, so it fixes n) from :func:`rack.brute_force_type_d`,
-    or None; memoised per cycle type, so each process scans a class and
-    validates its witness against it once, as an orbit certificate
-    (ValueError if that fails).
+    validated under the test of sign bits 0 and that cycle type, or None;
+    memoised per cycle type, so each process scans a class once.
 
     The scan reads the class lazily, in key order, from
     :func:`classes.sym_class`, which refuses a class of more than
     ``CLASS_BUDGET`` elements with BudgetExceeded before the walk."""
-    w = brute_force_type_d(sym_class(cycle_type))
-    if w is not None:
-        ok = w.validate(member=lambda z: z.bits == 0 and z.cycle_type() == cycle_type)
-        if not ok:
-            raise ValueError(f"invalid symmetric-subgroup witness: {ok.reason}")
-    return w
+    return brute_force_type_d(
+        sym_class(cycle_type), lambda z: z.bits == 0 and z.cycle_type() == cycle_type
+    )
 
 
 def lift_from_sym(x: SignedPermutation, member) -> Optional[TypeDWitness]:
@@ -268,9 +264,9 @@ class Classifier:
     test; no class is listed, not even the S_n class that
     :func:`rack.brute_force_type_d` scans.  A class no rule decides is
     ``Undetermined``; every ``ProvenTypeD`` witness has passed
-    :meth:`rack.TypeDWitness.validate` against that membership test: an
-    orbit certificate, exhaustive and linear in the witness's size, which
-    recomputes both orbits and tests every element."""
+    :meth:`rack.TypeDWitness.validate` against that membership test once,
+    when it was built: an exhaustive check, linear in the witness's size,
+    which walks both orbits and tests every element."""
 
     def __init__(self, kind: GroupKind, n: int):
         self.kind = kind
@@ -284,20 +280,14 @@ class Classifier:
         if n <= 4 or x.perm == tuple(range(n)):
             return TypeDVerdict(UNDETERMINED, reason="rank or shape outside the decision procedure")
         member = self.membership.member_test(x)
-
-        def proven(w: Optional[TypeDWitness]) -> Optional[TypeDVerdict]:
-            if w is not None and w.validate(member):
-                return TypeDVerdict(PROVEN, witness=w, rule_tag=w.tag)
-            return None
-
         for rule in WITNESS_RULES:
-            if v := proven(rule(x, member)):
-                return v
+            if w := rule(x, member):
+                return TypeDVerdict(PROVEN, witness=w, rule_tag=w.tag)
         case = exception_case(x)
         if case is not None:
             return TypeDVerdict(EXCEPTION, exception_case=case, rule_tag="exception_list")
-        if v := proven(lift_from_sym(x, member)):
-            return v
+        if w := lift_from_sym(x, member):
+            return TypeDVerdict(PROVEN, witness=w, rule_tag=w.tag)
         return TypeDVerdict(UNDETERMINED, reason="no rule decides the class")
 
 

@@ -16,7 +16,7 @@ import sys
 import time
 from typing import NamedTuple, Optional
 
-from . import __version__, fk, yd
+from . import __version__, fk, nichols, yd
 from .cache import ResultCache
 from .classes import ConjugacyClass, centralizer, class_reps, enumerate_class
 from .classify import classify
@@ -310,8 +310,8 @@ def _cmd_nichols(args) -> int:
         cen = centralizer(args.group, x, cls)
         module = yd.build_yd_module(cls, _character_rep(args.char, cen))
         space = module.braided_space()
-        budget = yd.NICHOLS_ENTRY_BUDGET if args.budget is None else args.budget
-        dims = yd.nichols_graded_dims(space, args.max_degree, budget)
+        budget = nichols.NICHOLS_ENTRY_BUDGET if args.budget is None else args.budget
+        dims = nichols.nichols_graded_dims(space, args.max_degree, budget)
         return {
             "class_size": cls.size,
             "braided_dim": module.D,

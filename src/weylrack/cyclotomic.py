@@ -11,7 +11,7 @@ Euclidean algorithm over Q, and their integral coefficients turn back into
 ``int``, so the inverse of a unit +-zeta^k has ``int`` coefficients.  No
 floating point anywhere.
 
-The Nichols engine (``yd.nichols_graded_dims``) uses these scalars only
+The Nichols engine (``nichols.nichols_graded_dims``) uses these scalars only
 when its braiding has a non-rational scalar.  A braiding whose scalars all
 lie in Q (every +-1 character, over any Q(zeta_m)) runs over Q on ``int``
 and ``Fraction`` values instead: the ``nichols`` benchmark (S_4

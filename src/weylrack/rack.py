@@ -2,22 +2,22 @@
 decompositions and type-D witnesses.
 
 Conjugacy classes give racks via x |> y = x y x^-1; a type-D witness is a
-decomposition of a subrack into R, S plus a pair with sq(a, b) != b, built
-by :func:`pair_witness` from the pair's <a, b>-conjugation orbits, for which
-:func:`brute_force_type_d` scans a whole class, read lazily and uncapped.
-:meth:`TypeDWitness.validate` checks a witness as an orbit certificate, in
-time linear in its size; :func:`check_decomposition`, a plain loop that
-conjugates every ordered pair against the four closure rules, is its
+pair (a, b) with sq(a, b) != b whose <a, b>-conjugation orbits R and S are
+disjoint.  :meth:`TypeDWitness.validate` walks the two orbits once, which
+checks the pair and builds its parts, in time linear in their size;
+:func:`pair_witness` keeps the first candidate pair that passes, and
+:func:`brute_force_type_d` scans a whole class for one, read lazily and
+uncapped.  :func:`check_decomposition`, a plain loop that conjugates every
+ordered pair of two given parts against the four closure rules, is the
 independent oracle.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classes import CLASS_BUDGET, orbit
-from .errors import BudgetExceeded
 from .signed import (
     SignedPermutation,
     _act,
@@ -27,6 +27,9 @@ from .signed import (
     format_element,
     parse_element,
 )
+
+
+Member = Optional[Callable[[SignedPermutation], bool]]  # a class membership test
 
 
 class RackError(ValueError):
@@ -117,7 +120,7 @@ class DecompositionReport:
 def check_decomposition(
     R: Sequence[SignedPermutation],
     S: Sequence[SignedPermutation],
-    member: Optional[Callable[[SignedPermutation], bool]] = None,
+    member: Member = None,
 ) -> DecompositionReport:
     """Verify the subrack-decomposition rules on X = R u S, rule by rule.
 
@@ -155,65 +158,63 @@ def check_decomposition(
 
 @dataclass
 class TypeDWitness:
-    """A machine-checkable certificate that a class rack is of type D."""
+    """A machine-checkable certificate that a class rack is of type D: the
+    pair (a, b), whose conjugation orbits R and S under <a, b> are the parts.
+    :meth:`validate` walks them and keeps them; reading either before any
+    check runs it once, without a membership test."""
 
-    R: list[SignedPermutation]
-    S: list[SignedPermutation]
     a: SignedPermutation
     b: SignedPermutation
     tag: str = ""
+    _parts: Optional[tuple[list, list]] = field(default=None, init=False, repr=False, compare=False)
 
-    def validate(
-        self,
-        member: Optional[Callable[[SignedPermutation], bool]] = None,
-    ) -> DecompositionReport:
-        """Re-check the witness from scratch as an orbit certificate.
+    @property
+    def R(self) -> list[SignedPermutation]:
+        """The orbit of a, in breadth-first order from a."""
+        return self._walked()[0]
 
-        The parts must be nonempty, repeat no element and be disjoint, with
-        a in R, b in S and sq(a, b) != b; every element must pass ``member``
-        when it is given, and all share one rank.  Then the orbits of a and
-        b under conjugation by <a, b> are walked afresh, each capped at the
-        size of its part, and must hold exactly R's and S's keys.
+    @property
+    def S(self) -> list[SignedPermutation]:
+        """The orbit of b, in breadth-first order from b."""
+        return self._walked()[1]
 
-        That proves the four closure rules of :func:`check_decomposition`
-        (Andruskiewitsch-Fantino-Garcia-Vendramin 2011): every element of
-        R u S is g a g^-1 or g b g^-1 with g in <a, b>, so it lies in
-        <a, b>, and <a, b> maps each of its orbits onto itself; hence
-        x |> R = R and x |> S = S for every x in R u S.  The cost is
-        2(|R| + |S|) conjugations and one ``member`` test per element, where
-        the pairwise check conjugates up to |R u S|^2 pairs.
+    def _walked(self) -> tuple[list, list]:
+        if self._parts is None:
+            self.validate()
+        return self._parts
 
-        The check is stricter than :func:`check_decomposition`, which stays
-        as its independent oracle: a closed decomposition whose parts are
-        not exactly the two orbits fails it.  Every witness the library
-        builds comes from :func:`pair_witness`, whose parts are those orbits.
+    def validate(self, member: Member = None) -> DecompositionReport:
+        """Check the pair from scratch: a and b share one rank (ValueError
+        if not), sq(a, b) != b, the walk of a's orbit under conjugation by
+        <a, b> does not meet b, and every element of both orbits passes
+        ``member`` when it is given.  R and S keep what the check walked,
+        after a failure too: a's orbit up to b, and nothing when sq(a, b) == b.
+
+        The orbits are the parts of the decomposition of
+        :func:`check_decomposition` (Andruskiewitsch-Fantino-Garcia-Vendramin
+        2011): every element of R u S is g a g^-1 or g b g^-1 with g in
+        <a, b>, so it lies in <a, b>, and <a, b> maps each of its orbits onto
+        itself; hence x |> R = R and x |> S = S for every x in R u S.  Two
+        orbits are equal or disjoint, so b outside R keeps them disjoint.
+        The cost is 2(|R| + |S|) conjugations and one ``member`` test per
+        element, where the pairwise check conjugates up to |R u S|^2 pairs.
+        An orbit beyond ``CLASS_BUDGET`` elements raises BudgetExceeded.
         """
-        R, S, a, b = self.R, self.S, self.a, self.b
-        rkeys = {x.key() for x in R}
-        skeys = {y.key() for y in S}
-        if a.key() not in rkeys:
-            return DecompositionReport(False, "witness a not in R")
-        if b.key() not in skeys:
-            return DecompositionReport(False, "witness b not in S")
+        a, b = self.a, self.b
+        _common_rank(a, b)
+        self._parts = R, S = [], []
         if sq(a, b) == b:
             return DecompositionReport(False, "sq(a, b) == b")
-        if len(rkeys) != len(R) or len(skeys) != len(S):
-            return DecompositionReport(False, "repeated element in a part")
-        if not rkeys.isdisjoint(skeys):
-            return DecompositionReport(False, "parts are not disjoint")
+        bk = b.key()
+        tree = orbit(a, (a, b), conjugate, CLASS_BUDGET, stop=bk)
+        R.extend(z for z, _, _ in tree.values())
+        if bk in tree:
+            return DecompositionReport(False, "b is in the orbit of a")
+        S.extend(z for z, _, _ in orbit(b, (a, b), conjugate, CLASS_BUDGET).values())
         if member is not None:
             for x in itertools.chain(R, S):
                 if not member(x):
                     return DecompositionReport(False, "element outside the class", (x,))
-        if any(x.n != a.n for x in itertools.chain(R, S)):
-            raise ValueError("rank mismatch among the decomposition's elements")
-        for part, name, seed, keys in (("R", "a", a, rkeys), ("S", "b", b, skeys)):
-            try:
-                exact = orbit(seed, (a, b), conjugate, len(keys)).keys() == keys
-            except BudgetExceeded:  # the orbit outgrows the part
-                exact = False
-            if not exact:
-                return DecompositionReport(False, f"{part} is not the orbit of {name}")
         return DecompositionReport(True)
 
     def to_json(self) -> dict:
@@ -227,13 +228,18 @@ class TypeDWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "TypeDWitness":
-        return cls(
-            [parse_element(t) for t in data["R"]],
-            [parse_element(t) for t in data["S"]],
-            parse_element(data["a"]),
-            parse_element(data["b"]),
-            data.get("tag", ""),
-        )
+        """The witness on a record's pair.  ValueError unless the pair
+        validates and the record's R and S hold each element of its two
+        orbits once, in any order."""
+        w = cls(parse_element(data["a"]), parse_element(data["b"]), data.get("tag", ""))
+        report = w.validate()
+        if not report:
+            raise ValueError(f"invalid witness: {report.reason}")
+        for name, seed, part in (("R", "a", w.R), ("S", "b", w.S)):
+            keys = [parse_element(t).key() for t in data[name]]
+            if len(keys) != len(part) or set(keys) != {z.key() for z in part}:
+                raise ValueError(f"{name} is not the orbit of {seed}")
+        return w
 
 
 # -- search ----------------------------------------------------------------
@@ -242,31 +248,23 @@ class TypeDWitness:
 def pair_witness(
     candidates: Iterable[tuple[SignedPermutation, SignedPermutation]],
     tag: str,
-    member: Optional[Callable[[SignedPermutation], bool]] = None,
+    member: Member = None,
 ) -> Optional[TypeDWitness]:
-    """The witness on the first candidate pair (a, b) with a and b passing
-    ``member``, sq(a, b) != b and b outside the orbit of a under conjugation
-    by <a, b>; None when no candidate qualifies.
-
-    R and S are the orbits of a and b under <a, b>
-    (Andruskiewitsch-Fantino-Garcia-Vendramin 2011): each is closed under
-    conjugation by the group, which holds R u S, and two orbits are equal or
-    disjoint.  The walk of a's orbit stops once it meets b, which rejects the
-    candidate.  An orbit beyond ``CLASS_BUDGET`` elements raises BudgetExceeded.
-    """
+    """The witness on the first candidate pair (a, b) whose a and b pass
+    ``member`` and that passes :meth:`TypeDWitness.validate` under it; None
+    when no candidate qualifies."""
     for a, b in candidates:
-        if (member is None or member(a) and member(b)) and sq(a, b) != b:
-            bk = b.key()
-            orb_a = orbit(a, (a, b), conjugate, CLASS_BUDGET, stop=bk)
-            if bk not in orb_a:
-                R, S = ([z for z, _, _ in orb.values()]
-                        for orb in (orb_a, orbit(b, (a, b), conjugate, CLASS_BUDGET)))
-                return TypeDWitness(R, S, a, b, tag=tag)
+        if member is None or member(a) and member(b):
+            if (w := TypeDWitness(a, b, tag)).validate(member):
+                return w
     return None
 
 
-def brute_force_type_d(elements: Iterable[SignedPermutation]) -> Optional[TypeDWitness]:
-    """A type-D witness for the class ``elements``, or None.
+def brute_force_type_d(
+    elements: Iterable[SignedPermutation], member: Member = None
+) -> Optional[TypeDWitness]:
+    """A type-D witness for the class ``elements``, validated under
+    ``member``, or None.
 
     A rack is of type D iff some pair (r, s) has sq(r, s) != s and lies in two
     orbits of <r, s>.  In a class r can be conjugated to any element, so the
@@ -276,4 +274,4 @@ def brute_force_type_d(elements: Iterable[SignedPermutation]) -> Optional[TypeDW
     """
     it = iter(elements)
     a = next(it, None)
-    return None if a is None else pair_witness(((a, b) for b in it), "orbit_pair")
+    return None if a is None else pair_witness(((a, b) for b in it), "orbit_pair", member)

@@ -13,7 +13,7 @@ for C exactly when they hold for C^{-1}.  Graded dimensions of the associated
 quotient of the tensor algebra are the exact ranks of the quantum
 symmetrizers S_m.  The engine that computes them degree by degree, one block
 per class of Inn-degrees, lives in :mod:`weylrack.nichols` and reads only the
-braided space; its names stay bound here.  The full symmetrizer, on tuple
+braided space.  The full symmetrizer, on tuple
 words and always over the cyclotomic field, is kept here as its oracle.  The
 module also houses the scalar screening rules used to rule out finite
 dimension for juxtaposed classes.
@@ -44,11 +44,7 @@ from .signed import SignedPermutation, conjugate, identity, multiply
 DEFAULT_ENTRY_BUDGET = 5_000_000
 BRAID_CHECK_MAX_DIM = 24
 
-# the Nichols engine, bound here for the callers of yd
-NICHOLS_ENTRY_BUDGET = nichols.NICHOLS_ENTRY_BUDGET
-nichols_graded_dims = nichols.nichols_graded_dims
-_coded_tables = nichols._coded_tables
-_apply_lm = nichols._apply_lm
+nichols_graded_dims = nichols.nichols_graded_dims  # the benchmark's workloads read it from yd
 
 
 class RepInconsistency(ValueError):
@@ -271,7 +267,7 @@ def symmetrizer(space: BraidedVectorSpace, m: int) -> dict:
 
 
 def symmetrizer_rank(space: BraidedVectorSpace, m: int) -> int:
-    """rank S_m from all D^m columns: the oracle for :func:`nichols_graded_dims`."""
+    """rank S_m from all D^m columns: the oracle for :func:`nichols.nichols_graded_dims`."""
     if m == 0:
         return 1
     if m == 1:

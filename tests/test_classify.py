@@ -30,11 +30,13 @@ from weylrack.classify import (
     witness_two_triples,
 )
 from weylrack.errors import BudgetExceeded
-from weylrack.rack import TypeDWitness, brute_force_type_d, pair_witness
+from weylrack import rack as rack_module
+from weylrack.rack import TypeDWitness, brute_force_type_d, check_decomposition, pair_witness
 from weylrack.signed import (
     GroupKind,
     SignedPermutation,
     conjugate,
+    format_element,
     from_cycles,
     identity,
     parse_element,
@@ -124,38 +126,62 @@ def test_sym_lift():
     assert (w.a.perm, w.b.perm) == (sym.a.perm, sym.b.perm)
 
 
+def _record(w, R, S):
+    """The JSON record of w with its parts replaced by R and S."""
+    return {**w.to_json(), "R": [format_element(x) for x in R], "S": [format_element(y) for y in S]}
+
+
 def test_sym_class_witness_refuses_an_invalid_witness(monkeypatch):
-    # the S_5 witness with one element of S other than b moved into R
+    # the S_5 witness with one element of S other than b moved into R: a
+    # record holding it is refused and the pairwise check finds a broken
+    # rule; a scan whose only pair takes b from a's orbit gives no witness
     module = importlib.import_module("weylrack.classify")
     cycle_type = from_cycles(5, 0, [(1, 2, 3, 4, 5)]).cycle_type()
     sym_class_witness.cache_clear()
     try:
         sym = sym_class_witness(cycle_type)
         moved = next(z for z in sym.S if z != sym.b)
-        broken = TypeDWitness(sym.R + [moved], [z for z in sym.S if z != moved], sym.a, sym.b)
-        assert all(z.bits == 0 for z in broken.R + broken.S)
-        monkeypatch.setattr(module, "brute_force_type_d", lambda elements: broken)
+        R, S = sym.R + [moved], [z for z in sym.S if z != moved]
+        assert all(z.bits == 0 for z in R + S)
+        with pytest.raises(ValueError, match="^R is not the orbit of a$"):
+            TypeDWitness.from_json(_record(sym, R, S))
+        assert not check_decomposition(R, S)
+        monkeypatch.setattr(module, "sym_class", lambda t: iter([sym.a, sym.R[1]]))
         sym_class_witness.cache_clear()
-        with pytest.raises(ValueError, match="^invalid symmetric-subgroup witness: "):
-            sym_class_witness(cycle_type)
+        assert sym_class_witness(cycle_type) is None
     finally:
         sym_class_witness.cache_clear()
 
 
 def test_sym_class_witness_checks_class_membership(monkeypatch):
     # the S_5 5-cycle witness with the identity added to R keeps every closure
-    # rule and every sign bit 0, but the identity lies outside the class
+    # rule and every sign bit 0, but the identity lies outside the class: the
+    # scan's membership test refuses it, and a record holding it is refused;
+    # a scan whose b carries a sign bit gives no witness
     module = importlib.import_module("weylrack.classify")
-    cycle_type = (5,)
+    cycle_type, members, scan = (5,), [], module.brute_force_type_d
+
+    def spy_scan(elements, member=None):
+        members.append(member)
+        return scan(elements, member)
+
+    monkeypatch.setattr(module, "brute_force_type_d", spy_scan)
     sym_class_witness.cache_clear()
     try:
         sym = sym_class_witness(cycle_type)
-        broken = TypeDWitness(sym.R + [identity(5)], sym.S, sym.a, sym.b)
-        monkeypatch.setattr(module, "brute_force_type_d", lambda elements: broken)
+        (member,) = members
+        assert sym.validate(member)
+        R = sym.R + [identity(5)]
+        report = check_decomposition(R, sym.S, member)
+        assert not report and report.reason == "element outside the class"
+        assert report.violation == (identity(5),) and check_decomposition(R, sym.S)
+        with pytest.raises(ValueError, match="^R is not the orbit of a$"):
+            TypeDWitness.from_json(_record(sym, R, sym.S))
+        signed_b = SignedPermutation(5, 1, sym.b.perm)
+        assert TypeDWitness(sym.a, signed_b).validate()
+        monkeypatch.setattr(module, "sym_class", lambda t: iter([sym.a, signed_b]))
         sym_class_witness.cache_clear()
-        with pytest.raises(ValueError, match="^invalid symmetric-subgroup witness: "
-                           "element outside the class"):
-            sym_class_witness(cycle_type)
+        assert sym_class_witness(cycle_type) is None
     finally:
         sym_class_witness.cache_clear()
 
@@ -213,11 +239,11 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
     scan, list_class, lift = module.brute_force_type_d, ConjugacyClass._list, module.lift_from_sym
     validate = TypeDWitness.validate
 
-    def spy_scan(elements):
+    def spy_scan(elements, member=None):
         it = iter(elements)  # lazy: read the first element, then hand it back
         first = next(it)
         scanned[first.cycle_type()] += 1
-        return scan(itertools.chain([first], it))
+        return scan(itertools.chain([first], it), member)
 
     def spy_list(cls):
         listed.append(cls.rep)
@@ -298,6 +324,28 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
             assert {z.key() for z in part} == orbit(c, (w.a, w.b), conjugate, CLASS_BUDGET).keys()
     assert lifts and all(w is not None for _, w in lifts)
     assert all((w.a.perm, w.b.perm) == (sym.a.perm, sym.b.perm) for sym, w in lifts)
+
+
+def test_rule_built_verdict_walks_each_orbit_once(monkeypatch):
+    # the odd-cycle rule decides B5's 5-cycle class: validate walks the
+    # orbits of a and b once, as it builds the witness, and neither the
+    # verdict's JSON nor the parts' sizes walk them again, not even after a
+    # failed check
+    calls = []
+
+    def counting(seed, *args, **kwargs):
+        calls.append(seed)
+        return orbit(seed, *args, **kwargs)
+
+    monkeypatch.setattr(rack_module, "orbit", counting)
+    v = classify(GroupKind.B, parse_element("00000:(1 2 3 4 5)"))
+    assert v.rule_tag == "odd_cycle_fibers"
+    w = v.witness
+    assert v.to_json()["witness"]["R"] and len(w.R) + len(w.S) == 32
+    assert calls == [w.a, w.b]
+    damaged = TypeDWitness(w.a, w.R[1])
+    assert not damaged.validate() and len(calls) == 3
+    assert w.R[1] in damaged.R and damaged.S == [] and len(calls) == 3
 
 
 def test_propagate_juxtaposition():

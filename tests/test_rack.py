@@ -31,6 +31,7 @@ from weylrack.signed import (
     GroupKind,
     SignedPermutation,
     conjugate,
+    format_element,
     from_cycles,
     multiply,
     parse_element,
@@ -76,7 +77,9 @@ def test_commuting_formula_rejects_noncommuting_perms():
 
 
 @pytest.mark.parametrize(
-    "formula", [sq, sq_formula_general, sq_formula_commuting, commuting_balance_sides]
+    "formula",
+    [sq, sq_formula_general, sq_formula_commuting, commuting_balance_sides,
+     pytest.param(lambda a, b: TypeDWitness(a, b).validate(), id="validate")],
 )
 def test_sq_formulas_refuse_a_rank_mismatch(formula):
     x, y = parse_element("101:(1 2)"), parse_element("0110:(1 2 3 4)")
@@ -333,31 +336,40 @@ def test_b8_fixed_point_witness_checked_exhaustively():
     report = w.validate(member=lambda t: mem.same_class(t, x))
     assert report.ok and report.reason == ""
     # one element of S other than b moved into R: the parts are no longer
-    # the orbits of a and b, and the pairwise check names a broken rule
+    # the orbits of a and b, so a record holding them is refused, and the
+    # pairwise check names a broken rule
     moved = next(y for y in w.S if y != w.b)
     R = w.R + [moved]
     S = [y for y in w.S if y != moved]
-    assert not TypeDWitness(R, S, w.a, w.b).validate()
+    with pytest.raises(ValueError, match="^R is not the orbit of a$"):
+        TypeDWitness.from_json(_record(w, R, S))
     report = check_decomposition(R, S)
     assert not report.ok and report.reason in _RULES
     _assert_violation_breaks_rule(R, S, report)
 
 
+def _record(w, R, S):
+    """The JSON record of w with its parts replaced by R and S."""
+    return {**w.to_json(), "R": [format_element(x) for x in R], "S": [format_element(y) for y in S]}
+
+
 def _damaged_copies(w):
-    """Three broken copies (R, S) of a witness: an element of S other than b
-    dropped, one moved into R, and the first sign bit flipped on an element
-    of R other than a."""
+    """Three broken copies (R, S, the first part that is not an orbit) of a
+    witness: an element of S other than b dropped, one moved into R, and the
+    first sign bit flipped on an element of R other than a."""
     s = next(y for y in w.S if y != w.b)
     r = next(x for x in w.R if x != w.a)
     S = [y for y in w.S if y != s]
     flipped = SignedPermutation(r.n, r.bits ^ 1, r.perm)
-    return [(w.R, S), (w.R + [s], S), ([flipped if x == r else x for x in w.R], w.S)]
+    return [(w.R, S, "S is not the orbit of b"), (w.R + [s], S, "R is not the orbit of a"),
+            ([flipped if x == r else x for x in w.R], w.S, "R is not the orbit of a")]
 
 
 def test_orbit_certificate_agrees_with_pairwise_check():
     # every ProvenTypeD witness of B5-B7/D5-D7 passes both the orbit
-    # certificate and the pairwise closure check, under its class test; both
-    # reject every damaged copy, with and without that test
+    # certificate and the pairwise closure check, under its class test, and
+    # its record loads; a record of every damaged copy is refused, and the
+    # pairwise check rejects the copy with and without that test
     witnesses = damaged = 0
     for kind in (GroupKind.B, GroupKind.D):
         for n in (5, 6, 7):
@@ -368,10 +380,12 @@ def test_orbit_certificate_agrees_with_pairwise_check():
                     continue
                 w, member = v.witness, clf.membership.member_test(x)
                 assert w.validate(member) and check_decomposition(w.R, w.S, member), str(x)
+                assert TypeDWitness.from_json(w.to_json()) == w
                 witnesses += 1
-                for R, S in _damaged_copies(w):
+                for R, S, reason in _damaged_copies(w):
+                    with pytest.raises(ValueError, match=f"^{reason}$"):
+                        TypeDWitness.from_json(_record(w, R, S))
                     for test in (member, None):
-                        assert not TypeDWitness(R, S, w.a, w.b).validate(test), str(x)
                         report = check_decomposition(R, S, test)
                         assert not report, str(x)
                         _assert_violation_breaks_rule(R, S, report, test)
@@ -382,7 +396,8 @@ def test_orbit_certificate_agrees_with_pairwise_check():
 def test_validate_is_stricter_than_the_pairwise_check():
     # z lies in the class of the B8 witness below and moves or signs no point
     # that R u S touches, so it commutes with all of R u S: R + [z], S is still
-    # a closed decomposition, but R is no longer the orbit of a
+    # a closed decomposition, but R is no longer the orbit of a, so a record
+    # holding it is refused
     x, z = parse_element("00000001:(1 2)"), parse_element("00000010:(5 6)")
     verdict = classify(GroupKind.B, x)
     assert verdict.status == PROVEN
@@ -391,8 +406,32 @@ def test_validate_is_stricter_than_the_pairwise_check():
     assert all(multiply(z, t) == multiply(t, z) for t in w.R + w.S)
     R = w.R + [z]
     assert check_decomposition(R, w.S, member)
-    report = TypeDWitness(R, w.S, w.a, w.b).validate(member)
-    assert not report and report.reason == "R is not the orbit of a"
+    with pytest.raises(ValueError, match="^R is not the orbit of a$"):
+        TypeDWitness.from_json(_record(w, R, w.S))
+
+
+def test_validate_refuses_damaged_pairs():
+    x = parse_element("00000:(1 2 3 4 5)")
+    clf = Classifier(GroupKind.B, 5)
+    w, member = clf.classify(x).witness, clf.membership.member_test(x)
+    assert w.validate(member)
+    # b taken from a's orbit: the walk of a's orbit under <a, b> meets it
+    r = w.R[1]
+    report = TypeDWitness(w.a, r).validate(member)
+    assert not report and report.reason == "b is in the orbit of a"
+    # a sign bit flipped on a: the pair still splits, but a leaves the class
+    flipped = SignedPermutation(5, w.a.bits ^ 1, w.a.perm)
+    report = TypeDWitness(flipped, w.b).validate(member)
+    assert not report and report.reason == "element outside the class"
+    assert report.violation == (flipped,) and TypeDWitness(flipped, w.b).validate()
+    # a commuting pair: sq(a, b) == b
+    a, b = parse_element("00000:(1 2)"), parse_element("00000:(3 4)")
+    assert multiply(a, b) == multiply(b, a)
+    report = TypeDWitness(a, b).validate()
+    assert not report and report.reason == "sq(a, b) == b"
+    # a record whose pair fails is refused as well
+    with pytest.raises(ValueError, match="^invalid witness: sq\\(a, b\\) == b$"):
+        TypeDWitness.from_json({"R": [], "S": [], "a": format_element(a), "b": format_element(b)})
 
 
 def _random_imports(module):

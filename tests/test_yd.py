@@ -29,7 +29,7 @@ def test_braid_equation_trivial_and_sign_reps():
 
 def test_sign_character_graded_dims():
     module, _ = sym_transposition_module(yd.perm_sign_rep)
-    dims = yd.nichols_graded_dims(module.braided_space(), 8)
+    dims = nichols.nichols_graded_dims(module.braided_space(), 8)
     assert dims == [1, 3, 4, 3, 1]
     assert sum(dims) == 12
 
@@ -40,7 +40,7 @@ def test_graded_dims_invariant_under_class_renumbering():
     cls2 = yd.renumber_class(module.cls, perm)
     cen = centralizer(GroupKind.S, cls2.rep, cls2)
     module2 = yd.build_yd_module(cls2, yd.perm_sign_rep(cen, F))
-    assert yd.nichols_graded_dims(module2.braided_space(), 8) == [1, 3, 4, 3, 1]
+    assert nichols.nichols_graded_dims(module2.braided_space(), 8) == [1, 3, 4, 3, 1]
 
 
 def test_renumber_class_refuses_an_order_that_is_not_a_permutation():
@@ -64,7 +64,7 @@ def test_section_inconsistent_with_numeration_is_refused():
 def test_flip_braiding_gives_binomials():
     F = CyclotomicField(2)
     space = yd.diagonal_braiding(F, [[F.one] * 2] * 2)
-    dims = yd.nichols_graded_dims(space, 4)
+    dims = nichols.nichols_graded_dims(space, 4)
     assert dims == [1, 2, 3, 4, 5]  # symmetric algebra on two variables
 
 
@@ -93,7 +93,7 @@ def test_sign_diagonal_braiding_is_exterior():
     F = CyclotomicField(2)
     m = F.minus_one()
     space = yd.diagonal_braiding(F, [[m]])
-    assert yd.nichols_graded_dims(space, 6) == [1, 1]
+    assert nichols.nichols_graded_dims(space, 6) == [1, 1]
 
 
 def test_symmetrizer_factorization():
@@ -110,12 +110,12 @@ def test_symmetrizer_factorization():
     zeta3 = CyclotomicField(3)
     spaces = [(space, F), (_class_space(GroupKind.S, 3, [(1, 2, 3)], _zeta3_rep, zeta3), zeta3)]
     for space, F in spaces:
-        b, table, _ = yd._coded_tables(space)
+        b, table, _ = nichols._coded_tables(space)
         for m in range(2, 5):
             for basis in product(range(space.D), repeat=m):
                 lower = yd._apply_sm(space, {basis[:-1]: F.one}, m - 1)
                 coded = {fk._encode(w + basis[-1:], b): c for w, c in lower.items()}
-                lifted = yd._apply_lm(table, coded, m, b)
+                lifted = nichols._apply_lm(table, coded, m, b)
                 decoded = {fk._decode(w, m, b): c for w, c in lifted.items()}
                 assert decoded == yd._apply_sm(space, {basis: F.one}, m), basis
 
@@ -171,7 +171,7 @@ NON_RATIONAL = {"zeta3-diagonal": [1, 1, 1], "S3-3-cycles-zeta3": [1, 2, 4, 6, 1
 def test_recursive_dims_match_symmetrizer_rank(name):
     build, max_degree = CROSS_ENGINE[name]
     space = build()
-    assert yd.nichols_graded_dims(space, max_degree) == _oracle_dims(space, max_degree)
+    assert nichols.nichols_graded_dims(space, max_degree) == _oracle_dims(space, max_degree)
 
 
 def _count_products(monkeypatch) -> list:
@@ -192,7 +192,7 @@ def test_non_rational_braidings_keep_the_cyclotomic_table(monkeypatch, name):
     space = build()
     assert any(any(q.coeffs[1:]) for _, q in space.cinv_map.values())
     products = _count_products(monkeypatch)
-    assert yd.nichols_graded_dims(space, max_degree) == NON_RATIONAL[name]
+    assert nichols.nichols_graded_dims(space, max_degree) == NON_RATIONAL[name]
     assert products
 
 
@@ -201,13 +201,13 @@ def test_rational_braidings_run_without_cyclotomic_products(monkeypatch, modulus
     # perm_sign_rep over Q(zeta_4) has values +-1 in a degree-2 field
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep, CyclotomicField(modulus))
     products = _count_products(monkeypatch)
-    assert yd.nichols_graded_dims(space, 5) == [1, 6, 19, 42, 71, 96]
+    assert nichols.nichols_graded_dims(space, 5) == [1, 6, 19, 42, 71, 96]
     assert not products
 
 
 def test_s4_transpositions_sign_match_fomin_kirillov_e4():
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
-    dims = yd.nichols_graded_dims(space, 5)
+    dims = nichols.nichols_graded_dims(space, 5)
     assert dims == [1, 6, 19, 42, 71, 96]
     assert dims == fk.graded_dims(fk.fk_presentation(4), 5, "rewrite")
 
@@ -217,7 +217,7 @@ def test_s4_transpositions_sign_through_degree_eight():
     # degree 9 generates 905,768 candidate entries, within the default budget;
     # the one-block engine needed 1,701,282 for degree 8
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
-    assert yd.nichols_graded_dims(space, 9) == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42]
+    assert nichols.nichols_graded_dims(space, 9) == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42]
 
 
 def test_nichols_candidate_entries_are_pinned():
@@ -226,19 +226,19 @@ def test_nichols_candidate_entries_are_pinned():
     # refuses it one entry short and not at the count
     space = _class_space(GroupKind.S, 4, [(1, 2)], yd.perm_sign_rep)
     with pytest.raises(BudgetExceeded, match="degree-5") as exc:
-        yd.nichols_graded_dims(space, 5, entry_budget=3_347)
+        nichols.nichols_graded_dims(space, 5, entry_budget=3_347)
     assert exc.value.dims == [1, 6, 19, 42, 71]
-    assert yd.nichols_graded_dims(space, 5, entry_budget=3_348) == [1, 6, 19, 42, 71, 96]
+    assert nichols.nichols_graded_dims(space, 5, entry_budget=3_348) == [1, 6, 19, 42, 71, 96]
 
 
 def test_b5_transpositions_sign_through_degree_five():
     # D = 20; the quadratic cover gives the same dims through degree 5
     space = _class_space(GroupKind.B, 5, [(1, 2)], yd.perm_sign_rep)
-    assert yd.nichols_graded_dims(space, 5) == [1, 20, 230, 2000, 14601, 94420]
+    assert nichols.nichols_graded_dims(space, 5) == [1, 20, 230, 2000, 14601, 94420]
 
 
 def _symmetry_of(space):
-    b, table, _ = yd._coded_tables(space)
+    b, table, _ = nichols._coded_tables(space)
     return nichols._symmetry(table, b, space.D)
 
 
@@ -265,9 +265,9 @@ def test_class_blocks_match_the_trivial_group(monkeypatch, name):
     build, max_degree = TRIVIAL_GROUP_CASES[name]
     space = build()
     assert _symmetry_of(space) is not None
-    dims = yd.nichols_graded_dims(space, max_degree)
+    dims = nichols.nichols_graded_dims(space, max_degree)
     monkeypatch.setattr(nichols, "_symmetry", lambda *args: None)
-    assert yd.nichols_graded_dims(space, max_degree) == dims
+    assert nichols.nichols_graded_dims(space, max_degree) == dims
 
 
 def _swap_table():
@@ -299,15 +299,15 @@ def test_tables_without_the_symmetry_take_one_block(build, failing_triple, dims)
             space.check_braid_equation()
     assert _symmetry_of(space) is None
     max_degree = len(dims) - 1
-    assert yd.nichols_graded_dims(space, max_degree) == dims == _oracle_dims(space, max_degree)
+    assert nichols.nichols_graded_dims(space, max_degree) == dims == _oracle_dims(space, max_degree)
 
 
 def test_nichols_entry_budget_names_degree():
     space = _class_space(GroupKind.S, 3, [(1, 2)], yd.perm_sign_rep)
     with pytest.raises(BudgetExceeded, match="degree-2") as exc:
-        yd.nichols_graded_dims(space, 4, entry_budget=5)
+        nichols.nichols_graded_dims(space, 4, entry_budget=5)
     assert exc.value.limit == 5 and exc.value.dims == [1, 3]
-    assert yd.nichols_graded_dims(space, 4, entry_budget=100) == [1, 3, 4, 3, 1]
+    assert nichols.nichols_graded_dims(space, 4, entry_budget=100) == [1, 3, 4, 3, 1]
 
 
 def test_self_braiding_scalar():
