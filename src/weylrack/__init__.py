@@ -35,6 +35,7 @@ from .classes import (
 )
 from .classify import (
     EXCEPTION,
+    NOT_TYPE_D,
     PROVEN,
     UNDETERMINED,
     Classifier,
@@ -48,4 +49,4 @@ from .linalg import rank
 from .cache import ResultCache, ResultRecord
 from .suites import SUITES, run_suite
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

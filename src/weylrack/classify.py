@@ -1,5 +1,7 @@
 """Constructive type-D witnesses and the decision procedure for conjugacy
-classes of the signed Weyl groups (rank > 4, nontrivial permutation part).
+classes of the signed Weyl groups (rank > 4, nontrivial permutation part;
+a class of diagonal sign matrices commutes, so it is not of type D at any
+rank).
 
 Every witness is built inside the input's own class from one pair (a, b):
 each rule squares or re-pairs cycles in place, or moves a sign to a fixed
@@ -29,6 +31,7 @@ from .signed import (
 SYM_MEMO = 256  # S_n cycle types whose symmetric-subgroup witness is kept
 
 PROVEN = "ProvenTypeD"
+NOT_TYPE_D = "ProvenNotTypeD"
 EXCEPTION = "InExceptionList"
 UNDETERMINED = "Undetermined"
 
@@ -256,9 +259,13 @@ def exception_case(x: SignedPermutation) -> Optional[str]:
 class Classifier:
     """The decision procedure for one group and rank.
 
-    The witness rules of ``WITNESS_RULES`` are tried in order, then the
-    exception list, and last the lift of the symmetric-subgroup witness from
-    :func:`sym_class_witness`, shared by every classifier of the process.
+    A class whose permutation part is the identity holds diagonal sign
+    matrices, which commute: sq(a, b) = b on every pair, so it is
+    ``ProvenNotTypeD`` at every rank.  Below rank 5 every other class is
+    ``Undetermined``.  Otherwise the witness rules of ``WITNESS_RULES`` are
+    tried in order, then the exception list, and last the lift of the
+    symmetric-subgroup witness from :func:`sym_class_witness`, shared by
+    every classifier of the process.
     Each rule builds its own pair (a, b) and hands it to
     :func:`rack.pair_witness` with a :func:`classes.class_key` membership
     test; no class is listed, not even the S_n class that
@@ -277,8 +284,12 @@ class Classifier:
         n = self.n
         if x.n != n:
             raise ValueError("rank mismatch with classifier")
-        if n <= 4 or x.perm == tuple(range(n)):
-            return TypeDVerdict(UNDETERMINED, reason="rank or shape outside the decision procedure")
+        if x.perm == tuple(range(n)):
+            return TypeDVerdict(
+                NOT_TYPE_D, rule_tag="commuting_class", reason="commuting class: sq(a, b) = b on every pair"
+            )
+        if n <= 4:
+            return TypeDVerdict(UNDETERMINED, reason="rank outside the decision procedure")
         member = self.membership.member_test(x)
         for rule in WITNESS_RULES:
             if w := rule(x, member):

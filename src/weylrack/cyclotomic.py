@@ -6,31 +6,29 @@ d = phi(m).  Phi_m is monic with integer coefficients, so sums, products and
 reductions of elements of Z[zeta_m] stay in Z[zeta_m]: a coefficient is a
 plain ``int`` whenever its value is an integer and a ``Fraction`` only
 otherwise.  A product is the schoolbook product reduced modulo Phi_m, which
-needs no division because Phi_m is monic.  Inverses come from the extended
-Euclidean algorithm over Q, and their integral coefficients turn back into
-``int``, so the inverse of a unit +-zeta^k has ``int`` coefficients.  No
-floating point anywhere.
+needs no division because Phi_m is monic.  An inverse solves the d x d system
+of multiplication by the scalar on :func:`linalg.echelon`, the package's one
+elimination loop, and its integral coefficients turn back into ``int``, so
+the inverse of a unit +-zeta^k has ``int`` coefficients.  The roots of unity
+of Q(zeta_m) are the +-zeta^k, of order dividing lcm(2, m), which bounds the
+search of :meth:`CycScalar.multiplicative_order`.  No floating point anywhere.
 
 The Nichols engine (``nichols.nichols_graded_dims``) uses these scalars only
-when its braiding has a non-rational scalar.  A braiding whose scalars all
-lie in Q (every +-1 character, over any Q(zeta_m)) runs over Q on ``int``
-and ``Fraction`` values instead: the ``nichols`` benchmark (S_4
-transpositions, sign character, degree 5) takes about 0.05 s instead of
-0.22 s on ``CycScalar`` (2 cores, host-corrected; see
-``BENCH_nichols_rational.json``).  Scalars still build the braiding and run
-the ``symmetrizer_rank`` oracle and every non-rational character (zeta_3 on
-S_3 3-cycles, say).
+when its braiding has a non-rational scalar; a braiding whose scalars all lie
+in Q (every +-1 character, over any Q(zeta_m)) runs over Q on ``int`` and
+``Fraction`` values instead.  Scalars still build the braiding and run the
+``symmetrizer_rank`` oracle and every non-rational character (zeta_3 on S_3
+3-cycles, say).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, neg, sub
 
-from .linalg import _normal
-
-ORDER_BOUND = 1000  # the largest order CycScalar.multiplicative_order looks for
+from .linalg import _normal, back_substitute, echelon
 
 
 @lru_cache(maxsize=None)
@@ -42,7 +40,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num[0], num[m] = -1, 1
     for d in range(1, m):
         if m % d == 0:
-            # Phi_d is monic, so the quotient stays ``int``
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if any(rem):
                 raise ArithmeticError("non-exact polynomial division")
@@ -52,11 +49,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 def _rational(q):
     """``q`` as an exact coefficient: ``int`` if integral, else ``Fraction``."""
     return q if type(q) is int else _normal(Fraction(q))
-
-
-def _div(a, b):
-    """The exact quotient a / b of two coefficients (the one division here)."""
-    return _normal(Fraction(a) / b)
 
 
 def _tidy(coeffs: tuple) -> tuple:
@@ -171,29 +163,19 @@ class CycScalar:
         return _make(f, _tidy(f._reduce(prod)))
 
     def inverse(self) -> "CycScalar":
+        """The y with self * y = 1, from the d x d system of multiplication by
+        self.  Column j < d holds self * zeta^j and column d the constant
+        term, so row i reads (self * y)_i - [i == 0] = 0; in the reduced form
+        the row of lead j is y_j + tail[d], so y_j = -tail[d]."""
         f = self.field
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
-        # extended Euclid in Q[x] against the (monic, irreducible) modulus
-        a = list(f.poly)
-        b = list(self.coeffs)
-        sa, sb = [0], [1]
-
-        def strip(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        strip(b)
-        while len(b) > 1:
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            sa, sb = sb, _poly_sub(sa, _poly_mul(q, sb))
-            strip(b)
-        if not b:
-            raise ZeroDivisionError("scalar not invertible (modulus not coprime)")
-        c = b[0]
-        return _make(f, _tidy(f._reduce([_div(s, c) for s in sb])))
+        d = f.degree
+        cols = [f._reduce([0] * j + list(self.coeffs)) for j in range(d)]
+        rows = [{j: col[i] for j, col in enumerate(cols)} for i in range(d)]
+        rows[0][d] = -1
+        pivots = back_substitute(echelon(rows))
+        return _make(f, _tidy(tuple(-pivots[j].get(d, 0) for j in range(d))))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -211,9 +193,11 @@ class CycScalar:
         return out
 
     def multiplicative_order(self):
-        """Smallest k with self**k == 1, or None if none up to ``ORDER_BOUND``."""
+        """Smallest k with self**k == 1, or None if self is no root of unity:
+        the roots of unity of Q(zeta_m) are the +-zeta^j, whose orders divide
+        lcm(2, m)."""
         acc = self.field.one
-        for k in range(1, ORDER_BOUND + 1):
+        for k in range(1, math.lcm(2, self.field.m) + 1):
             acc = acc * self
             if acc == self.field.one:
                 return k
@@ -239,32 +223,14 @@ def _make(field: CyclotomicField, coeffs: tuple) -> CycScalar:
 
 
 def _poly_divmod(num, den):
+    """Quotient and remainder by the monic ``den``: ``int`` input stays ``int``."""
     num = list(num)
     dn = len(den) - 1
-    lead = den[-1]
     q = [0] * max(1, len(num) - dn)
     for k in range(len(num) - dn - 1, -1, -1):
-        c = _div(num[k + dn], lead)
+        c = num[k + dn]
         q[k] = c
         if c:
             for i, d in enumerate(den):
                 num[k + i] -= c * d
     return q, num[:dn]
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out

@@ -4,7 +4,7 @@ A :class:`QuadraticPresentation` is quadratic relations on generators
 0..num_gens-1, which is all the engines read.  :func:`presentation` builds the
 sign-twisted family A(alpha, beta, gamma, lambda) on generators x_ij, i<j,
 where x_ji = gamma_ij x_ij, and :func:`fk_presentation` its classical instance
-E_n = (1, 1, -1, 1); :func:`ordered_form_relations` is E_n's i<j form.
+E_n = (1, 1, -1, 1).
 
 Graded dimensions are computed by two independent engines: an iterative
 linear-algebra quotient (degree by degree, on the echelon kernel of
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import count, permutations, product
+from itertools import count, permutations
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .linalg import _inv, _normal, back_substitute, echelon, rank
+from .linalg import _inv, _normal, back_substitute, echelon
 
 Word = tuple  # tuple of generator indices
 Poly = dict  # Word -> int or Fraction
@@ -152,49 +152,6 @@ def presentation(n, alpha=1, beta=1, gamma=-1, lam=1, label="") -> QuadraticPres
 def fk_presentation(n) -> QuadraticPresentation:
     """The classical square-free algebra E_n: the (1, 1, -1, 1) instance."""
     return presentation(n, label=f"E_{n}")
-
-
-def ordered_form_relations(n) -> list:
-    """Relations of the i<j presentation, over the same canonical generators."""
-    gens = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    index = {p: k for k, p in enumerate(gens)}
-    rels: list[Poly] = []
-    for k in range(len(gens)):
-        rels.append({(k, k): 1})
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                ij, jk, ik = index[(i, j)], index[(j, k)], index[(i, k)]
-                rels.append({(ij, jk): 1, (jk, ik): -1, (ik, ij): -1})
-                rels.append({(jk, ij): 1, (ik, jk): -1, (ij, ik): -1})
-    for (i, j) in gens:
-        for (k, l) in gens:
-            if len({i, j, k, l}) == 4 and (i, j) < (k, l):
-                a, b = index[(i, j)], index[(k, l)]
-                rels.append({(a, b): 1, (b, a): -1})
-    return rels
-
-
-def ideal_slices_equal(rels_a, rels_b, num_gens: int, max_degree: int) -> bool:
-    """Do two quadratic relation sets span the same ideal slice per degree?"""
-    for m in range(2, max_degree + 1):
-        ra = _ideal_slice_rows(rels_a, num_gens, m)
-        rb = _ideal_slice_rows(rels_b, num_gens, m)
-        r1, r2 = rank(ra), rank(rb)
-        if r1 != r2 or rank(ra + rb) != r1:
-            return False
-    return True
-
-
-def _ideal_slice_rows(relations, num_gens: int, m: int) -> list:
-    rows = []
-    for pre in range(m - 1):
-        post = m - 2 - pre
-        for u in product(range(num_gens), repeat=pre):
-            for v in product(range(num_gens), repeat=post):
-                for rel in relations:
-                    rows.append({u + w + v: c for w, c in rel.items()})
-    return rows
 
 
 # ---------------------------------------------------------------------------

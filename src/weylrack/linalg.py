@@ -2,16 +2,18 @@
 
 One elimination loop, :func:`echelon`, serves every caller: ``rank`` counts its
 pivots, the Nichols engine streams each degree's candidates into it, and the
-Fomin-Kirillov linear engine adds :func:`back_substitute` for the reduced form.
+Fomin-Kirillov linear engine and ``CycScalar.inverse`` (a solve of the system
+of multiplication by the scalar, over Q) add :func:`back_substitute` for the
+reduced form.
 
 Entries may be ``int``, :class:`fractions.Fraction` or
 :class:`weylrack.cyclotomic.CycScalar`; anything supporting +, -, *, truthiness
 and ``inverse`` works.  Units stay ``int``: a pivot of 1 or -1 is its own
 inverse, so rows with +-1 pivots (the Fomin-Kirillov relations) are reduced in
 integer arithmetic, while any other ``int`` pivot falls back to ``Fraction`` and
-results stay exact over Q.  No entry ever becomes a float.  Pivoting is
-deterministic (the lead of a row is its least column), so ranks and echelon
-forms are reproducible run to run.
+results stay exact over Q.  :func:`_inv` holds the package's one true division.
+No entry ever becomes a float.  Pivoting is deterministic (the lead of a row
+is its least column), so ranks and echelon forms are reproducible run to run.
 """
 from __future__ import annotations
 

@@ -252,6 +252,12 @@ def _suite_juxtaposition(params: dict, rng: random.Random) -> list[dict]:
 # decomposition witnesses
 
 
+def _proven_by(verdict, tag: str) -> bool:
+    """Is ``verdict`` a ProvenTypeD from the rule ``tag``?  A class that
+    another rule (the S_n lift, say) also proves must not pass for this one."""
+    return verdict.status == PROVEN and verdict.rule_tag == tag
+
+
 def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
     cycle_signs = _param(
         params, "cycle_signs", None, lambda v: _ints_in(v, 0, 31), "a nonempty list of integers in 0..31"
@@ -264,22 +270,21 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
         signs = [0, 1, (1 << n) - 1, 0b10101 % (1 << n)] if cycle_signs is None else cycle_signs
         for bits in signs:
             x = from_cycles(n, bits, [tuple(range(1, p + 1))])
-            v = clf.classify(x)
-            ok = ok and v.status == PROVEN
+            ok = ok and _proven_by(clf.classify(x), "odd_cycle_fibers")
         checks.append(_check(f"odd_{p}_cycle_witnesses", "witness-odd-cycle", ok))
     # two 3-cycles: all 64 sign vectors
     clf = Classifier(GroupKind.B, 6)
     ok = True
     for bits in range(64):
         x = from_cycles(6, bits, [(1, 2, 3), (4, 5, 6)])
-        ok = ok and clf.classify(x).status == PROVEN
+        ok = ok and _proven_by(clf.classify(x), "two_triples_fibers")
     checks.append(_check("two_triples_all_signs", "witness-two-triples", ok))
     # two 2-cycles and a 3-cycle: all 128 sign vectors
     clf = Classifier(GroupKind.B, 7)
     ok = True
     for bits in range(128):
         x = from_cycles(7, bits, [(1, 2), (3, 4), (5, 6, 7)])
-        ok = ok and clf.classify(x).status == PROVEN
+        ok = ok and _proven_by(clf.classify(x), "pair_repairing_fibers")
     checks.append(_check("pairs_triple_all_signs", "witness-pairs-triple", ok))
     # fixed-point rules: non-constant signs on fixed points
     clf = Classifier(GroupKind.B, 6)
@@ -288,7 +293,7 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
         from_cycles(6, 0b000001, [(5, 6)]),
         from_cycles(6, 0b000010, [(4, 5, 6)]),
     ):
-        ok = ok and clf.classify(x).status == PROVEN
+        ok = ok and _proven_by(clf.classify(x), "fixed_point_bit")
     checks.append(_check("fixed_point_rules", "witness-fixed-points", ok))
     # propagation: a decomposition survives juxtaposition with any right block;
     # the juxtaposed pair's witness is the old one with ``right`` appended

@@ -18,6 +18,7 @@ from weylrack.classes import (
 )
 from weylrack.classify import (
     EXCEPTION,
+    NOT_TYPE_D,
     PROVEN,
     Classifier,
     classify,
@@ -411,6 +412,33 @@ def test_exception_classes_with_a_type_d_witness(kind, x, b, size):
 def test_classify_below_rank_five_is_out_of_scope():
     v = classify(GroupKind.B, from_cycles(4, 0, [(1, 2)]))
     assert v.status == "Undetermined"
+
+
+def _identity_reps(kind, n):
+    return [x for x in class_reps(kind, n) if x.perm == tuple(range(n))]
+
+
+@pytest.mark.parametrize(
+    "kind,n", [(GroupKind.B, n) for n in range(1, 11)] + [(GroupKind.D, n) for n in range(2, 11)]
+)
+def test_commuting_classes_are_proven_not_type_d(kind, n):
+    # diagonal sign matrices commute, so sq(a, b) = b on every pair: below
+    # rank 5 too, where no other class is decided
+    reps = _identity_reps(kind, n)
+    assert len(reps) == (n + 1 if kind is GroupKind.B else n // 2 + 1)
+    clf = Classifier(kind, n)
+    for x in reps:
+        v = clf.classify(x)
+        assert (v.status, v.rule_tag, v.witness) == (NOT_TYPE_D, "commuting_class", None), str(x)
+        assert v.to_json()["status"] == "ProvenNotTypeD"
+
+
+@pytest.mark.parametrize("kind,n", [(GroupKind.B, 3), (GroupKind.B, 4), (GroupKind.D, 4)])
+def test_commuting_classes_have_no_type_d_pair(kind, n):
+    # the exhaustive scan agrees with the verdict
+    for x in _identity_reps(kind, n):
+        cls = enumerate_class(kind, x)
+        assert brute_force_type_d(cls.elements, member_for(kind, x)) is None, str(x)
 
 
 def test_classify_full_rank_five():

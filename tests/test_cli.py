@@ -479,6 +479,7 @@ def test_reader_closing_the_pipe_ends_the_command_quietly():
     )
     assert proc.stdout.readline().startswith(b"S_25: 1958 classes")
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err

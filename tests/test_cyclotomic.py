@@ -179,7 +179,28 @@ def test_arithmetic_matches_fraction_reference(m):
             assert all(type(c) is int for c in inv.coeffs if c.denominator == 1)
 
 
-@pytest.mark.parametrize("m", sorted(_PHI))
+_MODULI = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15)
+
+
+@pytest.mark.parametrize("m", _MODULI)
+def test_inverse_round_trips(m):
+    # integral elements other than the units +-zeta^k are mostly non-units,
+    # whose inverses need Fraction coefficients
+    rng = random.Random(f"inverse:{m}")
+    F = CyclotomicField(m)
+    non_units = 0
+    for trial in range(60):
+        x = F.from_coeffs(_random_coeffs(rng, F.degree, trial % 3 != 0))
+        if not x:
+            continue
+        inv = x.inverse()
+        assert x * inv == F.one, x
+        assert inv.inverse() == x, x
+        non_units += any(type(c) is Fraction for c in inv.coeffs)
+    assert non_units
+
+
+@pytest.mark.parametrize("m", _MODULI)
 def test_unit_inverses_are_int(m):
     F = CyclotomicField(m)
     for k in range(m):
@@ -190,6 +211,17 @@ def test_unit_inverses_are_int(m):
             assert inv == (-F.zeta(-k) if unit != F.zeta(k) else F.zeta(-k))
 
 
+@pytest.mark.parametrize("m", _MODULI)
+def test_multiplicative_order_matches_brute_force(m):
+    F = CyclotomicField(m)
+    for k in range(m):
+        for unit in (F.zeta(k), -F.zeta(k)):
+            powers = [unit**j for j in range(1, 2 * m + 1)]
+            brute = next(j for j, p in enumerate(powers, 1) if p == F.one)
+            assert unit.multiplicative_order() == brute, (m, k, unit)
+    assert F.scalar(2).multiplicative_order() is None
+
+
 def test_non_integral_values_stay_fraction():
     F = CyclotomicField(5)
     half = F.scalar(2).inverse()
@@ -197,12 +229,13 @@ def test_non_integral_values_stay_fraction():
     assert all(type(c) is int for c in (half + half).coeffs)
     assert all(type(c) is int for c in (half * F.scalar(4)).coeffs)
     assert all(type(c) is int for c in F.from_coeffs([Fraction(4, 2), 1]).coeffs)
-    # 1 + zeta_5 is a unit other than +-zeta^k: its inverse lies in Z[zeta_5]
-    # and comes back with int coefficients
+    # 1 + zeta_5 is a unit other than +-zeta^k, so no root of unity: its
+    # inverse lies in Z[zeta_5] and comes back with int coefficients
     unit = F.one + F.zeta()
     inv = unit.inverse()
     assert unit * inv == F.one
     assert all(type(c) is int for c in inv.coeffs)
+    assert unit.multiplicative_order() is None
 
 
 def test_non_unit_inverse_over_q_zeta3():

@@ -139,9 +139,10 @@ def test_non_unit_pivot_keeps_integral_tail_entries_int():
     assert type(tail[2]) is Fraction
 
 
-# the one function per module allowed a true division: its operands are
-# never both int, so `/` stays exact
-_DIVISION_HELPERS = {"linalg.py": "_inv", "cyclotomic.py": "_div"}
+# the one function in the package allowed a true division: its operands are
+# never both int, so `/` stays exact; every other module, cyclotomic
+# inverses included, divides through it
+_DIVISION_HELPERS = {"linalg.py": "_inv"}
 # the one other `/` in the package, by module and source text: a path join
 _PATH_JOINS = {("cache.py", 'Path(directory) / "results.jsonl"')}
 
@@ -173,8 +174,8 @@ def _true_divisions_and_floats(path):
 
 def test_no_floating_point_in_exact_engines():
     # int scalars and coefficients flow through every module, where `/`
-    # would silently produce a float; inverses go through linalg._inv,
-    # cyclotomic._div and CycScalar.inverse instead
+    # would silently produce a float; inverses go through linalg._inv, and
+    # CycScalar.inverse solves its system on linalg.echelon, instead
     paths = sorted(Path(signed.__file__).parent.glob("*.py"))
     assert {"nichols.py", "rack.py", "classify.py", "suites.py"} <= {p.name for p in paths}
     for path in paths:

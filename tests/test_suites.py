@@ -1,4 +1,5 @@
 """Verification suites: all pass, and their reports are deterministic."""
+import importlib
 import json
 
 import pytest
@@ -69,3 +70,24 @@ def test_rack_axiom_check_needs_a_closed_set():
         # x |> y runs over the whole class as y does, so a class with one
         # element removed is not closed
         assert not _is_conjugation_rack(elements[1:])
+
+
+@pytest.mark.parametrize(
+    "rule,checks",
+    [
+        ("witness_odd_cycle", {"odd_5_cycle_witnesses", "odd_7_cycle_witnesses"}),
+        ("witness_two_triples", {"two_triples_all_signs"}),
+        ("witness_pairs_triple", {"pairs_triple_all_signs"}),
+        ("witness_fixed_points", {"fixed_point_rules"}),
+    ],
+)
+def test_type_d_witness_checks_fail_without_their_rule(monkeypatch, rule, checks):
+    # another rule (the S_n lift, say) may still prove the class; the check
+    # names a rule, so it must fail when that rule is gone (the package's
+    # `classify` name is the function, hence import_module)
+    module = importlib.import_module("weylrack.classify")
+    rules = tuple(r for r in module.WITNESS_RULES if r.__name__ != rule)
+    assert len(rules) == len(module.WITNESS_RULES) - 1
+    monkeypatch.setattr(module, "WITNESS_RULES", rules)
+    report = run_suite("type_d_witnesses")
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == checks
