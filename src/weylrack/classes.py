@@ -10,17 +10,14 @@ number against the formula.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
 from .signed import (
     GroupKind,
     SignedPermutation,
-    _trusted,
     conjugate,
     contains,
     cycle_structure,
@@ -109,21 +106,18 @@ class ConjugacyClass:
             self._index.update({t.key(): i for i, t in enumerate(self.elements)})
         return self._index[x.key()]
 
-    def check_budget(self) -> None:
-        """Raise :class:`BudgetExceeded` if the class has more than
-        ``CLASS_BUDGET`` elements."""
-        if self.size > CLASS_BUDGET:
-            raise BudgetExceeded(f"orbit of {self.rep}", CLASS_BUDGET)
-
     def _list(self) -> None:
-        """Orbit of the rep under conjugation by the fixed generator list.
+        """Orbit of the rep under conjugation by the fixed generator list;
+        a class of more than ``CLASS_BUDGET`` elements is refused with
+        :class:`BudgetExceeded` before the walk.
 
         The final numeration is canonical: rep first, the rest sorted, so
         output does not depend on traversal schedule.  Conjugators come from
         the Schreier tree: each is a generator times its parent's conjugator.
         """
         rep, n = self.rep, self.n
-        self.check_budget()
+        if self.size > CLASS_BUDGET:
+            raise BudgetExceeded(f"orbit of {rep}", CLASS_BUDGET)
         tree = orbit(rep, generators(self.kind, n), conjugate, CLASS_BUDGET)
         if len(tree) != self.size:
             raise RuntimeError(f"orbit of {rep} has {len(tree)} elements, the formula {self.size}")
@@ -143,68 +137,19 @@ def enumerate_class(kind: GroupKind, rep: SignedPermutation) -> ConjugacyClass:
     return cls
 
 
-def sym_class(cycle_type: tuple[int, ...]) -> Iterator[SignedPermutation]:
-    """The S_n class of ``cycle_type`` (descending lengths, 1s included),
-    read lazily in key order: the images of 0, 1, ... are chosen lowest first.
-    A class of more than ``CLASS_BUDGET`` elements raises BudgetExceeded now.
-
-    The walk keeps the open paths of the images chosen so far and extends a
-    prefix only while those paths still join into the cycles left to close
-    (:func:`_packs`), so each branch it enters ends in a class element and its
-    work grows with the part of the class read, not with n!.
-    """
+def sym_class(cycle_type: tuple[int, ...]) -> list[SignedPermutation]:
+    """The S_n class of ``cycle_type`` (descending lengths, 1s included) in
+    key order, listed by :func:`enumerate_class`: a class of more than
+    ``CLASS_BUDGET`` elements raises BudgetExceeded before the walk."""
     n = sum(cycle_type)
-    perm = perm_from_cycles(n, _consecutive_cycles(cycle_type))
-    ConjugacyClass(GroupKind.S, SignedPermutation(n, 0, perm)).check_budget()
-    img, used = [0] * n, [False] * n  # j is used once it is some point's image
-    head, tail, size = list(range(n)), list(range(n)), [1] * n  # of the open paths
-    need = Counter(cycle_type)  # lengths of the cycles left to close
-
-    def walk(i: int) -> Iterator[SignedPermutation]:
-        if i == n:
-            yield _trusted(n, 0, tuple(img))
-            return
-        h = head[i]  # i is unmapped, so it ends the open path that h starts
-        for j in range(n):  # an unused j starts an open path
-            if used[j] or j == h and not need[size[h]]:
-                continue
-            used[j], img[i], t, a = True, j, tail[j], size[h]
-            if j == h:  # closes a cycle of a points
-                need[a] -= 1
-            else:  # joins j's path on to i's
-                tail[h], head[t], size[h] = t, h, a + size[j]
-            chains = sorted((size[k] for k in range(n) if not used[k] and size[k] > 1), reverse=True)
-            if _packs(tuple(chains), tuple(sorted(need.elements(), reverse=True))):
-                yield from walk(i + 1)
-            if j == h:
-                need[a] += 1
-            else:
-                tail[h], head[t], size[h] = i, j, a
-            used[j] = False
-
-    return walk(0)
+    rep = SignedPermutation(n, 0, perm_from_cycles(n, _consecutive_cycles(cycle_type)))
+    return sorted(enumerate_class(GroupKind.S, rep).elements, key=lambda x: x.key())
 
 
-def _consecutive_cycles(lengths: Sequence[int]) -> list[tuple[int, ...]]:
-    """Cycles of the given lengths on consecutive points, from point 1."""
-    ends = list(itertools.accumulate(lengths, initial=0))
-    return [tuple(range(start + 1, end + 1)) for start, end in zip(ends, ends[1:])]
-
-
-@functools.lru_cache(maxsize=4096)
-def _packs(chains: tuple[int, ...], bins: tuple[int, ...]) -> bool:
-    """Whether open paths of ``chains`` points (descending) and single points
-    join into cycles of the ``bins`` lengths, as many points as the bins hold:
-    each path goes whole into one cycle, and a cycle may take several."""
-    if not chains:
-        return True
-    for k in set(bins):
-        if k >= chains[0]:
-            rest = list(bins)
-            rest[rest.index(k)] = k - chains[0]
-            if _packs(chains[1:], tuple(sorted(rest, reverse=True))):
-                return True
-    return False
+def _consecutive_cycles(lengths: Sequence[int], start: int = 0) -> list[tuple[int, ...]]:
+    """Cycles of the given lengths on consecutive points, after point ``start``."""
+    ends = list(itertools.accumulate(lengths, initial=start))
+    return [tuple(range(first + 1, end + 1)) for first, end in zip(ends, ends[1:])]
 
 
 def centralizer_order(kind: GroupKind, x: SignedPermutation) -> int:

@@ -4,8 +4,9 @@ a class of diagonal sign matrices commutes, so it is not of type D at any
 rank).
 
 Every witness is built inside the input's own class from one pair (a, b):
-each rule squares or re-pairs cycles in place, or moves a sign to a fixed
-point, so no global normal-form conjugation is needed.  The rule hands its
+each rule squares, powers or re-pairs cycles in place, moves a sign to a
+fixed point, or lifts the S_k witness of a small core of the cycle type,
+so no class of the signed group is listed.  The rule hands its
 candidate pairs to :func:`rack.pair_witness`, which keeps the first pair
 that passes :meth:`rack.TypeDWitness.validate`: R and S are the conjugation
 orbits of a and b under <a, b> (Andruskiewitsch-Fantino-Garcia-Vendramin
@@ -14,10 +15,13 @@ orbits of a and b under <a, b> (Andruskiewitsch-Fantino-Garcia-Vendramin
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .classes import ClassMembership, sym_class
+from .classes import ClassMembership, _consecutive_cycles, sym_class
 from .rack import TypeDWitness, brute_force_type_d, pair_witness
 from .signed import (
     GroupKind,
@@ -54,10 +58,10 @@ class TypeDVerdict:
         }
 
 
-def _squared_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
-    # (c1 c2 ... cp) -> (c1 c3 ... c2 c4 ...), a p-cycle again for odd p
+def _cycle_power(cyc: tuple[int, ...], j: int) -> tuple[int, ...]:
+    # (c0 c1 ... c_{p-1})^j = (c0 cj c2j ...), a p-cycle again for j prime to p
     p = len(cyc)
-    return tuple(cyc[(2 * k) % p] for k in range(p))
+    return tuple(cyc[(j * k) % p] for k in range(p))
 
 
 def _perm_with_cycles(n: int, base: SignedPermutation, replace: dict) -> tuple[int, ...]:
@@ -110,7 +114,7 @@ def witness_odd_cycle(x: SignedPermutation, member) -> Optional[TypeDWitness]:
         case = (_bits_on(cyc), _bits_on(cyc[:1]))
     else:
         case = (0, _bits_on([cyc[0], cyc[3] if len(cyc) == 5 else cyc[1]]))
-    return _fiber_rule(x, member, {cyc: _squared_cycle(cyc)}, cyc, [case], "odd_cycle_fibers")
+    return _fiber_rule(x, member, {cyc: _cycle_power(cyc, 2)}, cyc, [case], "odd_cycle_fibers")
 
 
 def witness_two_triples(x: SignedPermutation, member) -> Optional[TypeDWitness]:
@@ -126,7 +130,7 @@ def witness_two_triples(x: SignedPermutation, member) -> Optional[TypeDWitness]:
         (_bits_on(c1[:1]), _bits_on([c1[0], c2[0], c2[1]])),
         (_bits_on(c2[:1]), _bits_on(c2[1:2])),
     ]
-    return _fiber_rule(x, member, {c1: _squared_cycle(c1)}, c1 + c2, cases, "two_triples_fibers")
+    return _fiber_rule(x, member, {c1: _cycle_power(c1, 2)}, c1 + c2, cases, "two_triples_fibers")
 
 
 def witness_pairs_triple(x: SignedPermutation, member) -> Optional[TypeDWitness]:
@@ -180,7 +184,28 @@ def witness_fixed_points(x: SignedPermutation, member) -> Optional[TypeDWitness]
     return pair_witness(candidates, "fixed_point_bit", member)
 
 
-WITNESS_RULES = (witness_odd_cycle, witness_two_triples, witness_pairs_triple, witness_fixed_points)
+def witness_cycle_power(x: SignedPermutation, member) -> Optional[TypeDWitness]:
+    """Fiber decomposition over (tau, tau with an even cycle c of length
+    L >= 8 replaced by c^j), j the least unit mod L above 1 other than L - 1,
+    so c^j is another L-cycle on c's support, commuting with c.  a = x, and
+    b keeps x's bits, or flips them at c_0 and c_2."""
+    cyc = next((c for c in x.cycles() if len(c) >= 8 and len(c) % 2 == 0), None)
+    if cyc is None:
+        return None
+    L = len(cyc)
+    j = next(j for j in range(2, L - 1) if math.gcd(j, L) == 1)
+    bits = x.bits & _bits_on(cyc)
+    cases = [(bits, bits), (bits, bits ^ _bits_on([cyc[0], cyc[2]]))]
+    return _fiber_rule(x, member, {cyc: _cycle_power(cyc, j)}, cyc, cases, "cycle_power_fibers")
+
+
+WITNESS_RULES = (
+    witness_odd_cycle,
+    witness_two_triples,
+    witness_pairs_triple,
+    witness_fixed_points,
+    witness_cycle_power,
+)
 
 
 def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
@@ -195,33 +220,46 @@ def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=SYM_MEMO)
 def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
-    """The type-D witness of the S_n class of ``cycle_type`` (descending
-    lengths, 1s included, so it fixes n) from :func:`rack.brute_force_type_d`,
-    validated under the test of sign bits 0 and that cycle type, or None;
-    memoised per cycle type, so each process scans a class once.
-
-    The scan reads the class lazily, in key order, from
-    :func:`classes.sym_class`, which refuses a class of more than
-    ``CLASS_BUDGET`` elements with BudgetExceeded before the walk."""
+    """The type-D witness of the S_k class of ``cycle_type`` (descending
+    lengths, 1s included, so k is their sum) from
+    :func:`rack.brute_force_type_d`, validated under the test of sign bits 0
+    and that cycle type, or None; memoised per cycle type, so each process
+    lists and scans a class once.  The class comes from
+    :func:`classes.sym_class`, in key order."""
     return brute_force_type_d(
         sym_class(cycle_type), lambda z: z.bits == 0 and z.cycle_type() == cycle_type
     )
 
 
-def lift_from_sym(x: SignedPermutation, member) -> Optional[TypeDWitness]:
-    """Lift the symmetric-subgroup witness of the class of the permutation
-    part, from :func:`sym_class_witness`, to the signed class of x; None when
-    that S_n class has no witness.
+def _cores(cycle_type: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The nonempty sub-multisets of ``cycle_type`` (descending), each
+    descending, fewest points first."""
+    runs = [[(k,) * m for m in range(c + 1)] for k, c in Counter(cycle_type).items()]
+    return sorted((sum(p, ()) for p in itertools.product(*runs)), key=lambda c: (sum(c), c))[1:]
 
-    a and b are the conjugates of x by (0, h) with h carrying x's permutation
-    onto those of the symmetric witness's a and b.  The symmetric parts are
-    closed under conjugation by <a.perm, b.perm>, so the orbits of a and b
-    under <a, b> lie over disjoint sets of permutations; the permutation part
-    of sq(a, b) is sq of the permutation parts, so sq(a, b) != b."""
-    sym = sym_class_witness(x.cycle_type())
-    if sym is None:
+
+def lift_from_sym(x: SignedPermutation, member) -> Optional[TypeDWitness]:
+    """Lift the S_k witness of the smallest core of x's cycle type to the
+    signed class of x; None when no core has one.
+
+    The core is the first of :func:`_cores` whose S_k class has a witness
+    (a1, b1) in :func:`sym_class_witness`, and c lays the other cycles of x
+    out on the points after k.  (a1 # c, b1 # c) is an S_n witness for x's
+    cycle type: sq(a1 # c, b1 # c) = sq(a1, b1) # c, and conjugation by
+    <a1 # c, b1 # c> fixes c, so the orbits are a1's and b1's, # c.  a and b
+    are the conjugates of x by (0, h), with h carrying x's permutation onto
+    a1 # c and b1 # c.  The orbits of a and b under <a, b> lie over those of
+    the permutation parts, which are disjoint, and the permutation part of
+    sq(a, b) is sq of the permutation parts, so sq(a, b) != b."""
+    cycle_type = x.cycle_type()
+    for core in _cores(cycle_type):
+        if sym := sym_class_witness(core):
+            break
+    else:
         return None
-    a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm)), x) for z in (sym.a, sym.b))
+    k, rest = sum(core), list((Counter(cycle_type) - Counter(core)).elements())
+    c = perm_from_cycles(x.n, _consecutive_cycles(rest, k))[k:]
+    a, b = (conjugate(SignedPermutation(x.n, 0, _carry(x.perm, z.perm + c)), x) for z in (sym.a, sym.b))
     return pair_witness([(a, b)], "sym_lift", member)
 
 
@@ -263,13 +301,14 @@ class Classifier:
     matrices, which commute: sq(a, b) = b on every pair, so it is
     ``ProvenNotTypeD`` at every rank.  Below rank 5 every other class is
     ``Undetermined``.  Otherwise the witness rules of ``WITNESS_RULES`` are
-    tried in order, then the exception list, and last the lift of the
-    symmetric-subgroup witness from :func:`sym_class_witness`, shared by
-    every classifier of the process.
+    tried in order, then the exception list, and last
+    :func:`lift_from_sym`, whose core witnesses from
+    :func:`sym_class_witness` are shared by every classifier of the process.
     Each rule builds its own pair (a, b) and hands it to
     :func:`rack.pair_witness` with a :func:`classes.class_key` membership
-    test; no class is listed, not even the S_n class that
-    :func:`rack.brute_force_type_d` scans.  A class no rule decides is
+    test; no B or D class is listed, and the only S_k classes listed are the
+    cores the lift scans (through rank 16 none exceeds S_8's (4, 4) class,
+    1,260 elements).  A class no rule decides is
     ``Undetermined``; every ``ProvenTypeD`` witness has passed
     :meth:`rack.TypeDWitness.validate` against that membership test once,
     when it was built: an exhaustive check, linear in the witness's size,
@@ -304,6 +343,6 @@ class Classifier:
 
 def classify(kind: GroupKind, x: SignedPermutation) -> TypeDVerdict:
     """The verdict of :class:`Classifier` on x.  The classifier is built
-    afresh for each call; the S_n witnesses of :func:`sym_class_witness`
-    carry over between calls."""
+    afresh for each call; the S_k core witnesses of
+    :func:`sym_class_witness` carry over between calls."""
     return Classifier(kind, x.n).classify(x)

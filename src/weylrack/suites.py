@@ -36,6 +36,7 @@ from .signed import (
     GroupKind,
     SignedPermutation,
     conjugate,
+    contains,
     from_cycles,
     multiply,
     random_element,
@@ -295,6 +296,15 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
     ):
         ok = ok and _proven_by(clf.classify(x), "fixed_point_bit")
     checks.append(_check("fixed_point_rules", "witness-fixed-points", ok))
+    # an 8-cycle: every sign vector in B8 (256) and in D8 (128)
+    ok = True
+    for kind in (GroupKind.B, GroupKind.D):
+        clf = Classifier(kind, 8)
+        for bits in range(256):
+            x = from_cycles(8, bits, [tuple(range(1, 9))])
+            if contains(kind, x):
+                ok = ok and _proven_by(clf.classify(x), "cycle_power_fibers")
+    checks.append(_check("cycle_power_all_signs", "witness-cycle-power", ok))
     # propagation: a decomposition survives juxtaposition with any right block;
     # the juxtaposed pair's witness is the old one with ``right`` appended
     x = from_cycles(5, 0, [(1, 2, 3, 4, 5)])
@@ -318,9 +328,10 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
 
 
 def _suite_classification(params: dict, rng: random.Random) -> list[dict]:
-    # B10/D10 are the largest ranks the slow tests decide; B10's lifted
-    # 10-cycle witness alone holds 737,280 elements
-    ns = _param(params, "ranks", [5], lambda v: _ints_in(v, 5, 10), "a nonempty list of integers in 5..10")
+    # B16/D16 are the largest ranks the slow tests decide; through rank 12
+    # no witness holds more than 2,048 elements, and the lift lists no S_k
+    # core larger than S_8's (4, 4) class, 1,260 elements
+    ns = _param(params, "ranks", [5], lambda v: _ints_in(v, 5, 16), "a nonempty list of integers in 5..16")
     groups = _param(
         params,
         "groups",

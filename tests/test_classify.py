@@ -25,6 +25,7 @@ from weylrack.classify import (
     exception_case,
     lift_from_sym,
     sym_class_witness,
+    witness_cycle_power,
     witness_fixed_points,
     witness_odd_cycle,
     witness_pairs_triple,
@@ -37,6 +38,7 @@ from weylrack.signed import (
     GroupKind,
     SignedPermutation,
     conjugate,
+    contains,
     format_element,
     from_cycles,
     identity,
@@ -187,16 +189,6 @@ def test_sym_class_witness_checks_class_membership(monkeypatch):
         sym_class_witness.cache_clear()
 
 
-def test_sym_class_witness_walks_an_s10_class():
-    # the (8, 2) class of S_10 holds 226,800 elements; the lazy scan reads
-    # only as far as its witness
-    rep = from_cycles(10, 0, [(1, 2, 3, 4, 5, 6, 7, 8), (9, 10)])
-    sym_class_witness.cache_clear()
-    w = sym_class_witness(rep.cycle_type())
-    assert w is not None
-    assert w.validate(member=ClassMembership(GroupKind.S, 10).member_test(rep))
-
-
 def test_sym_class_witness_refuses_a_class_over_budget(monkeypatch):
     # the 12-cycles of S_12 are 11! > CLASS_BUDGET: refused before any walk
     module = importlib.import_module("weylrack.classify")
@@ -231,23 +223,45 @@ def test_sym_memo_cold_and_warm_verdicts_agree():
             assert Classifier(kind, 6).classify(x).to_json() == cold, str(x)
 
 
+def _lifted_core(module, x):
+    """The smallest core of x's cycle type whose S_k class has a witness,
+    read from the memo, and the layout of x's other cycles after it."""
+    t = x.cycle_type()
+    core = next(c for c in module._cores(t) if module.sym_class_witness(c))
+    rest, k = list(t), sum(core)
+    for length in core:
+        rest.remove(length)
+    tail, start = [], k
+    for length in sorted(rest, reverse=True):
+        tail += [start + (i + 1) % length for i in range(length)]
+        start += length
+    return module.sym_class_witness(core), tuple(tail)
+
+
+def _assert_only_small_cores_listed(listed):
+    # no B or D class is listed, and each S_k core at most once, none of
+    # more than the 1,260 elements of S_8's (4, 4) class
+    assert all(cls.kind is GroupKind.S and cls.size <= 1_260 for cls in listed)
+    assert set(Counter(cls.rep.cycle_type() for cls in listed).values()) <= {1}
+
+
 def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
-    # each S_n class is scanned and its witness validated once per process,
-    # whichever classifier asks, and no class is listed; lift_from_sym reads
-    # the memo and does not check its witnesses again
+    # each S_k core is listed, scanned and its witness validated once per
+    # process, whichever classifier asks; no B or D class is listed, and
+    # lift_from_sym reads the memo and does not check its witnesses again
     module = importlib.import_module("weylrack.classify")
     scanned, listed, validated, lifted = Counter(), [], [], []
     scan, list_class, lift = module.brute_force_type_d, ConjugacyClass._list, module.lift_from_sym
     validate = TypeDWitness.validate
 
     def spy_scan(elements, member=None):
-        it = iter(elements)  # lazy: read the first element, then hand it back
+        it = iter(elements)  # read the first element, then hand it back
         first = next(it)
         scanned[first.cycle_type()] += 1
         return scan(itertools.chain([first], it), member)
 
     def spy_list(cls):
-        listed.append(cls.rep)
+        listed.append(cls)
         return list_class(cls)
 
     def spy_validate(w, member=None):
@@ -269,10 +283,12 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
     d_lifts = len(lifted)
     for x in _rank_six_inputs(GroupKind.D):
         classify(GroupKind.D, x)
-    assert not listed and len(lifted) > d_lifts
+    assert listed and len(lifted) > d_lifts
+    _assert_only_small_cores_listed(listed)
     assert set(scanned.values()) == {1}
-    assert set(scanned) == {x.cycle_type() for x in lifted}
-    syms = [sym_class_witness(x.cycle_type()) for x in lifted]
+    assert set(scanned) == {cls.rep.cycle_type() for cls in listed}
+    assert set(scanned) <= {c for x in lifted for c in module._cores(x.cycle_type())}
+    syms = [_lifted_core(module, x)[0] for x in lifted]
     assert None not in syms and set(scanned.values()) == {1}
     assert {sum(w is sym for w in validated) for sym in syms} == {1}
 
@@ -280,22 +296,22 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
 @pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
 def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     # every rep of rank 5-7 and one seeded conjugate each: the procedure
-    # lists no class, a lifted witness keeps the permutation parts of its
-    # S_n witness's pair, and every witness's R and S are the orbits of a
-    # and b under conjugation by <a, b>; the S_n memo starts cold, so its
-    # scans run here
+    # lists no B or D class, a lifted witness's permutation parts are its
+    # core's S_k witness juxtaposed with the other cycles, and every
+    # witness's R and S are the orbits of a and b under conjugation by
+    # <a, b>; the S_n memo starts cold, so its scans run here
     module = importlib.import_module("weylrack.classify")
     module.sym_class_witness.cache_clear()
     listed, lifts = [], []
     list_class, lift = ConjugacyClass._list, module.lift_from_sym
 
     def spy_list(cls):
-        listed.append(cls.rep)
+        listed.append(cls)
         return list_class(cls)
 
     def spy_lift(x, member):
         w = lift(x, member)
-        lifts.append((module.sym_class_witness(x.cycle_type()), w))
+        lifts.append((_lifted_core(module, x), w))
         return w
 
     monkeypatch.setattr(ConjugacyClass, "_list", spy_list)
@@ -312,7 +328,7 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
                 assert v.status in (PROVEN, EXCEPTION), str(x)
                 if v.status == PROVEN:
                     witnesses.append(v.witness)
-    assert not listed
+    _assert_only_small_cores_listed(listed)
     assert {w.tag for w in witnesses} == {
         "odd_cycle_fibers",
         "two_triples_fibers",
@@ -324,7 +340,9 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
         for part, c in ((w.R, w.a), (w.S, w.b)):
             assert {z.key() for z in part} == orbit(c, (w.a, w.b), conjugate, CLASS_BUDGET).keys()
     assert lifts and all(w is not None for _, w in lifts)
-    assert all((w.a.perm, w.b.perm) == (sym.a.perm, sym.b.perm) for sym, w in lifts)
+    assert all(
+        (w.a.perm, w.b.perm) == (sym.a.perm + tail, sym.b.perm + tail) for (sym, tail), w in lifts
+    )
 
 
 def test_rule_built_verdict_walks_each_orbit_once(monkeypatch):
@@ -476,6 +494,8 @@ def test_classify_verdict_json():
         (witness_fixed_points, "000000:(1 2)(3 4)"),  # two moved cycles
         (witness_fixed_points, "00000:(1 2)"),  # constant bits on the fixed points
         (witness_fixed_points, "01000:(3 4 5)"),  # no third fixed point
+        (witness_cycle_power, "000000:(1 2 3 4 5 6)"),  # an even cycle shorter than 8
+        (witness_cycle_power, "0000000:(1 2 3 4 5 6 7)"),  # odd length
     ],
 )
 def test_witness_rule_returns_none_without_its_shape(rule, text):
@@ -509,7 +529,6 @@ def test_classification_rank_nine(kind, proven, exceptions):
     }
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("kind, proven, exceptions", [("B", 462, 8), ("D", 241, 4)])
 def test_classification_rank_ten(kind, proven, exceptions):
     assert _classification_detail(10, kind) == {
@@ -521,12 +540,48 @@ def test_classification_rank_ten(kind, proven, exceptions):
 
 
 @pytest.mark.parametrize(
-    "bits, size",
-    [("0000000000", 1_440), pytest.param("1000000000", 368_640, marks=pytest.mark.slow)],
+    "n, kind, proven, exceptions",
+    [(11, "B", 732, 8), (11, "D", 366, 4), (12, "B", 1_144, 8), (12, "D", 588, 4)],
 )
-def test_b10_ten_cycles_lift(bits, size):
-    # the lifted witnesses of the two B10 10-cycle classes; the larger holds
-    # 737,280 elements and is certified in linear time
+def test_classification_ranks_eleven_and_twelve(n, kind, proven, exceptions):
+    # every rep decided: no lift reads an S_k class larger than its core's
+    assert _classification_detail(n, kind) == {
+        "exceptions": exceptions,
+        "mismatched": [],
+        "proven": proven,
+        "undetermined": [],
+    }
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, proven, exceptions", [("B", 5_797, 8), ("D", 2_931, 4)])
+def test_classification_rank_sixteen(kind, proven, exceptions):
+    assert _classification_detail(16, kind) == {
+        "exceptions": exceptions,
+        "mismatched": [],
+        "proven": proven,
+        "undetermined": [],
+    }
+
+
+@pytest.mark.parametrize("bits", ["0000000000", "1000000000"])
+def test_b10_ten_cycles_by_cycle_power(bits):
+    # the two B10 10-cycle classes: mu replaces the cycle by its cube, and
+    # each part holds 256 elements
     v = classify(GroupKind.B, parse_element(f"{bits}:(1 2 3 4 5 6 7 8 9 10)"))
-    assert (v.status, v.rule_tag) == (PROVEN, "sym_lift")
-    assert (len(v.witness.R), len(v.witness.S)) == (size, size)
+    assert (v.status, v.rule_tag) == (PROVEN, "cycle_power_fibers")
+    assert (len(v.witness.R), len(v.witness.S)) == (256, 256)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
+def test_cycle_power_decides_every_ten_cycle(kind):
+    # every sign vector of the 10-cycle in B10 (1,024) and D10 (512); a miss
+    # would fall back to the lift and its scan of the S_10 10-cycles
+    clf = Classifier(kind, 10)
+    xs = [from_cycles(10, bits, [tuple(range(1, 11))]) for bits in range(1 << 10)]
+    xs = [x for x in xs if contains(kind, x)]
+    assert len(xs) == (1_024 if kind is GroupKind.B else 512)
+    for x in xs:
+        v = clf.classify(x)
+        assert (v.status, v.rule_tag) == (PROVEN, "cycle_power_fibers"), str(x)

@@ -230,23 +230,29 @@ def test_nichols_budget_exit_code_with_json(capsys):
     ]
 
 
-def test_typed_budget_exit_code(capsys):
-    # the lift needs the (6, 6) class of S_12, 6,652,800 > CLASS_BUDGET
-    # elements, which is refused before any walk
+def test_typed_lifts_two_six_cycles_from_a_core(capsys):
+    # the (6, 6) class of S_12 holds 6,652,800 > CLASS_BUDGET elements; the
+    # lift reads the witness of the S_6 core (6), 120 elements, instead
     t0 = time.monotonic()
-    code = main(["typed", "--n", "12", "--rep", "000000000000:(1 2 3 4 5 6)(7 8 9 10 11 12)"])
+    code, data = run_json(capsys, "typed", "--n", "12", "--rep",
+                          "000000000000:(1 2 3 4 5 6)(7 8 9 10 11 12)")
     assert time.monotonic() - t0 < 1.0
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.splitlines() == [
-        "weylrack: orbit of 000000000000:(1 2 3 4 5 6)(7 8 9 10 11 12) "
-        "exceeds its budget of 2000000"
-    ]
+    assert code == 0 and data["status"] == "ProvenTypeD" and data["rule_tag"] == "sym_lift"
+
+
+def test_typed_decides_a_twelve_cycle_by_its_power(capsys):
+    # the 12-cycles of S_12 are 11! > CLASS_BUDGET elements; the power rule
+    # lists no class: mu replaces the cycle by its fifth power
+    code, data = run_json(capsys, "typed", "--n", "12", "--rep",
+                          "000000000000:(1 2 3 4 5 6 7 8 9 10 11 12)")
+    assert code == 0 and data["status"] == "ProvenTypeD"
+    assert data["rule_tag"] == "cycle_power_fibers"
+    assert (len(data["witness"]["R"]), len(data["witness"]["S"])) == (512, 512)
 
 
 def test_typed_lifts_a_fixed_point_free_involution_class(capsys):
-    # the lift scans the (2^7) class of S_14, 135,135 elements, only as far
-    # as its witness
+    # the (2^7) class of S_14 holds 135,135 elements; the lift scans only
+    # its (2^5) core, the 945 elements of that class of S_10
     t0 = time.monotonic()
     code, data = run_json(capsys, "typed", "--n", "14", "--rep",
                           "00000000000000:(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)")
@@ -338,7 +344,7 @@ def _is_usage_error(line):
             # the classifier decides no class below rank 5
             ("classification", '{"ranks": [4]}', "ranks"),
             # above the largest rank the suite decides
-            ("classification", '{"ranks": [11]}', "ranks"),
+            ("classification", '{"ranks": [17]}', "ranks"),
             # an empty list leaves the suite nothing to check
             ("classification", '{"ranks": []}', "ranks"),
             ("classification", '{"groups": []}', "groups"),

@@ -79,6 +79,7 @@ def test_rack_axiom_check_needs_a_closed_set():
         ("witness_two_triples", {"two_triples_all_signs"}),
         ("witness_pairs_triple", {"pairs_triple_all_signs"}),
         ("witness_fixed_points", {"fixed_point_rules"}),
+        ("witness_cycle_power", {"cycle_power_all_signs"}),
     ],
 )
 def test_type_d_witness_checks_fail_without_their_rule(monkeypatch, rule, checks):
