@@ -1,10 +1,11 @@
 """Quadratic algebras: the square-free braided family and two dimension engines.
 
 A :class:`QuadraticPresentation` is quadratic relations on generators
-0..num_gens-1, which is all the engines read.  :func:`presentation` builds the
-sign-twisted family A(alpha, beta, gamma, lambda) on generators x_ij, i<j,
-where x_ji = gamma_ij x_ij, and :func:`fk_presentation` its classical instance
-E_n = (1, 1, -1, 1).
+0..num_gens-1, which is all the engines read, and optionally the pair (i, j)
+of each generator.  :func:`presentation` builds the sign-twisted family
+A(alpha, beta, gamma, lambda) on generators x_ij, i<j, where
+x_ji = gamma_ij x_ij, with their pairs, and :func:`fk_presentation` its
+classical instance E_n = (1, 1, -1, 1).
 
 Graded dimensions are computed by two independent engines: an iterative
 linear-algebra quotient (degree by degree, on the echelon kernel of
@@ -21,6 +22,13 @@ antichain under the subword order, so there are no inclusion ambiguities, and
 an index of every lhs by its proper prefixes and suffixes hands a new rule only
 the rules it overlaps.  ``RewriteSystem.rules`` is returned on tuple words.
 
+The linear engine labels a word x_{i1 j1} ... x_{im jm} by the permutation
+(i1 j1) ... (im jm).  When :func:`_symmetry` finds the relations homogeneous
+in labels and a signed S_n action on the generators that preserves them, its
+last degree eliminates one label block per conjugacy class of labels and
+counts each block's rank once per label in the class; otherwise the same loop
+runs one block (see :func:`graded_dims_linear`).
+
 Coefficients are exact and never floats.  They are ``int`` as long as every
 pivot (linear engine) or rule leading coefficient (rewrite engine) is a unit
 +-1.  The linear engine eliminates each degree's rows sparsest first, and so
@@ -33,21 +41,28 @@ integer (``linalg._normal``), so later reductions through it stay in ``int``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import count, permutations
 from typing import Optional
 
 from .errors import BudgetExceeded
 from .linalg import _inv, _normal, back_substitute, echelon
+from .nichols import _orbit
 
 Word = tuple  # tuple of generator indices
 Poly = dict  # Word -> int or Fraction
 
-# Default bound on the nonzero entries of one degree's relation rows in the
-# linear engine.  Each entry costs roughly 150-170 bytes with the pivots built
-# from it (2-core host, Python 3.11): E_5 at degree 7 holds 343,080 entries and
-# peaks at 73 MB in 1.3 s; its degree 8 holds 961,390 and peaks at 157 MB in
-# 5.6 s, so the default refuses it.
+# Default bound on the nonzero entries of the relation rows one degree of the
+# linear engine builds: every row below the last degree, and at the last degree
+# only the rows of the class representatives' label blocks.  Each entry costs
+# roughly 150-170 bytes with the pivots built from it (2-core host, Python
+# 3.11).  E_5 at degree 7 builds 343,080 entries, and to degree 8 (whose blocks
+# hold 64,645 of the 961,390 entries of all its rows) it peaks at 86 MB in
+# 2.6 s; E_6 to degree 6 builds 242,745 entries at degree 5 and 25,361 of
+# 1,399,560 at degree 6, and peaks at 81 MB in 1.2 s.  E_5 degree 9 and E_6
+# degree 7 need every row of E_5 degree 8 or E_6 degree 6, so the default
+# refuses them.
 FK_ENTRY_BUDGET = 500_000
 RULE_BUDGET = 20_000  # rules of one rewrite-engine completion
 
@@ -75,11 +90,16 @@ class QuadraticPresentation:
 
     Every relation word must be a pair of generator indices, which is checked
     here, so both engines read the relations without checking them again.
+    ``pairs``, when given, holds the (i, j), 1 <= i < j, of each generator
+    x_ij: it labels generator g by the transposition (i j) of S_n, which the
+    linear engine reads for its symmetry (see :func:`_symmetry`).  The
+    default None gives no labels, so the linear engine runs one block.
     """
 
     num_gens: int
     relations: list  # list of Poly over pairs of generator indices
     label: str = ""
+    pairs: Optional[tuple] = None  # the (i, j) of each generator, or None
 
     def __post_init__(self):
         G = self.num_gens
@@ -89,6 +109,15 @@ class QuadraticPresentation:
                     raise ValueError(
                         f"relation word {w!r} is not a pair of generator indices 0..{G - 1}"
                     )
+        if self.pairs is not None:
+            self.pairs = tuple(map(tuple, self.pairs))
+            if len(self.pairs) != G:
+                raise ValueError(f"{len(self.pairs)} generator pairs for {G} generators")
+            for p in self.pairs:
+                if len(p) != 2 or not all(type(i) is int for i in p) or not 1 <= p[0] < p[1]:
+                    raise ValueError(f"generator pair {p!r} is not (i, j) with 1 <= i < j")
+            if len(set(self.pairs)) != G:
+                raise ValueError("a generator pair is repeated")
 
 
 def presentation(n, alpha=1, beta=1, gamma=-1, lam=1, label="") -> QuadraticPresentation:
@@ -146,7 +175,7 @@ def presentation(n, alpha=1, beta=1, gamma=-1, lam=1, label="") -> QuadraticPres
         for w, c in (((g1, g2), s1 * s2), ((g2, g1), -lv * s1 * s2)):
             poly[w] = poly.get(w, 0) + c
         add(poly)
-    return QuadraticPresentation(len(gens), relations, label or f"A(n={n})")
+    return QuadraticPresentation(len(gens), relations, label or f"A(n={n})", tuple(gens))
 
 
 def fk_presentation(n) -> QuadraticPresentation:
@@ -156,6 +185,106 @@ def fk_presentation(n) -> QuadraticPresentation:
 
 # ---------------------------------------------------------------------------
 # engine 1: iterative linear-algebra quotient
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    """The permutation p . q (q first), as a tuple of images."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _conjugate(t: tuple, label: tuple) -> tuple:
+    """t . label . t, for a transposition t."""
+    return _times(_times(t, label), t)
+
+
+def _inverse(p: tuple) -> tuple:
+    """The inverse permutation of p."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _transposition(n: int, i: int, j: int) -> tuple:
+    """The transposition (i j) of the points 1..n, on 0..n-1."""
+    perm = list(range(n))
+    perm[i - 1], perm[j - 1] = j - 1, i - 1
+    return tuple(perm)
+
+
+def _solve_gf2(equations: list) -> Optional[int]:
+    """A bit vector x with parity(mask & x) = bit for every (mask, bit) in
+    ``equations``, or None when they are inconsistent."""
+    rows: dict = {}  # lowest bit of a reduced mask -> (mask, bit)
+    for mask, bit in equations:
+        while mask:
+            low = mask & -mask
+            if low not in rows:
+                rows[low] = (mask, bit)
+                break
+            row_mask, row_bit = rows[low]
+            mask, bit = mask ^ row_mask, bit ^ row_bit
+        if not mask and bit:
+            return None
+    x = 0
+    for low in sorted(rows, reverse=True):  # a row's other bits are above its lowest
+        mask, bit = rows[low]
+        if bit != (mask & x).bit_count() & 1:
+            x |= low
+    return x
+
+
+def _symmetry(pres: QuadraticPresentation) -> Optional[list]:
+    """The S_n action on ``pres`` that :func:`graded_dims_linear` may use, or None.
+
+    Generator g is labelled by the transposition (i j) of its pair, and a word
+    by the product of its letters' labels.  For each adjacent transposition
+    t = (k k+1), k = 1..n-1, the action holds (t, signs): the generator map
+    x_g -> signs[g] x_g', label(g') = t label(g) t, maps every relation onto a
+    scalar multiple of a relation.  The signs come from a GF(2) solve: for
+    each relation and the one relation on its image words, coefficients
+    c_u, c_v there and d_u, d_v on the images, signs[u] signs[v] (a product
+    over both letters of each word) must be d_u c_v / (c_u d_v), compared
+    exactly by cross-multiplication; words of coefficient 0 are dropped first.
+    None when ``pres.pairs`` is None, a relation is not homogeneous in labels, some t moves a pair to no
+    generator or a relation to no single relation, or some t has no signs.
+    """
+    if not pres.pairs:
+        return None
+    n = max(j for _, j in pres.pairs)
+    letters = [_transposition(n, i, j) for i, j in pres.pairs]
+    index = {p: g for g, p in enumerate(pres.pairs)}
+    relations = [r for r in ({w: c for w, c in rel.items() if c} for rel in pres.relations) if r]
+    by_words: dict = {}
+    for rel in relations:
+        if len({_times(letters[g1], letters[g2]) for g1, g2 in rel}) > 1:
+            return None
+        by_words.setdefault(frozenset(rel), []).append(rel)
+    action = []
+    for k in range(1, n):
+        t = _transposition(n, k, k + 1)
+        image = [index.get(tuple(sorted((t[i - 1] + 1, t[j - 1] + 1)))) for i, j in pres.pairs]
+        if None in image:
+            return None
+        equations = []
+        for rel in relations:
+            moved = {w: (image[w[0]], image[w[1]]) for w in rel}
+            targets = by_words.get(frozenset(moved.values()), ())
+            if len(targets) != 1:
+                return None
+            (u, cu), *rest = rel.items()
+            du = targets[0][moved[u]]
+            for v, cv in rest:
+                dv = targets[0][moved[v]]
+                if du * cv == cu * dv:
+                    bit = 0
+                elif du * cv == -(cu * dv):
+                    bit = 1
+                else:
+                    return None
+                equations.append(((1 << u[0]) ^ (1 << u[1]) ^ (1 << v[0]) ^ (1 << v[1]), bit))
+        flips = _solve_gf2(equations)
+        if flips is None:
+            return None
+        action.append((t, tuple(-1 if flips >> g & 1 else 1 for g in range(pres.num_gens))))
+    return action
 
 
 def graded_dims_linear(
@@ -171,25 +300,87 @@ def graded_dims_linear(
     ties keep build order) and then :func:`linalg.back_substitute`, so each
     coordinate of A_{m-1} (x) V projects onto A_m in one lookup.  The last
     degree needs only the rank, so it skips the reduced form and projection.
-    ``entry_budget`` bounds the nonzero entries of one degree's relation rows,
-    counted as the rows are built; its :class:`BudgetExceeded` carries the
-    dims of the degrees before.
+
+    The last degree also builds only the rows of one label block per class.
+    Each basis vector of A_{m-1} is a word, labelled as in :func:`_symmetry`,
+    and the engine carries the labels from degree to degree.  Two facts make
+    the blocks suffice:
+
+    1. The basis words split A_{m-1} (x) V into label blocks, and relations
+       homogeneous in labels split its row space alike: the row of a word of
+       label b and a relation of label r lies in the block of b r.  So
+       dim A_m = cur_dim * G - the sum over the labels of the block ranks.
+    2. A signed generator map that maps the relations onto multiples of
+       relations preserves the ideal, so it is an algebra automorphism.  The
+       one :func:`_symmetry` gives for t maps the block of label l onto that
+       of t l t, so column counts and ranks are constant on a class of labels
+       under conjugation by the adjacent transpositions.
+
+    The last degree walks the classes of the labels of A_{m-1} (x) V with
+    :func:`nichols._orbit`, takes the first label met in each as its block,
+    builds only those blocks' rows, and counts each pivot |class| times.
+    Earlier degrees build every row, since their reduced form projects the
+    next degree.  With no action every label is the identity, so the same
+    loop runs one block of class size 1.
+
+    ``entry_budget`` bounds the nonzero entries of the relation rows one
+    degree builds, counted as the rows are built; its :class:`BudgetExceeded`
+    carries the dims of the degrees before.
     """
     G = pres.num_gens
     dims = [1, G]
     if max_degree == 0:
         return [1]
+    action = _symmetry(pres)
+    if action is None:
+        one, letters, moves = (), [()] * G, []
+    else:
+        n = len(action) + 1
+        one = tuple(range(n))
+        letters = [_transposition(n, i, j) for i, j in pres.pairs]
+        moves = [partial(_conjugate, t) for t, _ in action]
+    # the relations by the label of their words
+    by_label: dict = {}
+    for rel in pres.relations:
+        words = [w for w, c in rel.items() if c]
+        if words:
+            g1, g2 = words[0]
+            by_label.setdefault(_times(letters[g1], letters[g2]), []).append(rel)
+    steps: dict = {}  # label a -> [a . letters[g] for g in range(G)]
     # prev_mult[(b, g)]: A_{m-2} basis vector b times generator g, in A_{m-1}
     # coordinates; A_0 (x) V -> A_1 is the identity on generators
     prev_dim, cur_dim = 1, G
     prev_mult = {(0, g): {g: 1} for g in range(G)}
+    prev_labels, cur_labels = [one], letters
     for m in range(2, max_degree + 1):
+        last = m == max_degree
+        distinct = dict.fromkeys(cur_labels)
+        for a in distinct:
+            if a not in steps:
+                steps[a] = [_times(a, letter) for letter in letters]
+        if last:
+            # class representative -> class size, over the labels of A_{m-1} (x) V
+            sizes: dict = {}
+            placed: set = set()
+            for a in distinct:
+                for label in steps[a]:
+                    if label not in placed:
+                        orbit = _orbit([label], moves)
+                        placed.update(orbit)
+                        sizes[label] = len(orbit)
+            # the rows of b and a relation of label r lie in the block of b . r
+            kept = {
+                b: [rel for rep in sizes for rel in by_label.get(_times(_inverse(b), rep), ())]
+                for b in dict.fromkeys(prev_labels)
+            }
+        else:
+            kept = dict.fromkeys(prev_labels, pres.relations)
         # relation image: for each A_{m-2} basis vector b and relation sum c_w w
         # with w = (g1, g2): sum_w c_w (b . g1) (x) g2 in A_{m-1} (x) V
         rows = []
         entries = 0
         for b in range(prev_dim):
-            for rel in pres.relations:
+            for rel in kept[prev_labels[b]]:
                 vec: dict = {}
                 for (g1, g2), c in rel.items():
                     for a, ca in prev_mult[(b, g1)].items():
@@ -211,11 +402,14 @@ def graded_dims_linear(
         # space's reduced echelon form, which back_substitute returns.
         rows.sort(key=len)
         pivots = echelon(rows)
-        new_dim = cur_dim * G - len(pivots)
+        if last:  # a pivot in a representative's block stands for one in each block of its class
+            new_dim = cur_dim * G - sum(sizes[steps[cur_labels[c // G]][c % G]] for c in pivots)
+        else:
+            new_dim = cur_dim * G - len(pivots)
         if new_dim == 0:
             break
         dims.append(new_dim)
-        if m == max_degree:
+        if last:
             break  # no later degree reads the projection
         back_substitute(pivots)
         free_basis = [c for c in range(cur_dim * G) if c not in pivots]
@@ -228,6 +422,8 @@ def graded_dims_linear(
             return {pos[c]: -v for c, v in piv.items()}
 
         prev_mult = {(b, g): project(b * G + g) for b in range(cur_dim) for g in range(G)}
+        prev_labels = cur_labels
+        cur_labels = [steps[cur_labels[c // G]][c % G] for c in free_basis]
         prev_dim, cur_dim = cur_dim, new_dim
     return dims
 

@@ -283,6 +283,10 @@ def test_fk_budget_exit_code(capsys):
     ]
     code, data = run_json(capsys, "fk", "--n", "4", "--max-degree", "6", "--budget", "5000")
     assert code == 0 and data["graded_dims"] == [1, 6, 19, 42, 71, 96, 106]
+    # the default budget admits E_6 degree 6: its last degree builds one label
+    # block per class
+    code, data = run_json(capsys, "fk", "--n", "6", "--max-degree", "6", "--engine", "linear")
+    assert code == 0 and data["graded_dims"][-1] == 64432
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 """Quadratic algebras: presentations, two dimension engines, finiteness probe."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -68,14 +69,21 @@ def test_e5_prefix():
     assert fk.graded_dims(pres, 8, engine="rewrite") == E5_PREFIX
 
 
+E6_PREFIX = [1, 15, 125, 765, 3831, 16605, 64432]
+
+
+def test_linear_engine_reaches_e6_degree_6_under_the_default_budget():
+    # the last degree builds one label block per class: 6,700 rows holding
+    # 25,361 entries, where all of degree 6's rows hold 1,399,560
+    assert fk.graded_dims_linear(fk.fk_presentation(6), 6) == E6_PREFIX
+
+
 @pytest.mark.slow
 def test_linear_engine_reaches_e5_degree_8_and_e6_degree_6():
-    # both degrees exceed the default entry budget; each takes about 6 s
-    e5 = fk.graded_dims_linear(fk.fk_presentation(5), 8, entry_budget=2_000_000)
-    assert e5 == E5_PREFIX
+    assert fk.graded_dims_linear(fk.fk_presentation(5), 8) == E5_PREFIX
     e6 = fk.graded_dims(fk.fk_presentation(6), 6, "rewrite")
-    assert e6 == [1, 15, 125, 765, 3831, 16605, 64432]
-    assert fk.graded_dims_linear(fk.fk_presentation(6), 6, entry_budget=2_000_000) == e6
+    assert e6 == E6_PREFIX
+    assert fk.graded_dims_linear(fk.fk_presentation(6), 6) == e6
 
 
 def _q_integer_product(factors, max_degree):
@@ -306,6 +314,126 @@ def test_ordered_form_generates_same_ideal():
         pres = fk.fk_presentation(n)
         ordered = ordered_form_relations(n)
         assert ideal_slices_equal(pres.relations, ordered, pres.num_gens, 4)
+
+
+def _preserves_relations(pres, action) -> bool:
+    """Does each (t, signs) of ``action``, x_g -> signs[g] x_g' with
+    (i, j) -> (t(i), t(j)) on pairs, map the span of the relations into
+    itself? (oracle for fk._symmetry, by rank)"""
+    index = {p: g for g, p in enumerate(pres.pairs)}
+    for t, signs in action:
+        image = [index[tuple(sorted((t[i - 1] + 1, t[j - 1] + 1)))] for i, j in pres.pairs]
+        moved = [
+            {(image[g1], image[g2]): signs[g1] * signs[g2] * c for (g1, g2), c in rel.items()}
+            for rel in pres.relations
+        ]
+        if rank(pres.relations + moved) != rank(pres.relations):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, top", [(3, 5), (4, 13), (5, 5)])
+def test_class_path_agrees_with_one_block_and_the_rewrite_engine(n, top):
+    # every degree d <= top is once the last degree, where the class path runs
+    rng = random.Random(61 + n)
+    for pres in (fk.fk_presentation(n), _gauge_twist(n, rng), _gauge_twist(n, rng)):
+        action = fk._symmetry(pres)
+        assert action is not None and len(action) == n - 1
+        assert _preserves_relations(pres, action)
+        one_block = dataclasses.replace(pres, pairs=None)
+        assert fk._symmetry(one_block) is None
+        dims = fk.graded_dims(pres, top, "rewrite")
+        assert fk.graded_dims_linear(one_block, top) == dims
+        for d in range(2, top + 1):
+            assert fk.graded_dims_linear(pres, d) == dims[: d + 1]
+
+
+def test_every_e_n_and_gauge_twist_has_the_action():
+    rng = random.Random(67)
+    for n in range(2, 7):
+        assert fk._symmetry(fk.fk_presentation(n)) is not None
+        for _ in range(5):
+            assert fk._symmetry(_gauge_twist(n, rng)) is not None
+
+
+def test_refused_symmetry_runs_one_block():
+    # random alpha/beta at n = 4: the rotations of a triple relation are not
+    # proportional, so two relations share their words
+    rng = random.Random(0)
+    triples = list(permutations(range(1, 5), 3))
+    alpha = {t: rng.choice([1, -1]) for t in triples}
+    beta = {t: rng.choice([1, -1]) for t in triples}
+    pres = fk.presentation(4, alpha, beta, -1, 1)
+    assert fk._symmetry(pres) is None
+    assert fk.graded_dims_linear(pres, 8) == fk.graded_dims(pres, 8, "rewrite") == [1, 6, 10, 3]
+    # x_12 and x_34 anticommute and every other disjoint pair commutes: each
+    # relation is homogeneous and alone on its words, but the signs for
+    # t = (2 3) would need s_12 s_34 s_34 s_12 = -1
+    pair = {frozenset((1, 2)), frozenset((3, 4))}
+    lam = {k: -1 if {frozenset(k[:2]), frozenset(k[2:])} == pair else 1
+           for k in permutations(range(1, 5), 4)}
+    pres = fk.presentation(4, 1, 1, -1, lam)
+    assert fk._symmetry(pres) is None
+    assert fk.graded_dims_linear(pres, 14) == fk.graded_dims(pres, 14, "rewrite")
+    assert fk.graded_dims_linear(pres, 14) == [1, 6, 19, 38, 37, 12]
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        # x_12 x_13 has label (1 2)(1 3), x_13 x_12 its inverse (1 3)(1 2);
+        # the anticommutators of every pair are closed under relabelling
+        [{(a, b): 1, (b, a): 1} for a, b in combinations(range(3), 2)],
+        # t = (1 2) maps the first relation onto the words of the second, but
+        # with coefficient ratios -1, 1 and 1/2: no signs make it a multiple
+        [{(0, 2): 1, (2, 1): 1, (1, 0): 2}, {(2, 0): 1, (1, 2): 1, (0, 1): -1}],
+    ],
+    ids=["non-homogeneous", "ratio-not-a-sign"],
+)
+def test_hand_built_presentations_without_the_action(relations):
+    squares = [{(g, g): 1} for g in range(3)]
+    pres = fk.QuadraticPresentation(3, squares + relations, "", ((1, 2), (1, 3), (2, 3)))
+    assert fk._symmetry(pres) is None
+    dims = fk.graded_dims(pres, 8, "rewrite")
+    for d in range(2, len(dims) + 1):
+        assert fk.graded_dims_linear(pres, d) == dims[: d + 1]
+
+
+def test_zero_coefficients_are_not_words():
+    # a word of coefficient 0, put first in a triple relation of E_3 with a
+    # label the relation's other words lack, changes neither the action nor
+    # the block the relation's rows are built in
+    pres = fk.fk_presentation(3)
+    rels = [dict(rel) for rel in pres.relations]
+    k = next(k for k, rel in enumerate(rels) if len(rel) == 3)
+    g1, g2 = next(iter(rels[k]))
+    rels[k] = {(g2, g1): 0, **rels[k]}
+    padded = fk.QuadraticPresentation(3, rels, "", pres.pairs)
+    action = fk._symmetry(padded)
+    assert action is not None and _preserves_relations(padded, action)
+    for d in range(2, 6):
+        assert fk.graded_dims_linear(padded, d) == [1, 3, 4, 3, 1][: d + 1]
+
+
+def test_gf2_solve():
+    assert fk._solve_gf2([(0b011, 1), (0b110, 1), (0b010, 0)]) == 0b101
+    assert fk._solve_gf2([(0b011, 1), (0b110, 1), (0b101, 1)]) is None
+    assert fk._solve_gf2([(0, 1)]) is None
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (((1, 2), (1, 3)), "2 generator pairs for 3 generators"),
+        (((1, 2), (2, 2), (2, 3)), "generator pair (2, 2) is not (i, j) with 1 <= i < j"),
+        (((1, 2), (3, 1), (2, 3)), "generator pair (3, 1) is not (i, j) with 1 <= i < j"),
+        (((0, 1), (1, 2), (0, 2)), "generator pair (0, 1) is not (i, j) with 1 <= i < j"),
+        (((1, 2), (1, 3), (1, 2)), "a generator pair is repeated"),
+    ],
+)
+def test_malformed_pairs_are_refused(pairs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fk.QuadraticPresentation(3, [{(0, 0): 1}], "", pairs)
 
 
 def test_engines_agree_on_random_sign_twists():
