@@ -18,6 +18,8 @@ from .errors import BudgetExceeded
 from .signed import (
     GroupKind,
     SignedPermutation,
+    _negative_cycles,
+    _signed_type,
     conjugate,
     contains,
     cycle_structure,
@@ -297,13 +299,21 @@ def class_key(kind: GroupKind, x: SignedPermutation):
     C_B((0, pi)) lies in D, so a sign flip moves x to the other half.  On a
     cycle (c_0 .. c_{L-1}), b at c_t is the parity of a over c_1 .. c_t, so
     a at c_t enters the parity of b L - t times: for even L, exactly when t
-    is odd, which is the ``odd_places`` mask of the cycle structure."""
+    is odd, which is the ``odd_places`` mask of the cycle structure.
+
+    The signed type comes from the memoised cycle structure of x's
+    permutation and the bit pattern of its negative cycles, through the
+    memo :func:`signed._signed_type`, so a call sorts nothing and builds no
+    :class:`SignedCycleType`: the membership tests over a witness's orbits
+    meet few permutations and fewer signed shapes."""
     if not contains(kind, x):
         return None
-    sct = x.signed_cycle_type()
+    bits = x.bits
+    structure = cycle_structure(x.perm)
+    sct, even = _signed_type(structure.sizes, _negative_cycles(bits, structure.masks))
     half = 0
-    if _splits(kind, sct.positive, sct.negative):
-        half = (x.bits & cycle_structure(x.perm).odd_places).bit_count() & 1
+    if even and kind is GroupKind.D:
+        half = (bits & structure.odd_places).bit_count() & 1
     return sct, half
 
 

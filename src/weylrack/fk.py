@@ -237,14 +237,24 @@ def _symmetry(pres: QuadraticPresentation) -> Optional[list]:
     Generator g is labelled by the transposition (i j) of its pair, and a word
     by the product of its letters' labels.  For each adjacent transposition
     t = (k k+1), k = 1..n-1, the action holds (t, signs): the generator map
-    x_g -> signs[g] x_g', label(g') = t label(g) t, maps every relation onto a
-    scalar multiple of a relation.  The signs come from a GF(2) solve: for
+    x_g -> signs[g] x_g', label(g') = t label(g) t, maps the span of the
+    relations onto itself.  The signs come from a GF(2) solve: for
     each relation and the one relation on its image words, coefficients
     c_u, c_v there and d_u, d_v on the images, signs[u] signs[v] (a product
     over both letters of each word) must be d_u c_v / (c_u d_v), compared
     exactly by cross-multiplication; words of coefficient 0 are dropped first.
-    None when ``pres.pairs`` is None, a relation is not homogeneous in labels, some t moves a pair to no
-    generator or a relation to no single relation, or some t has no signs.
+
+    Relations that share their word set are taken together.  When their rank
+    is the number of words (one relation on one word, or the two commutation
+    relations of x_ij and x_kl when lambda_ijkl lambda_klij = -1), every word
+    of the set lies in the ideal: such a full set adds no sign equation, and t
+    must map it onto the words of a full set, whatever the signs.  Any other
+    word set must hold one relation.
+
+    None when ``pres.pairs`` is None, a relation is not homogeneous in labels,
+    some t moves a pair to no generator, a full set to no full set or another
+    relation to no single relation, two relations share a word set that is not
+    full, or some t has no signs.
     """
     if not pres.pairs:
         return None
@@ -257,6 +267,8 @@ def _symmetry(pres: QuadraticPresentation) -> Optional[list]:
         if len({_times(letters[g1], letters[g2]) for g1, g2 in rel}) > 1:
             return None
         by_words.setdefault(frozenset(rel), []).append(rel)
+    # the word sets whose relations have full rank, through echelon's pivots
+    full = {words for words, rels in by_words.items() if len(echelon(rels)) == len(words)}
     action = []
     for k in range(1, n):
         t = _transposition(n, k, k + 1)
@@ -264,12 +276,17 @@ def _symmetry(pres: QuadraticPresentation) -> Optional[list]:
         if None in image:
             return None
         equations = []
-        for rel in relations:
-            moved = {w: (image[w[0]], image[w[1]]) for w in rel}
-            targets = by_words.get(frozenset(moved.values()), ())
-            if len(targets) != 1:
+        for words, rels in by_words.items():
+            moved = {w: (image[w[0]], image[w[1]]) for w in words}
+            target = frozenset(moved.values())
+            if words in full:
+                if target not in full:
+                    return None
+                continue
+            targets = by_words.get(target, ())
+            if len(rels) != 1 or len(targets) != 1:
                 return None
-            (u, cu), *rest = rel.items()
+            (u, cu), *rest = rels[0].items()
             du = targets[0][moved[u]]
             for v, cv in rest:
                 dv = targets[0][moved[v]]
@@ -310,8 +327,8 @@ def graded_dims_linear(
        homogeneous in labels split its row space alike: the row of a word of
        label b and a relation of label r lies in the block of b r.  So
        dim A_m = cur_dim * G - the sum over the labels of the block ranks.
-    2. A signed generator map that maps the relations onto multiples of
-       relations preserves the ideal, so it is an algebra automorphism.  The
+    2. A signed generator map that maps the span of the relations onto
+       itself preserves the ideal, so it is an algebra automorphism.  The
        one :func:`_symmetry` gives for t maps the block of label l onto that
        of t l t, so column counts and ranks are constant on a class of labels
        under conjugation by the adjacent transpositions.

@@ -14,7 +14,8 @@ from enum import Enum
 from typing import NamedTuple
 
 MAX_RANK = 64
-# permutations whose cycle structure is remembered; most lookups come from
+# permutations whose cycle structure is remembered, and signed shapes (cycle
+# sizes and negative cycles) whose signed cycle type is; most lookups come from
 # class_key in the membership tests over witness fibers, where few distinct
 # permutations recur (a B8 classification suite: 19,233 hits, 393 misses)
 CYCLE_MEMO = 4096
@@ -67,8 +68,13 @@ _SET_BITS = tuple(tuple(i for i in range(8) if v >> i & 1) for v in range(256))
 
 def _act(p: tuple[int, ...], bits: int) -> int:
     # (p . a)_{p(i)} = a_i, i.e. position i of the result carries a_{p^-1(i)};
-    # only the set bits move, read a byte at a time through _SET_BITS
+    # only the set bits move, read a byte at a time through _SET_BITS, and
+    # bits below 256 (every sign vector up to rank 8) in one lookup
     out = 0
+    if bits < 256:
+        for i in _SET_BITS[bits]:
+            out |= 1 << p[i]
+        return out
     base = 0
     while bits:
         for i in _SET_BITS[bits & 255]:
@@ -142,12 +148,8 @@ class SignedPermutation:
         return cycle_structure(self.perm).lengths
 
     def signed_cycle_type(self) -> SignedCycleType:
-        pos, neg = [], []
-        bits = self.bits
         structure = cycle_structure(self.perm)
-        for cyc, mask in zip(structure.cycles, structure.masks):
-            (neg if (bits & mask).bit_count() & 1 else pos).append(len(cyc))
-        return SignedCycleType(tuple(sorted(pos)), tuple(sorted(neg)))
+        return _signed_type(structure.sizes, _negative_cycles(self.bits, structure.masks))[0]
 
     def __str__(self) -> str:
         return format_element(self)
@@ -158,6 +160,7 @@ class CycleStructure(NamedTuple):
 
     cycles: tuple[tuple[int, ...], ...]  # as SignedPermutation.cycles()
     masks: tuple[int, ...]  # bit i-1 of masks[c] is set iff i lies on cycles[c]
+    sizes: tuple[int, ...]  # sizes[c] = len(cycles[c])
     lengths: tuple[int, ...]  # the cycle type, descending, 1s included
     odd_places: int  # the points at places 1, 3, 5, ... of their cycles (from 0)
 
@@ -182,8 +185,31 @@ def cycle_structure(perm: tuple[int, ...]) -> CycleStructure:
             odd_places |= 1 << j
         cycles.append(tuple([j + 1 for j in cyc]))
         masks.append(mask)
-    lengths = tuple(sorted((len(c) for c in cycles), reverse=True))
-    return CycleStructure(tuple(cycles), tuple(masks), lengths, odd_places)
+    sizes = tuple([len(c) for c in cycles])
+    lengths = tuple(sorted(sizes, reverse=True))
+    return CycleStructure(tuple(cycles), tuple(masks), sizes, lengths, odd_places)
+
+
+def _negative_cycles(bits: int, masks: tuple[int, ...]) -> int:
+    """The cycles of odd sign-bit parity: bit c is set iff ``bits`` has an odd
+    number of bits on the support ``masks[c]``."""
+    negative = 0
+    if bits:
+        for c, mask in enumerate(masks):
+            if (bits & mask).bit_count() & 1:
+                negative |= 1 << c
+    return negative
+
+
+@functools.lru_cache(maxsize=CYCLE_MEMO)
+def _signed_type(sizes: tuple[int, ...], negative: int) -> tuple[SignedCycleType, bool]:
+    """The signed cycle type of cycles of ``sizes`` whose negative ones are
+    the set bits of ``negative``, and whether every cycle is positive and of
+    even length; memoised, so every element of one signed shape shares one
+    :class:`SignedCycleType`."""
+    pos = sorted(k for c, k in enumerate(sizes) if not negative >> c & 1)
+    neg = sorted(k for c, k in enumerate(sizes) if negative >> c & 1)
+    return SignedCycleType(tuple(pos), tuple(neg)), not neg and not any(k & 1 for k in pos)
 
 
 _new = object.__new__
@@ -219,18 +245,26 @@ def inverse(x: SignedPermutation) -> SignedPermutation:
     return x.inverse()
 
 
+def _conjugation(b: int, q: tuple[int, ...], perm: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The permutation-dependent half of (b, q) |> (bits, perm): the pair
+    (q perm q^-1, b + (q perm q^-1).b).  The conjugate is then
+    (q.bits + that sign term, q perm q^-1), one _act more, so a caller that
+    meets one perm with many sign vectors can keep the pair."""
+    # q pi q^-1 sends q(i) to q(pi(i))
+    img = [0] * len(q)
+    for i, j in zip(q, perm):
+        img[i] = q[j]
+    new_perm = tuple(img)
+    return new_perm, b ^ _act(new_perm, b)
+
+
 def conjugate(by: SignedPermutation, x: SignedPermutation) -> SignedPermutation:
     """by |> x = by * x * by^-1, via the closed semidirect-product formula."""
     if by.n != x.n:
         raise ValueError(f"rank mismatch: {by.n} != {x.n}")
-    b, q = by.bits, by.perm
-    # q pi q^-1 sends q(i) to q(pi(i))
-    img = [0] * x.n
-    for i, j in zip(q, x.perm):
-        img[i] = q[j]
-    new_perm = tuple(img)
-    new_bits = b ^ _act(q, x.bits) ^ _act(new_perm, b)
-    return _trusted(x.n, new_bits, new_perm)
+    q = by.perm
+    new_perm, term = _conjugation(by.bits, q, x.perm)
+    return _trusted(x.n, _act(q, x.bits) ^ term, new_perm)
 
 
 def signed_cycle_type(x: SignedPermutation) -> SignedCycleType:

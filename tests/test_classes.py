@@ -218,6 +218,61 @@ def test_class_key_and_reps_match_brute_force_orbits(kind, n):
     assert sum(len(orb) for orb in orbits) == group_order(kind, n)
 
 
+def _reference_class_key(kind, x):
+    """class_key computed directly: the cycles walked on x.perm, the signed
+    lengths sorted, and the half of a split D class as the parity of the b
+    with b + pi.b = a, solved along each cycle from b = 0 at its first point."""
+    if (kind is GroupKind.S and x.bits) or (kind is GroupKind.D and bin(x.bits).count("1") % 2):
+        return None
+    seen, cycles = set(), []
+    for i in range(x.n):
+        cyc = []
+        while i not in seen:
+            seen.add(i)
+            cyc.append(i)
+            i = x.perm[i]
+        if cyc:
+            cycles.append(cyc)
+    a = [x.bits >> i & 1 for i in range(x.n)]
+    signs = [sum(a[i] for i in cyc) % 2 for cyc in cycles]
+    pos = tuple(sorted(len(c) for c, s in zip(cycles, signs) if not s))
+    neg = tuple(sorted(len(c) for c, s in zip(cycles, signs) if s))
+    half = 0
+    if kind is GroupKind.D and not neg and all(k % 2 == 0 for k in pos):
+        # (b, 1) |> (0, pi) = (b + pi.b, pi), and (pi.b)_{pi(i)} = b_i, so
+        # a at pi(i) is b at pi(i) plus b at i
+        b = [0] * x.n
+        for cyc in cycles:
+            for prev, point in zip(cyc, cyc[1:]):
+                b[point] = a[point] ^ b[prev]
+        half = sum(b) % 2
+    return (pos, neg), half
+
+
+def _key_fields(key):
+    return key if key is None else ((key[0].positive, key[0].negative), key[1])
+
+
+def test_memoised_class_key_matches_a_reference():
+    # every element at ranks 1-5, then seeded elements at ranks 9-16 whose
+    # sign bits pass 255, each read twice so the second read hits the memo
+    cases = [(kind, x) for kind in GroupKind for n in range(1, 6) for x in elements(kind, n)]
+    rng = random.Random(53)
+    for n in range(9, 17):
+        for kind in GroupKind:
+            for _ in range(40):
+                x = random_element(rng, n, kind)
+                while kind is not GroupKind.S and x.bits < 256:
+                    x = random_element(rng, n, kind)
+                cases.append((kind, x))
+    for kind, x in cases + cases:
+        expected = _reference_class_key(kind, x)
+        assert _key_fields(class_key(kind, x)) == expected
+        assert (x.signed_cycle_type().positive, x.signed_cycle_type().negative) == (
+            _reference_class_key(GroupKind.B, x)[0]
+        )
+
+
 def test_d4_split_class_halves():
     x = from_cycles(4, 0, [(1, 2), (3, 4)])
     flip = from_cycles(4, 0b0001, [])

@@ -378,6 +378,23 @@ def test_refused_symmetry_runs_one_block():
     assert fk.graded_dims_linear(pres, 14) == [1, 6, 19, 38, 37, 12]
 
 
+def test_word_sets_in_the_ideal_keep_the_action():
+    # lambda_ijkl = -1 exactly when min(i, j) < min(k, l), so lambda_ijkl
+    # lambda_klij = -1: the two commutation relations of each disjoint pair
+    # span both of its words, which lie in the ideal, and add no sign equation
+    lam = {k: -1 if min(k[:2]) < min(k[2:]) else 1 for k in permutations(range(1, 5), 4)}
+    pres = fk.presentation(4, 1, 1, -1, lam)
+    action = fk._symmetry(pres)
+    assert action is not None and len(action) == 3
+    assert _preserves_relations(pres, action)
+    one_block = dataclasses.replace(pres, pairs=None)
+    for top in range(3, 7):
+        dims = [1, 6, 16, 18] if top == 3 else [1, 6, 16, 18, 7]
+        assert fk.graded_dims_linear(pres, top) == dims
+        assert fk.graded_dims_linear(one_block, top) == dims
+        assert fk.graded_dims(pres, top, "rewrite") == dims
+
+
 @pytest.mark.parametrize(
     "relations",
     [

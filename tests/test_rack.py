@@ -168,17 +168,46 @@ def test_rejected_pair_walks_a_orbit_only_up_to_b(monkeypatch):
     # pair is rejected; the walk of a's orbit ends when it meets b
     a, b = parse_element("000000:(1 2 3 4 5 6)"), parse_element("000000:(1 2 3 4 6 5)")
     assert len(orbit(a, (a, b), conjugate, CLASS_BUDGET)) == 120
-    calls = []
+    calls, steps = [], []
+    step = rack_module._Conjugator.conjugate
 
     def counting(g, x):
         calls.append(x)
         return conjugate(g, x)
 
+    def counting_step(conjugator, x):
+        steps.append(x)
+        return step(conjugator, x)
+
+    # sq conjugates through rack.conjugate, the walk through its conjugators
     monkeypatch.setattr(rack_module, "conjugate", counting)
+    monkeypatch.setattr(rack_module._Conjugator, "conjugate", counting_step)
     assert rack_module.pair_witness([(a, b)], "") is None
     # 3 conjugations for sq(a, b) != b and 11 for the walk, where the whole
     # orbit takes 2 * 120
-    assert len(calls) == 14
+    assert len(calls) == 3
+    assert len(steps) == 11
+
+
+def test_validated_parts_are_the_plain_conjugation_walks():
+    # validate walks through its per-generator conjugators; R and S must be the
+    # orbits that plain conjugate walks, element for element, in order
+    reps = [(kind, x) for kind in (GroupKind.B, GroupKind.D) for x in class_reps(kind, 6)]
+    reps += [(GroupKind.B, parse_element(f"{s}000000000:(1 2 3 4 5 6 7 8 9 10)")) for s in "01"]
+    witnesses = 0
+    for kind, x in reps:
+        w = Classifier(kind, x.n).classify(x).witness
+        if w is None:
+            continue
+        witnesses += 1
+        for part, seed in ((w.R, w.a), (w.S, w.b)):
+            walk = orbit(seed, (w.a, w.b), conjugate, CLASS_BUDGET)
+            assert [z.key() for z in part] == list(walk)
+        # a fresh witness on the same pair walks them again, under its member test
+        again = TypeDWitness(w.a, w.b, w.tag)
+        assert again.validate(ClassMembership(kind, x.n).member_test(x))
+        assert again.R == w.R and again.S == w.S
+    assert witnesses >= 60
 
 
 def test_brute_force_undetermined_on_singleton():

@@ -68,8 +68,15 @@ def _act_lowest_bit_first(p, bits):
 def test_act_matches_a_bit_at_a_time_walk():
     rng = random.Random(47)
     p = tuple(rng.sample(range(9), 9))
+    # bits below 256 take the one-lookup path, and the rest the byte loop
     for bits in range(1 << 9):
         assert _act(p, bits) == _act_lowest_bit_first(p, bits)
+    for n in (8, 16, 64):
+        p = tuple(rng.sample(range(n), n))
+        for bits in range(256):
+            assert _act(p, bits) == _act_lowest_bit_first(p, bits)
+            high = bits | 1 << rng.randrange(8, n) if n > 8 else bits
+            assert _act(p, high) == _act_lowest_bit_first(p, high)
     for _ in range(500):
         p = tuple(rng.sample(range(64), 64))
         bits = rng.getrandbits(64)
