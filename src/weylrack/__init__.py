@@ -49,4 +49,4 @@ from .linalg import rank
 from .cache import ResultCache, ResultRecord
 from .suites import SUITES, run_suite
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"

@@ -139,13 +139,21 @@ def enumerate_class(kind: GroupKind, rep: SignedPermutation) -> ConjugacyClass:
     return cls
 
 
-def sym_class(cycle_type: tuple[int, ...]) -> list[SignedPermutation]:
-    """The S_n class of ``cycle_type`` (descending lengths, 1s included) in
-    key order, listed by :func:`enumerate_class`: a class of more than
+def small_class(kind: GroupKind, pos: Sequence[int], neg: Sequence[int] = ()) -> list[SignedPermutation]:
+    """The class of :func:`bipartition_rep` (pos, neg) in ``kind``, in key
+    order, listed by :func:`enumerate_class`: a class of more than
     ``CLASS_BUDGET`` elements raises BudgetExceeded before the walk."""
-    n = sum(cycle_type)
-    rep = SignedPermutation(n, 0, perm_from_cycles(n, _consecutive_cycles(cycle_type)))
-    return sorted(enumerate_class(GroupKind.S, rep).elements, key=lambda x: x.key())
+    return sorted(enumerate_class(kind, bipartition_rep(pos, neg)).elements, key=lambda x: x.key())
+
+
+def bipartition_rep(pos: Sequence[int], neg: Sequence[int] = ()) -> SignedPermutation:
+    """The class rep of the bipartition (pos, neg) as :func:`class_reps`
+    lays it out: the cycles on consecutive points, positive ones first, with
+    one sign bit on the first point of each negative cycle."""
+    n = sum(pos) + sum(neg)
+    cycles = _consecutive_cycles(tuple(pos) + tuple(neg))
+    bits = sum(1 << (cyc[0] - 1) for cyc in cycles[len(pos):])
+    return SignedPermutation(n, bits, perm_from_cycles(n, cycles))
 
 
 def _consecutive_cycles(lengths: Sequence[int], start: int = 0) -> list[tuple[int, ...]]:
@@ -351,12 +359,9 @@ def class_reps(kind: GroupKind, n: int) -> list[SignedPermutation]:
             for neg in _partitions(n - k, n - k):
                 if (kind is GroupKind.S and neg) or (kind is GroupKind.D and len(neg) % 2):
                     continue
-                cycles = _consecutive_cycles(pos + neg)
-                bits = sum(1 << (cyc[0] - 1) for cyc in cycles[len(pos):])
-                rep = SignedPermutation(n, bits, perm_from_cycles(n, cycles))
-                reps.append(rep)
+                reps.append(bipartition_rep(pos, neg))
                 if _splits(kind, pos, neg):
-                    reps.append(conjugate(flip, rep))
+                    reps.append(conjugate(flip, reps[-1]))
     return sorted(reps, key=lambda x: x.key())
 
 

@@ -5,8 +5,10 @@ rank).
 
 Every witness is built inside the input's own class from one pair (a, b):
 each rule squares, powers or re-pairs cycles in place, moves a sign to a
-fixed point, or lifts the S_k witness of a small core of the cycle type,
-so no class of the signed group is listed.  The rule hands its
+fixed point, juxtaposes the B_k witness of a small signed core with the
+other signed cycles, or lifts the S_k witness of a small core of the cycle
+type, so the only classes of the signed group listed are B_k classes of
+signed cores of at most ``CORE_POINTS`` points.  The rule hands its
 candidate pairs to :func:`rack.pair_witness`, which keeps the first pair
 that passes :meth:`rack.TypeDWitness.validate`: R and S are the conjugation
 orbits of a and b under <a, b> (Andruskiewitsch-Fantino-Garcia-Vendramin
@@ -21,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .classes import ClassMembership, _consecutive_cycles, sym_class
+from .classes import ClassMembership, _consecutive_cycles, bipartition_rep, juxtapose, small_class
 from .rack import TypeDWitness, brute_force_type_d, pair_witness
 from .signed import (
     GroupKind,
@@ -32,7 +34,10 @@ from .signed import (
     perm_from_cycles,
 )
 
-SYM_MEMO = 256  # S_n cycle types whose symmetric-subgroup witness is kept
+SYM_MEMO = 256  # cycle types, and signed cores, whose block witness is kept
+# points of a signed core: the largest B_5 class, the 5-cycles, holds 384
+# elements, so a core's scan stays small
+CORE_POINTS = 5
 
 PROVEN = "ProvenTypeD"
 NOT_TYPE_D = "ProvenNotTypeD"
@@ -225,17 +230,77 @@ def sym_class_witness(cycle_type: tuple[int, ...]) -> Optional[TypeDWitness]:
     :func:`rack.brute_force_type_d`, validated under the test of sign bits 0
     and that cycle type, or None; memoised per cycle type, so each process
     lists and scans a class once.  The class comes from
-    :func:`classes.sym_class`, in key order."""
+    :func:`classes.small_class`, in key order."""
     return brute_force_type_d(
-        sym_class(cycle_type), lambda z: z.bits == 0 and z.cycle_type() == cycle_type
+        small_class(GroupKind.S, cycle_type), lambda z: z.bits == 0 and z.cycle_type() == cycle_type
     )
 
 
-def _cores(cycle_type: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The nonempty sub-multisets of ``cycle_type`` (descending), each
-    descending, fewest points first."""
-    runs = [[(k,) * m for m in range(c + 1)] for k, c in Counter(cycle_type).items()]
-    return sorted((sum(p, ()) for p in itertools.product(*runs)), key=lambda c: (sum(c), c))[1:]
+def _signed_cycles(x: SignedPermutation) -> tuple[tuple[int, int], ...]:
+    """x's cycles as (length, 1 if negative else 0) pairs, descending."""
+    sct = x.signed_cycle_type()
+    return tuple(sorted([(k, 0) for k in sct.positive] + [(k, 1) for k in sct.negative], reverse=True))
+
+
+def _points(core) -> int:
+    return sum(k for k, _ in core)
+
+
+def _signs(core) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positive and the negative cycle lengths of a signed ``core``."""
+    return tuple(k for k, s in core if not s), tuple(k for k, s in core if s)
+
+
+@functools.lru_cache(maxsize=SYM_MEMO)
+def signed_core_witness(core: tuple[tuple[int, int], ...]) -> Optional[TypeDWitness]:
+    """The smallest type-D witness of the B_k class of the signed ``core``
+    ((length, 1 if negative else 0) pairs, descending, so k is the sum of
+    the lengths), or None; memoised per core, so each process lists and
+    scans a class once.  The class comes from :func:`classes.small_class`
+    in key order; a is its first element and b runs over the rest, and of
+    the pairs that pass :func:`rack.pair_witness` under the class's
+    :func:`classes.class_key` test the one with the fewest |R| + |S|
+    elements is kept, ties going to the first."""
+    elements = small_class(GroupKind.B, *_signs(core))
+    a = elements[0]
+    member = ClassMembership(GroupKind.B, a.n).member_test(a)
+    found = filter(None, (pair_witness([(a, b)], "orbit_pair", member) for b in elements[1:]))
+    return min(found, key=lambda w: len(w.R) + len(w.S), default=None)
+
+
+def _cores(cycles: tuple, points=sum) -> list[tuple]:
+    """The nonempty sub-multisets of ``cycles`` (descending: cycle lengths,
+    or signed cycles as pairs), each descending, fewest ``points`` first."""
+    runs = [[(k,) * m for m in range(c + 1)] for k, c in Counter(cycles).items()]
+    return sorted((sum(p, ()) for p in itertools.product(*runs)), key=lambda c: (points(c), c))[1:]
+
+
+def lift_from_signed_core(x: SignedPermutation, member) -> Optional[TypeDWitness]:
+    """Juxtapose the B_k witness of the smallest signed core of x with x's
+    other signed cycles; None when no core has one or its pairs fail.
+
+    The core is the first of :func:`_cores` of x's signed cycles (fixed
+    points included) with at most ``CORE_POINTS`` points, fewer than x's
+    rank, whose B_k class has a witness (a1, b1) in
+    :func:`signed_core_witness`; c is x's other signed cycles laid out by
+    :func:`classes.bipartition_rep`.  a1 # c and b1 # c have x's signed
+    cycle type, sq(a1 # c, b1 # c) = sq(a1, b1) # c, and conjugation by
+    <a1 # c, b1 # c> fixes c, so the orbits are a1's and b1's, # c, of the
+    block's size at any rank.  In a D class that splits the pair may lie in
+    the other half, so the pair conjugated by the sign flip at point 1 is the
+    second candidate; :func:`rack.pair_witness` validates each in x's class."""
+    n, cycles = x.n, _signed_cycles(x)
+    for core in _cores(cycles, _points):
+        if _points(core) > min(CORE_POINTS, n - 1):
+            return None
+        if core_w := signed_core_witness(core):
+            break
+    else:
+        return None
+    c = bipartition_rep(*_signs(tuple((Counter(cycles) - Counter(core)).elements())))
+    a, b = juxtapose(core_w.a, c), juxtapose(core_w.b, c)
+    flip = SignedPermutation(n, 1, tuple(range(n)))
+    return pair_witness([(a, b), (conjugate(flip, a), conjugate(flip, b))], "signed_core", member)
 
 
 def lift_from_sym(x: SignedPermutation, member) -> Optional[TypeDWitness]:
@@ -301,14 +366,17 @@ class Classifier:
     matrices, which commute: sq(a, b) = b on every pair, so it is
     ``ProvenNotTypeD`` at every rank.  Below rank 5 every other class is
     ``Undetermined``.  Otherwise the witness rules of ``WITNESS_RULES`` are
-    tried in order, then the exception list, and last
-    :func:`lift_from_sym`, whose core witnesses from
-    :func:`sym_class_witness` are shared by every classifier of the process.
-    Each rule builds its own pair (a, b) and hands it to
+    tried in order, then the exception list, then
+    :func:`lift_from_signed_core`, and last :func:`lift_from_sym`; their
+    core witnesses, from :func:`signed_core_witness` and
+    :func:`sym_class_witness`, are shared by every classifier of the
+    process.  Each rule builds its own pair (a, b) and hands it to
     :func:`rack.pair_witness` with a :func:`classes.class_key` membership
-    test; no B or D class is listed, and the only S_k classes listed are the
-    cores the lift scans (through rank 16 none exceeds S_8's (4, 4) class,
-    1,260 elements).  A class no rule decides is
+    test; no D class is listed, the only B classes listed are the B_k
+    classes of signed cores of at most ``CORE_POINTS`` points (at most 384
+    elements), and the only S_k classes listed are the cores the lift scans
+    (through rank 16 none exceeds S_8's (4, 4) class, 1,260 elements).  A
+    class no rule decides is
     ``Undetermined``; every ``ProvenTypeD`` witness has passed
     :meth:`rack.TypeDWitness.validate` against that membership test once,
     when it was built: an exhaustive check, linear in the witness's size,
@@ -336,13 +404,14 @@ class Classifier:
         case = exception_case(x)
         if case is not None:
             return TypeDVerdict(EXCEPTION, exception_case=case, rule_tag="exception_list")
-        if w := lift_from_sym(x, member):
-            return TypeDVerdict(PROVEN, witness=w, rule_tag=w.tag)
+        for lift in (lift_from_signed_core, lift_from_sym):
+            if w := lift(x, member):
+                return TypeDVerdict(PROVEN, witness=w, rule_tag=w.tag)
         return TypeDVerdict(UNDETERMINED, reason="no rule decides the class")
 
 
 def classify(kind: GroupKind, x: SignedPermutation) -> TypeDVerdict:
     """The verdict of :class:`Classifier` on x.  The classifier is built
-    afresh for each call; the S_k core witnesses of
-    :func:`sym_class_witness` carry over between calls."""
+    afresh for each call; the core witnesses of :func:`signed_core_witness`
+    and :func:`sym_class_witness` carry over between calls."""
     return Classifier(kind, x.n).classify(x)

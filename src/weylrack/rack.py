@@ -223,10 +223,11 @@ class TypeDWitness:
         Both orbits go through one :class:`_Conjugator` per generator, which
         builds the conjugated permutation and the generator's sign term once
         per permutation part it meets; every element then costs one _act and
-        one new element.  The orbits lie over few permutations with large
-        sign fibers: the B6/D6 ``sym_lift`` witnesses hold 1,650 elements over
-        312 permutation parts.  An orbit beyond ``CLASS_BUDGET`` elements
-        raises BudgetExceeded.
+        one new element.  A lifted orbit lies over few permutations with a
+        large sign fiber: the ``sym_lift`` witness of B6
+        ``100000:(1 2 3 4 5 6)`` holds 48 + 48 elements over 3 + 3
+        permutation parts.  An orbit beyond ``CLASS_BUDGET`` elements raises
+        BudgetExceeded.
         """
         a, b = self.a, self.b
         _common_rank(a, b)

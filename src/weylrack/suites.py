@@ -305,6 +305,19 @@ def _suite_type_d_witnesses(params: dict, rng: random.Random) -> list[dict]:
             if contains(kind, x):
                 ok = ok and _proven_by(clf.classify(x), "cycle_power_fibers")
     checks.append(_check("cycle_power_all_signs", "witness-cycle-power", ok))
+    # signed cores: B8 (1 2 3 4)(5 6 7 8), the second cycle negative, from the
+    # core (4) with 6 + 6 elements; and both halves of the split D6 class
+    # (1 2 3 4)(5 6): the pair juxtaposed from the core depends only on the
+    # signed cycle type, so it lies in one half, and the other half is
+    # decided by that pair flipped at point 1
+    v = Classifier(GroupKind.B, 8).classify(from_cycles(8, 0b00010000, [(1, 2, 3, 4), (5, 6, 7, 8)]))
+    ok = _proven_by(v, "signed_core") and (len(v.witness.R), len(v.witness.S)) == (6, 6)
+    clf, flip = Classifier(GroupKind.D, 6), from_cycles(6, 1, [])
+    x = from_cycles(6, 0, [(1, 2, 3, 4), (5, 6)])
+    first, second = clf.classify(x), clf.classify(conjugate(flip, x))
+    ok = ok and _proven_by(first, "signed_core") and _proven_by(second, "signed_core")
+    ok = ok and conjugate(flip, first.witness.a) == second.witness.a
+    checks.append(_check("signed_core_blocks", "witness-signed-core", ok))
     # propagation: a decomposition survives juxtaposition with any right block;
     # the juxtaposed pair's witness is the old one with ``right`` appended
     x = from_cycles(5, 0, [(1, 2, 3, 4, 5)])

@@ -21,8 +21,8 @@ from weylrack.classes import (
     is_orthogonal,
     juxtapose,
     orbit,
+    small_class,
     split,
-    sym_class,
     verify_juxtaposition_identities,
 )
 from weylrack.signed import (
@@ -120,9 +120,21 @@ def test_sym_class_reads_the_class_in_key_order():
     for n in range(1, 8):
         for rep in class_reps(GroupKind.S, n):
             listed = sorted(x.key() for x in enumerate_class(GroupKind.S, rep).elements)
-            assert [x.key() for x in sym_class(rep.cycle_type())] == listed
+            assert [x.key() for x in small_class(GroupKind.S, rep.cycle_type())] == listed
     with pytest.raises(BudgetExceeded):
-        sym_class((6, 6))  # 6,652,800 elements, refused before the walk
+        small_class(GroupKind.S, (6, 6))  # 6,652,800 elements, refused before the walk
+
+
+def test_small_class_reads_signed_cores_in_key_order():
+    # every B_k class of rank <= 5, the signed cores' groups, from its
+    # bipartition, against the orbit BFS of its class_reps rep
+    for n in range(1, 6):
+        for rep in class_reps(GroupKind.B, n):
+            sct = rep.signed_cycle_type()
+            pos, neg = sct.positive[::-1], sct.negative[::-1]
+            listed = sorted(x.key() for x in enumerate_class(GroupKind.B, rep).elements)
+            assert [x.key() for x in small_class(GroupKind.B, pos, neg)] == listed, str(rep)
+    assert len(small_class(GroupKind.B, (5,))) == 384  # the largest B_5 class
 
 
 def test_centralizer_orbit_stabilizer():

@@ -23,7 +23,9 @@ from weylrack.classify import (
     Classifier,
     classify,
     exception_case,
+    lift_from_signed_core,
     lift_from_sym,
+    signed_core_witness,
     sym_class_witness,
     witness_cycle_power,
     witness_fixed_points,
@@ -149,7 +151,7 @@ def test_sym_class_witness_refuses_an_invalid_witness(monkeypatch):
         with pytest.raises(ValueError, match="^R is not the orbit of a$"):
             TypeDWitness.from_json(_record(sym, R, S))
         assert not check_decomposition(R, S)
-        monkeypatch.setattr(module, "sym_class", lambda t: iter([sym.a, sym.R[1]]))
+        monkeypatch.setattr(module, "small_class", lambda kind, t: iter([sym.a, sym.R[1]]))
         sym_class_witness.cache_clear()
         assert sym_class_witness(cycle_type) is None
     finally:
@@ -182,7 +184,7 @@ def test_sym_class_witness_checks_class_membership(monkeypatch):
             TypeDWitness.from_json(_record(sym, R, sym.S))
         signed_b = SignedPermutation(5, 1, sym.b.perm)
         assert TypeDWitness(sym.a, signed_b).validate()
-        monkeypatch.setattr(module, "sym_class", lambda t: iter([sym.a, signed_b]))
+        monkeypatch.setattr(module, "small_class", lambda kind, t: iter([sym.a, signed_b]))
         sym_class_witness.cache_clear()
         assert sym_class_witness(cycle_type) is None
     finally:
@@ -219,6 +221,7 @@ def test_sym_memo_cold_and_warm_verdicts_agree():
     for kind in (GroupKind.B, GroupKind.D):
         for x in _rank_six_inputs(kind):
             sym_class_witness.cache_clear()
+            signed_core_witness.cache_clear()
             cold = Classifier(kind, 6).classify(x).to_json()
             assert Classifier(kind, 6).classify(x).to_json() == cold, str(x)
 
@@ -239,19 +242,56 @@ def _lifted_core(module, x):
 
 
 def _assert_only_small_cores_listed(listed):
-    # no B or D class is listed, and each S_k core at most once, none of
-    # more than the 1,260 elements of S_8's (4, 4) class
-    assert all(cls.kind is GroupKind.S and cls.size <= 1_260 for cls in listed)
-    assert set(Counter(cls.rep.cycle_type() for cls in listed).values()) <= {1}
+    # each core is listed at most once: an S_k core of at most the 1,260
+    # elements of S_8's (4, 4) class, or the B_k class of a signed core of at
+    # most 5 points and 384 elements; no other B class and no D class
+    for cls in listed:
+        if cls.kind is GroupKind.S:
+            assert cls.size <= 1_260, str(cls.rep)
+        else:
+            assert cls.kind is GroupKind.B and cls.n <= 5 and cls.size <= 384, str(cls.rep)
+    cores = Counter((cls.kind, cls.rep.signed_cycle_type()) for cls in listed)
+    assert set(cores.values()) <= {1}
+
+
+def _juxtaposed_core(module, x):
+    """The smallest signed core of x, of at most CORE_POINTS points and
+    fewer than x's rank, whose B_k class has a witness, read from the memo,
+    and x's other signed cycles on the points after it: positive cycles
+    first, each run descending, one sign bit at each negative cycle's start."""
+    cycles = module._signed_cycles(x)
+    limit = min(module.CORE_POINTS, x.n - 1)
+    core = next(
+        c for c in module._cores(cycles, module._points)
+        if module._points(c) <= limit and module.signed_core_witness(c)
+    )
+    rest = list(cycles)
+    for signed in core:
+        rest.remove(signed)
+    tail, bits, start = [], 0, 0
+    for length, negative in sorted(rest, key=lambda c: c[1]):
+        tail += [start + (i + 1) % length for i in range(length)]
+        bits |= negative << start
+        start += length
+    return module.signed_core_witness(core), SignedPermutation(len(tail), bits, tuple(tail))
+
+
+def _flip(z):
+    """z conjugated by the sign flip at point 1."""
+    return conjugate(SignedPermutation(z.n, 1, tuple(range(z.n))), z)
 
 
 def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
-    # each S_k core is listed, scanned and its witness validated once per
-    # process, whichever classifier asks; no B or D class is listed, and
-    # lift_from_sym reads the memo and does not check its witnesses again
+    # each S_k core and each signed core is listed, scanned and its witness
+    # validated once per process, whichever classifier asks; no other B
+    # class and no D class is listed, and lift_from_sym and
+    # lift_from_signed_core read their memo and do not check its witnesses
+    # again
     module = importlib.import_module("weylrack.classify")
-    scanned, listed, validated, lifted = Counter(), [], [], []
+    scanned, listed, validated, lifted, joined = Counter(), [], [], [], []
+    core_scans = Counter()
     scan, list_class, lift = module.brute_force_type_d, ConjugacyClass._list, module.lift_from_sym
+    join, pairs = module.lift_from_signed_core, module.pair_witness
     validate = TypeDWitness.validate
 
     def spy_scan(elements, member=None):
@@ -272,38 +312,65 @@ def test_sym_memo_lists_and_scans_each_cycle_type_once(monkeypatch):
         lifted.append(x)
         return lift(x, member)
 
+    def spy_join(x, member):
+        w = join(x, member)
+        if w is not None:
+            joined.append(x)
+        return w
+
+    def spy_pairs(candidates, tag, member=None):
+        candidates = list(candidates)
+        if tag == "orbit_pair":  # the core scan: one call per pair (a, b)
+            for a, _ in candidates:
+                core_scans[a.signed_cycle_type()] += 1
+        return pairs(candidates, tag, member)
+
     monkeypatch.setattr(module, "brute_force_type_d", spy_scan)
     monkeypatch.setattr(ConjugacyClass, "_list", spy_list)
     monkeypatch.setattr(module, "lift_from_sym", spy_lift)
+    monkeypatch.setattr(module, "lift_from_signed_core", spy_join)
+    monkeypatch.setattr(module, "pair_witness", spy_pairs)
     monkeypatch.setattr(TypeDWitness, "validate", spy_validate)
     sym_class_witness.cache_clear()
+    signed_core_witness.cache_clear()
     b6 = _rank_six_inputs(GroupKind.B)
     for x in b6 + b6:
         Classifier(GroupKind.B, 6).classify(x)
-    d_lifts = len(lifted)
+    d_lifts, d_joins = len(lifted), len(joined)
     for x in _rank_six_inputs(GroupKind.D):
         classify(GroupKind.D, x)
-    assert listed and len(lifted) > d_lifts
+    assert listed and len(lifted) > d_lifts and len(joined) > d_joins
     _assert_only_small_cores_listed(listed)
+    sym_listed = [cls for cls in listed if cls.kind is GroupKind.S]
     assert set(scanned.values()) == {1}
-    assert set(scanned) == {cls.rep.cycle_type() for cls in listed}
+    assert set(scanned) == {cls.rep.cycle_type() for cls in sym_listed}
     assert set(scanned) <= {c for x in lifted for c in module._cores(x.cycle_type())}
     syms = [_lifted_core(module, x)[0] for x in lifted]
     assert None not in syms and set(scanned.values()) == {1}
     assert {sum(w is sym for w in validated) for sym in syms} == {1}
+    # each signed core's B_k class is scanned once: one pair per element
+    # after the first
+    core_listed = [cls for cls in listed if cls.kind is GroupKind.B]
+    assert core_listed
+    assert core_scans == Counter({cls.rep.signed_cycle_type(): cls.size - 1 for cls in core_listed})
+    cores = [_juxtaposed_core(module, x)[0] for x in joined]
+    assert {sum(w is core for w in validated) for core in cores} == {1}
 
 
 @pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
 def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     # every rep of rank 5-7 and one seeded conjugate each: the procedure
-    # lists no B or D class, a lifted witness's permutation parts are its
-    # core's S_k witness juxtaposed with the other cycles, and every
-    # witness's R and S are the orbits of a and b under conjugation by
-    # <a, b>; the S_n memo starts cold, so its scans run here
+    # lists no B class but the signed cores' and no D class, a lifted
+    # witness's permutation parts are its core's S_k witness juxtaposed with
+    # the other cycles, a signed-core witness is its core's B_k witness
+    # juxtaposed with the other signed cycles (or that pair flipped at point
+    # 1), and every witness's R and S are the orbits of a and b under
+    # conjugation by <a, b>; both memos start cold, so their scans run here
     module = importlib.import_module("weylrack.classify")
     module.sym_class_witness.cache_clear()
-    listed, lifts = [], []
-    list_class, lift = ConjugacyClass._list, module.lift_from_sym
+    module.signed_core_witness.cache_clear()
+    listed, lifts, joins = [], [], []
+    list_class, lift, join = ConjugacyClass._list, module.lift_from_sym, module.lift_from_signed_core
 
     def spy_list(cls):
         listed.append(cls)
@@ -314,8 +381,15 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
         lifts.append((_lifted_core(module, x), w))
         return w
 
+    def spy_join(x, member):
+        w = join(x, member)
+        if w is not None:
+            joins.append((_juxtaposed_core(module, x), w))
+        return w
+
     monkeypatch.setattr(ConjugacyClass, "_list", spy_list)
     monkeypatch.setattr(module, "lift_from_sym", spy_lift)
+    monkeypatch.setattr(module, "lift_from_signed_core", spy_join)
     rng = random.Random(f"constructed-pairs:{kind.value}")
     witnesses = []
     for n in (5, 6, 7):
@@ -334,6 +408,7 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
         "two_triples_fibers",
         "pair_repairing_fibers",
         "fixed_point_bit",
+        "signed_core",
         "sym_lift",
     }
     for w in witnesses:
@@ -343,6 +418,40 @@ def test_verdicts_rest_on_constructed_pairs(kind, monkeypatch):
     assert all(
         (w.a.perm, w.b.perm) == (sym.a.perm + tail, sym.b.perm + tail) for (sym, tail), w in lifts
     )
+    assert joins
+    for (core, rest), w in joins:
+        pair = (juxtapose(core.a, rest), juxtapose(core.b, rest))
+        assert (w.a, w.b) in (pair, (_flip(pair[0]), _flip(pair[1])))
+        assert (len(w.R), len(w.S)) == (len(core.R), len(core.S))
+
+
+_SIGNED_CORE_PINS = {
+    # rank: (signed_core, sym_lift, largest witness) in B, then in D
+    5: ((4, 0, 32), (2, 0, 32)),
+    6: ((18, 2, 96), (10, 2, 32)),
+    7: ((52, 4, 128), (26, 2, 128)),
+    8: ((82, 10, 128), (44, 6, 128)),
+    9: ((130, 20, 512), (65, 10, 512)),
+    10: ((195, 38, 512), (102, 21, 512)),
+}
+
+
+@pytest.mark.parametrize("kind", [GroupKind.B, GroupKind.D])
+@pytest.mark.parametrize("n", sorted(_SIGNED_CORE_PINS))
+def test_signed_core_and_lift_counts(kind, n):
+    # every class rep: the signed cores decide all but the shapes whose
+    # cores of at most 5 points have no witness (those with a 6-cycle, and
+    # the fixed-point-free involutions of rank 10), and the largest witness
+    # of any rule at the rank
+    clf = Classifier(kind, n)
+    tags, largest = Counter(), 0
+    for x in class_reps(kind, n):
+        v = clf.classify(x)
+        tags[v.rule_tag] += 1
+        if v.witness is not None:
+            largest = max(largest, len(v.witness.R) + len(v.witness.S))
+    pins = _SIGNED_CORE_PINS[n][kind is GroupKind.D]
+    assert (tags["signed_core"], tags["sym_lift"], largest) == pins
 
 
 def test_rule_built_verdict_walks_each_orbit_once(monkeypatch):

@@ -80,15 +80,20 @@ def test_rack_axiom_check_needs_a_closed_set():
         ("witness_pairs_triple", {"pairs_triple_all_signs"}),
         ("witness_fixed_points", {"fixed_point_rules"}),
         ("witness_cycle_power", {"cycle_power_all_signs"}),
+        ("lift_from_signed_core", {"signed_core_blocks"}),
     ],
 )
 def test_type_d_witness_checks_fail_without_their_rule(monkeypatch, rule, checks):
     # another rule (the S_n lift, say) may still prove the class; the check
     # names a rule, so it must fail when that rule is gone (the package's
-    # `classify` name is the function, hence import_module)
+    # `classify` name is the function, hence import_module); the signed-core
+    # step runs after the exception list, outside WITNESS_RULES
     module = importlib.import_module("weylrack.classify")
-    rules = tuple(r for r in module.WITNESS_RULES if r.__name__ != rule)
-    assert len(rules) == len(module.WITNESS_RULES) - 1
-    monkeypatch.setattr(module, "WITNESS_RULES", rules)
+    if rule == "lift_from_signed_core":
+        monkeypatch.setattr(module, rule, lambda x, member: None)
+    else:
+        rules = tuple(r for r in module.WITNESS_RULES if r.__name__ != rule)
+        assert len(rules) == len(module.WITNESS_RULES) - 1
+        monkeypatch.setattr(module, "WITNESS_RULES", rules)
     report = run_suite("type_d_witnesses")
     assert {c["name"] for c in report["checks"] if not c["passed"]} == checks
