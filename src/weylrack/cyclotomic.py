@@ -9,7 +9,8 @@ otherwise.  A product is the schoolbook product reduced modulo Phi_m, which
 needs no division because Phi_m is monic.  An inverse solves the d x d system
 of multiplication by the scalar on :func:`linalg.echelon`, the package's one
 elimination loop, and its integral coefficients turn back into ``int``, so
-the inverse of a unit +-zeta^k has ``int`` coefficients.  The roots of unity
+the inverse of a unit +-zeta^k has ``int`` coefficients; on Q (m = 1 or 2) it
+is the rational's inverse, :func:`linalg._inv`.  The roots of unity
 of Q(zeta_m) are the +-zeta^k, of order dividing lcm(2, m), which bounds the
 search of :meth:`CycScalar.multiplicative_order`.  No floating point anywhere.
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, neg, sub
 
-from .linalg import _normal, back_substitute, echelon
+from .linalg import _inv, _normal, back_substitute, echelon
 
 
 @lru_cache(maxsize=None)
@@ -166,11 +167,15 @@ class CycScalar:
         """The y with self * y = 1, from the d x d system of multiplication by
         self.  Column j < d holds self * zeta^j and column d the constant
         term, so row i reads (self * y)_i - [i == 0] = 0; in the reduced form
-        the row of lead j is y_j + tail[d], so y_j = -tail[d]."""
+        the row of lead j is y_j + tail[d], so y_j = -tail[d].  On a field of
+        degree 1 (m = 1 or 2) a scalar is one rational, inverted by
+        :func:`linalg._inv`."""
         f = self.field
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
         d = f.degree
+        if d == 1:
+            return _make(f, (_normal(_inv(self.coeffs[0])),))
         cols = [f._reduce([0] * j + list(self.coeffs)) for j in range(d)]
         rows = [{j: col[i] for j, col in enumerate(cols)} for i in range(d)]
         rows[0][d] = -1

@@ -16,11 +16,13 @@ on one heap ordered by degree and is resolved once, and each polynomial is
 reduced through a max-heap of its pending words.  Inside the completion a word
 is an integer, b = (num_gens - 1).bit_length() bits per letter with the first
 letter most significant, so that on words of one length integer order is lex
-order; subwords are read by shift and mask from one {lhs: rhs} table per lhs
-length, and a rewrite adds (rhs - lhs) << shift.  The left-hand sides form an
+order, and a rewrite adds (rhs - lhs) << shift.  The left-hand sides form an
 antichain under the subword order, so there are no inclusion ambiguities, and
 an index of every lhs by its proper prefixes and suffixes hands a new rule only
-the rules it overlaps.  ``RewriteSystem.rules`` is returned on tuple words.
+the rules it overlaps.  One Aho-Corasick automaton over the left-hand sides
+(:func:`_automaton`) finds a word's match in one pass of its letters during
+the completion and counts the irreducible words afterwards.
+``RewriteSystem.rules`` is returned on tuple words.
 
 The linear engine labels a word x_{i1 j1} ... x_{im jm} by the permutation
 (i1 j1) ... (im jm).  When :func:`_symmetry` finds the relations homogeneous
@@ -465,21 +467,90 @@ def _decode(code: int, length: int, b: int) -> Word:
     return tuple((code >> (k * b)) & mask for k in reversed(range(length)))
 
 
-def _reduce(poly: dict, length: int, tables: list, b: int) -> dict:
+def _automaton(words: list, num_gens: int, b: int) -> tuple:
+    """The Aho-Corasick automaton (1975) of a set of words, as a table.
+
+    The states are the prefixes of ``words``, the live ones (no word ends
+    there) first, then the hit states, each group breadth first; the root is
+    live state 0.  Letter g takes a state to the longest suffix of state + g
+    that is a state.  State k is stored as k << b, so that from state s letter
+    g leads to ``goto[s | g]``.  Returns (goto, live, ends): ``live`` counts
+    the live states, and ``words[ends[k]]`` ends at hit state live + k.
+
+    The left-hand sides of a completion form an antichain: none is a subword
+    of another.  Then at most one word ends at each position of a text, since
+    two would be suffixes one of the other.  And when one does, the state
+    reached there is that word: it is a suffix of the state, a prefix of some
+    word, so it cannot be a proper suffix.  A hit state thus names the one
+    word ending where it is reached, and the walk needs no output links.  For
+    words that nest, a state whose failure link is a hit is a hit too, naming
+    that word, so that a walk still meets a hit exactly where a word ends.
+    """
+    children = [{}]  # trie node -> {letter: child}
+    ends_at = {}  # trie node -> index of the word ending there
+    for k, w in enumerate(words):
+        node = 0
+        for g in w:
+            kids = children[node]
+            if g not in kids:
+                kids[g] = len(children)
+                children.append({})
+            node = kids[g]
+        ends_at[node] = k
+    # breadth first: a node's missing letters follow its failure link, whose
+    # row is done since that node is shallower
+    rows = {0: [children[0].get(g, 0) for g in range(num_gens)]}
+    fail = {0: 0}
+    order = [0]
+    for node in order:
+        for g, child in children[node].items():
+            fail[child] = rows[fail[node]][g] if node else 0
+            if child not in ends_at and fail[child] in ends_at:  # only when words nest
+                ends_at[child] = ends_at[fail[child]]
+            row = rows[child] = rows[fail[child]].copy()
+            for h, c in children[child].items():
+                row[h] = c
+            order.append(child)
+    ranked = [v for v in order if v not in ends_at] + [v for v in order if v in ends_at]
+    live = len(ranked) - len(ends_at)
+    number = {v: k << b for k, v in enumerate(ranked)}
+    pad = [0] * ((1 << b) - num_gens)
+    goto = []
+    for v in ranked:
+        goto += [number[t] for t in rows[v]]
+        goto += pad
+    return goto, live, [ends_at[v] for v in ranked[live:]]
+
+
+def _matcher(lhs: list, lens: list, rhs: list, num_gens: int, b: int) -> tuple:
+    """The ``matcher`` argument of :func:`_reduce` for the rules lhs[i] ->
+    rhs[i], coded words of lens[i] letters: (goto, first hit state, {hit
+    state: (L, rhs)}, shortest L) over :func:`_automaton`."""
+    goto, live, ends = _automaton([_decode(c, L, b) for c, L in zip(lhs, lens)], num_gens, b)
+    hits = {(live + k) << b: (lens[i], rhs[i]) for k, i in enumerate(ends)}
+    return goto, live << b, hits, min(lens, default=0)
+
+
+def _reduce(poly: dict, length: int, matcher: tuple, whole: dict, b: int) -> dict:
     """Fully rewrite a homogeneous polynomial on integer-coded words.
 
     Every word of ``poly`` has ``length`` letters of ``b`` bits, first letter
     most significant, so integer order is lex order and the largest word has
     the largest code.  Words wait in a heap of negated codes, so the largest
-    pending word comes out first.  It is matched against ``tables``, one
-    ``(L, {lhs code: [(rhs code - lhs code, coeff), ...]}, mask_L)`` per lhs
-    length L in ascending order: the shortest lhs first, then the leftmost
-    position, where the subword at shift s is ``(code >> s) & mask_L``.  A
-    match rewrites it into strictly smaller words ``code + (delta << s)``,
-    whose coefficients collect in ``pending``; no match makes it irreducible,
-    and it moves to the result.  No word larger than a popped one enters the
-    heap again, so each word is popped once and the result comes out in
-    decreasing order, leading word first.
+    pending word comes out first.  Its match is the shortest lhs in it, then
+    the leftmost.  ``matcher`` is (goto, first hit, {hit state: (L, rhs)},
+    shortest L) for the rules shorter than ``length`` (see
+    :func:`_matcher`), and the word is walked once, left to right: at most
+    one lhs ends at each letter, the first hit of each length is its leftmost,
+    and a hit of the shortest length stops the walk.  With no hit the word is
+    looked up whole in ``whole``, the ``{lhs code: rhs}`` of the rules of
+    length ``length``.  An rhs is ``[(rhs code - lhs code, coeff), ...]``.  A
+    match whose last letter sits at shift s rewrites the word into strictly
+    smaller words ``code + (delta << s)``, whose coefficients collect in
+    ``pending``; no match makes it irreducible, and it moves to the result.
+    No word larger than a popped one enters the heap again, so each word is
+    popped once and the result comes out in decreasing order, leading word
+    first.
     """
     pending: dict = {}
     heap: list = []
@@ -488,26 +559,33 @@ def _reduce(poly: dict, length: int, tables: list, b: int) -> dict:
             pending[w] = c
             heap.append(-w)
     heapify(heap)
-    probes = [(table.get, mask, range((length - L) * b, -1, -b)) for L, table, mask in tables]
+    goto, first_hit, hits, shortest = matcher
+    letter = (1 << b) - 1
+    shifts = range((length - 1) * b, -1, -b)
     result: dict = {}
     while heap:
         w = -heappop(heap)
         coeff = pending.pop(w)
         if not coeff:
             continue
-        for get, mask, shifts in probes:
-            for s in shifts:
-                rhs = get((w >> s) & mask)
-                if rhs is not None:
-                    break
-            else:
+        best = length
+        state = 0
+        for s in shifts:
+            state = goto[state | (w >> s) & letter]
+            if state >= first_hit:
+                L, rule = hits[state]
+                if L < best:
+                    best, at, rhs = L, s, rule
+                    if L == shortest:
+                        break
+        if best == length:
+            rhs = whole.get(w)
+            if rhs is None:
+                result[w] = coeff
                 continue
-            break
-        else:
-            result[w] = coeff
-            continue
+            at = 0
         for delta, rc in rhs:
-            nw = w + (delta << s)
+            nw = w + (delta << at)
             if nw in pending:
                 pending[nw] += coeff * rc
             else:
@@ -527,39 +605,25 @@ class RewriteSystem:
     pairs: int = 0  # critical pairs resolved by the completion
 
     def irreducible_counts(self, max_degree: int) -> list[int]:
-        """Words avoiding every rule lhs, counted by an automaton walk."""
-        lhs = set(self.rules)
-        prefixes = {()}
-        for w in lhs:
-            for k in range(1, len(w)):
-                prefixes.add(w[:k])
-        prefixes -= lhs
-        states = sorted(prefixes, key=_word_key)
-        index = {s: k for k, s in enumerate(states)}
+        """Words avoiding every rule lhs, counted as paths of :func:`_automaton`.
 
-        def step(state: Word, g: int) -> Optional[int]:
-            w = state + (g,)
-            if any(w[-L:] in lhs for L in range(1, len(w) + 1)):
-                return None
-            # longest suffix that is a live prefix (the empty word always is)
-            for k in range(len(w) + 1):
-                if w[k:] in index:
-                    return index[w[k:]]
-            raise AssertionError("unreachable: empty prefix is always live")
-
-        trans = [
-            [step(s, g) for g in range(self.num_gens)] for s in states
-        ]
+        A word contains an lhs exactly when its walk from the root meets a hit
+        state, so the words of length m avoiding them are the walks of m
+        letters through live states.
+        """
+        G = self.num_gens
+        b = max(1, (G - 1).bit_length())
+        goto, live, _ = _automaton(list(self.rules), G, b)
+        first_hit = live << b
         counts = [1]
-        vec = [0] * len(states)
-        vec[index[()]] = 1
+        vec = [1] + [0] * (live - 1)
         for _ in range(max_degree):
-            nxt = [0] * len(states)
+            nxt = [0] * live
             for s, c in enumerate(vec):
                 if c:
-                    for t in trans[s]:
-                        if t is not None:
-                            nxt[t] += c
+                    for t in goto[s << b : (s << b) + G]:
+                        if t < first_hit:
+                            nxt[t >> b] += c
             vec = nxt
             counts.append(sum(vec))
         return counts
@@ -585,12 +649,19 @@ def complete_to_degree(pres: QuadraticPresentation, max_degree: int) -> RewriteS
     proper suffixes, so a new lead meets only the rules it can overlap.  They
     are queued by old-rule insertion index, (lead, old) before (old, lead),
     positions ascending, then the lead's self-overlaps.
+
+    The reductions of one word length L form a phase.  Since lengths arrive in
+    non-decreasing order, the rules shorter than L are final when its phase
+    starts: :func:`_reduce` matches them through one automaton
+    (:func:`_matcher`), built when a phase starts after new rules came, and
+    the rules of length L, which can match only a whole word, through a dict.
     """
-    b = max(1, (pres.num_gens - 1).bit_length())
+    G = pres.num_gens
+    b = max(1, (G - 1).bit_length())
     lhs: list = []  # rule lhs codes, in insertion order
     lens: list = []  # their lengths
     rhs: list = []  # their rhs, as [(rhs code - lhs code, coeff), ...]
-    tables: list = []  # (L, {lhs code: rhs}, mask_L), L ascending
+    whole: dict = {}  # {lhs code: rhs} of the rules of the latest length
     by_prefix: dict = {}  # (k, code of a proper prefix of length k) -> rule indices
     by_suffix: dict = {}  # (k, code of a proper suffix of length k) -> rule indices
     queue: list = []
@@ -606,8 +677,15 @@ def complete_to_degree(pres: QuadraticPresentation, max_degree: int) -> RewriteS
         else:
             heappush(queue, (degree, next(seq), ia, ib))
 
+    auto = _matcher(lhs, lens, rhs, G, b)
+
     def add_poly(poly: dict, length: int) -> None:
-        poly = _reduce(poly, length, tables, b)
+        nonlocal auto, whole
+        if whole and length > lens[-1]:
+            # a new phase, and rules came since the last build: every rule so
+            # far is shorter than this phase and final
+            auto, whole = _matcher(lhs, lens, rhs, G, b), {}
+        poly = _reduce(poly, length, auto, whole, b)
         if not poly:
             return
         lead = next(iter(poly))
@@ -635,9 +713,7 @@ def complete_to_degree(pres: QuadraticPresentation, max_degree: int) -> RewriteS
             else:
                 queue_pair(pos + lens[i], new, i)
         rhs.append([(w - lead, _normal(-c * inv)) for w, c in poly.items()])
-        if not tables or tables[-1][0] != length:
-            tables.append((length, {}, (1 << (length * b)) - 1))
-        tables[-1][1][lead] = rhs[new]
+        whole[lead] = rhs[new]
 
     for rel in sorted(pres.relations, key=lambda r: sorted(map(_word_key, r))):
         add_poly({_encode(w, b): c for w, c in rel.items()}, 2)

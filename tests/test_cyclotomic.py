@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from weylrack import cyclotomic
 from weylrack.cyclotomic import CyclotomicField, cyclotomic_polynomial
+from weylrack.linalg import _inv
 
 
 def test_cyclotomic_polynomials():
@@ -198,6 +200,26 @@ def test_inverse_round_trips(m):
         assert inv.inverse() == x, x
         non_units += any(type(c) is Fraction for c in inv.coeffs)
     assert non_units
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_degree_one_inverse_is_one_rational_inverse(m, monkeypatch):
+    # on Q a scalar is one rational: its inverse is linalg._inv of it, with no
+    # elimination, and an integral inverse comes back as an int
+    calls = []
+    monkeypatch.setattr(cyclotomic, "echelon", lambda rows: calls.append(rows))
+    rng = random.Random(f"degree-one inverse:{m}")
+    F = CyclotomicField(m)
+    for trial in range(40):
+        (c,) = _random_coeffs(rng, 1, trial % 2 == 0)
+        if not c:
+            continue
+        inv = F.from_coeffs([c]).inverse()
+        assert inv.coeffs == (_inv(c),)
+        assert type(inv.coeffs[0]) is (int if _inv(c).denominator == 1 else Fraction)
+    for c in (Fraction(1, 3), Fraction(-1, 2), 1, -1):
+        assert type(F.from_coeffs([c]).inverse().coeffs[0]) is int
+    assert not calls
 
 
 @pytest.mark.parametrize("m", _MODULI)

@@ -146,17 +146,155 @@ def _rules_digest(rules) -> str:
 
 
 @pytest.mark.parametrize(
-    "n, max_degree, digest",
+    "n, max_degree, digest, pairs, twist",
     [
-        (4, 14, "e549f3d27354263acc409daad4c0dfab708646ea1fc0f51a9f49a4e5b0145a44"),
-        (5, 10, "ebfbd923b8756cde00b24a2db31e5b8b947654caca2c73290880957bbe2472f9"),
+        (4, 14, "e549f3d27354263acc409daad4c0dfab708646ea1fc0f51a9f49a4e5b0145a44", 108, None),
+        (5, 10, "ebfbd923b8756cde00b24a2db31e5b8b947654caca2c73290880957bbe2472f9", 1953, None),
+        (5, 10, "6b4857fd8ac8e7caca4180bdb91ce567aaa261ced35c686f6e89a7029f3f6069", 1953, 71),
+        (5, 12, "f2c0ede186fa38820bbf7a497ac1fbfd17b417427aba523405d142bbd9d5b4a9", 3633, None),
     ],
 )
-def test_completion_rules_are_pinned(n, max_degree, digest):
-    # the rules, their order and each rhs in order, as the tuple-word engine
-    # built them; the word encoding and the overlap index must not move them
-    system = fk.complete_to_degree(fk.fk_presentation(n), max_degree)
+def test_completion_rules_are_pinned(n, max_degree, digest, pairs, twist):
+    # the rules, their order, each rhs in order and the pairs resolved, as the
+    # tuple-word engine built them (E_n) and as the probing matcher built them
+    # (the gauge twist seeded by ``twist``, the shape the fk benchmark runs);
+    # the word encoding, the overlap index and the matcher must not move them
+    pres = fk.fk_presentation(n) if twist is None else _gauge_twist(n, random.Random(twist))
+    system = fk.complete_to_degree(pres, max_degree)
     assert _rules_digest(system.rules) == digest
+    assert system.pairs == pairs
+
+
+class _Matched(Exception):
+    """Raised by a probe rhs when :func:`fk._reduce` applies its rule."""
+
+
+class _Probe(int):
+    """A rhs difference that stops :func:`fk._reduce` at its first rewrite and
+    reports the rule and the shift it is applied at."""
+
+    def __new__(cls, rule):
+        probe = super().__new__(cls, 0)
+        probe.rule = rule
+        return probe
+
+    def __lshift__(self, shift):
+        raise _Matched(self.rule, shift)
+
+
+def _first_match(word, length, matcher, whole, b):
+    """(rule, letters after it) of the first rewrite of ``word``, or None."""
+    try:
+        fk._reduce({fk._encode(word, b): 1}, length, matcher, whole, b)
+    except _Matched as hit:
+        rule, shift = hit.args
+        return rule, shift // b
+    return None
+
+
+def _probed_match(word, index):
+    """The reference: every lhs length ascending, then every position left to
+    right, by plain slicing; ``index`` maps a tuple lhs to its rule number."""
+    for L in sorted({len(w) for w in index}):
+        for p in range(len(word) - L + 1):
+            rule = index.get(word[p : p + L])
+            if rule is not None:
+                return rule, len(word) - p - L
+    return None
+
+
+def _phase_words(rng, lhs, m, G):
+    """Words of length m: seeded ones, every lhs of length m, and, where it
+    fits, each lhs u with |u| > 2 followed by a two-letter lhs, so the walk
+    meets a longer hit before the shortest, and by an lhs of u's length, so
+    two hits of one length meet; random letters pad them to length m."""
+    by_length: dict = {}
+    for w in lhs:
+        by_length.setdefault(len(w), []).append(w)
+    words = [tuple(rng.randrange(G) for _ in range(m)) for _ in range(150)]
+    words += by_length.get(m, [])
+    for w in lhs:
+        for L in {2, len(w)}:
+            if 2 < len(w) <= m - L:
+                pad = tuple(rng.randrange(G) for _ in range(m - len(w) - L))
+                words.append(w + rng.choice(by_length[L]) + pad)
+    return words
+
+
+def test_automaton_match_is_the_shortest_then_leftmost_lhs():
+    rng = random.Random(89)
+    cases = [
+        (fk.fk_presentation(4), 14),
+        (fk.fk_presentation(5), 10),
+        (_gauge_twist(5, random.Random(97)), 10),
+    ]
+    kinds = dict.fromkeys(
+        ("early stop", "whole word", "irreducible", "longer first", "leftmost of two"), 0
+    )
+    for pres, max_degree in cases:
+        G = pres.num_gens
+        b = max(1, (G - 1).bit_length())
+        lhs = list(fk.complete_to_degree(pres, max_degree).rules)
+        for m in range(2, max_degree + 1):
+            # the rules a phase of length m matches: shorter ones through the
+            # automaton, those of length m whole
+            shorter = [k for k, w in enumerate(lhs) if len(w) < m]
+            matcher = fk._matcher(
+                [fk._encode(lhs[k], b) for k in shorter],
+                [len(lhs[k]) for k in shorter],
+                [[(_Probe(k), 1)] for k in shorter],
+                G,
+                b,
+            )
+            whole = {fk._encode(w, b): [(_Probe(k), 1)] for k, w in enumerate(lhs) if len(w) == m}
+            index = {w: k for k, w in enumerate(lhs) if len(w) <= m}
+            for word in _phase_words(rng, lhs, m, G):
+                expected = _probed_match(word, index)
+                assert _first_match(word, m, matcher, whole, b) == expected, (word, m)
+                if expected is None:
+                    kinds["irreducible"] += 1
+                    continue
+                L, end = len(lhs[expected[0]]), m - expected[1]
+                kinds["whole word"] += L == m
+                kinds["early stop"] += L == 2 and end < m
+                # a longer lhs ends before the match does, so the walk hits it first
+                kinds["longer first"] += any(
+                    word[e - L2 : e] in index for e in range(end) for L2 in range(L + 1, e + 1)
+                )
+                kinds["leftmost of two"] += L > 2 and any(
+                    word[e - L : e] in index for e in range(end + 1, m + 1)
+                )
+    assert all(kinds.values()), kinds
+
+
+def _avoiding_counts(num_gens, lhs, max_degree):
+    """Words of each length 0..max_degree with no lhs as a subword, by listing
+    every word (oracle for RewriteSystem.irreducible_counts)."""
+    lhs = set(lhs)
+    return [
+        sum(
+            not any(w[p : p + L] in lhs for L in range(1, m + 1) for p in range(m - L + 1))
+            for w in product(range(num_gens), repeat=m)
+        )
+        for m in range(max_degree + 1)
+    ]
+
+
+def test_irreducible_counts_match_brute_force():
+    rng = random.Random(101)
+    for n, completed, max_degree in ((3, 7, 7), (4, 5, 5), (4, 3, 5)):
+        for pres in (fk.fk_presentation(n), _gauge_twist(n, rng)):
+            system = fk.complete_to_degree(pres, completed)
+            expected = _avoiding_counts(pres.num_gens, system.rules, max_degree)
+            assert system.irreducible_counts(max_degree) == expected
+    for G in (1, 2, 3, 5):
+        empty = fk.RewriteSystem(G, {}, 0, True)
+        assert empty.irreducible_counts(6) == [G**m for m in range(7)]
+    # hand-built left-hand sides that nest: (1,) inside (0, 1, 2), (2, 0) a
+    # suffix of (1, 2, 0) and a prefix of (2, 0, 1)
+    lhs = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1,), (2, 0), (0, 0, 0)]
+    nested = fk.RewriteSystem(3, dict.fromkeys(lhs, {}), 0, False)
+    assert nested.irreducible_counts(7) == _avoiding_counts(3, lhs, 7)
 
 
 @pytest.mark.parametrize("word", [(0,), (0, 1, 1), (0, 2), (-1, 0)])
